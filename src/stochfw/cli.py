@@ -19,8 +19,8 @@ shared budget means a shared x-axis of full-gradient equivalents:
     fw: n    sarah_fw: p*n + (1-p)*2b    saga_sarah_fw: 2b    momentum_fw: b
 
 Exit codes: 0 success, 1 invalid spec, 2 unreadable/malformed dataset,
-3 NaN abort. ``SARAH_FW_THREADS`` caps how many grid runs execute in
-parallel (default 1).
+3 non-finite objective or gradient estimate. ``SARAH_FW_THREADS`` caps how
+many grid runs execute in parallel (default 1).
 """
 
 from __future__ import annotations

@@ -92,10 +92,6 @@ class Dataset:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseRow(self.indices[lo:hi], self.values[lo:hi])
 
-    @property
-    def rows(self):
-        return [self.row(i) for i in range(self.n)]
-
     def to_csr(self):
         """Rows as a scipy ``csr_matrix`` of shape (n, d)."""
         from scipy.sparse import csr_matrix

@@ -18,10 +18,20 @@ Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
                 then y_i = grad f_i(x_new) for i in S              [2b SFO]
     momentum    g = (1-rho_k) g + rho_k mean_S[grad f_i(x_new)]    [b SFO]
 
-The SAGA table stores each y_i in factored form: both losses have
-grad f_i = c_i * x_i, so one scalar per sample suffices. The table average
-is maintained incrementally (O(b * nnz) per step) and recomputed from
-scratch every 10^4 updates to wash out float drift.
+Both losses have grad f_i = c_i * x_i, so every batch term above is a
+weighted sum of the rows of S. An update gathers those rows once
+(``Objective.batch``) and evaluates each term as margins at a point, then
+scalar coefficients, then one scatter of the coefficients back onto the
+rows: O(b * nnz_row) work per term, with no sparse matrix built per call.
+Full refreshes, the SAGA initial pass and the table recomputation cover all
+n rows and go through the objective's scipy full pass instead. The kernel
+sums in scipy's order (see ``stochfw.objectives``), so every batch term has
+the same bits as its scipy sparse-product form.
+
+The SAGA table stores each y_i in factored form, one scalar c_i per
+sample. The table average is maintained incrementally (O(b * nnz) per
+step) and recomputed from scratch every 10^4 updates to wash out float
+drift.
 """
 
 from __future__ import annotations
@@ -141,14 +151,10 @@ class SarahEstimator(_Estimator):
         if refresh:
             self._full_refresh(x_new)
         else:
-            obj = self.obj
-            S = self.draw_batch() if force_batch is None else np.asarray(force_batch)
-            XS = obj.X[S]
-            yS = obj.y[S]
-            c_new = obj.margin_coefs(np.asarray(XS @ x_new).ravel(), yS)
-            c_old = obj.margin_coefs(np.asarray(XS @ x_old).ravel(), yS)
-            self.g = self.g + np.asarray(XS.T @ (c_new - c_old)).ravel() / len(S)
-            self.sfo_count += 2 * len(S)
+            S = self.draw_batch() if force_batch is None else force_batch
+            B = self.obj.batch(S)
+            self.g = self.g + B.scatter(B.coefs(x_new) - B.coefs(x_old)) / B.size
+            self.sfo_count += 2 * B.size
         self.refresh_log.append(refresh)
 
 
@@ -181,29 +187,25 @@ class SagaSarahEstimator(_Estimator):
 
     def update(self, x_new, x_old, k=None, force_batch=None):
         obj, lam = self.obj, self.cfg.lam
-        S = self.draw_batch() if force_batch is None else np.asarray(force_batch)
-        b = len(S)
+        S = self.draw_batch() if force_batch is None else force_batch
+        B = obj.batch(S)
+        b = B.size
 
-        XS = obj.X[S]
-        yS = obj.y[S]
-        c_new = obj.margin_coefs(np.asarray(XS @ x_new).ravel(), yS)
-        c_old = obj.margin_coefs(np.asarray(XS @ x_old).ravel(), yS)
-        sarah_term = np.asarray(XS.T @ (c_new - c_old)).ravel() / b
-        saga_term = (
-            np.asarray(XS.T @ (c_old - self.table_coefs[S])).ravel() / b
-            + self.saga_avg
-        )
+        c_new = B.coefs(x_new)
+        c_old = B.coefs(x_old)
+        sarah_term = B.scatter(c_new - c_old) / b
+        saga_term = B.scatter(c_old - self.table_coefs[S]) / b + self.saga_avg
         self.g = sarah_term + (1.0 - lam) * self.g + lam * saga_term
         self.sfo_count += 2 * b
 
         # Table write-back on unique indices; duplicates in S only affect
         # the averages above, each y_i is overwritten once. Zeroing the
-        # non-first duplicate positions makes XS.T @ delta_vec equal the
-        # sum of per-unique-row deltas without slicing X again.
+        # non-first duplicate positions makes the scatter of delta_vec equal
+        # the sum of per-unique-row deltas without gathering again.
         uniq, first_pos = np.unique(S, return_index=True)
         delta_vec = np.zeros(b)
         delta_vec[first_pos] = c_new[first_pos] - self.table_coefs[uniq]
-        self.saga_avg = self.saga_avg + np.asarray(XS.T @ delta_vec).ravel() / obj.n
+        self.saga_avg = self.saga_avg + B.scatter(delta_vec) / obj.n
         self.table_coefs[uniq] = c_new[first_pos]
 
         self._updates_since_recompute += 1

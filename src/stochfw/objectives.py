@@ -2,9 +2,24 @@
 
 Both losses depend on the per-sample margin z_i = <w, x_i>, so every
 per-sample gradient is a scalar multiple of the (sparse) sample:
-grad f_i(w) = c_i(w) * x_i. Batch and full gradients are accumulated in a
-dense length-d buffer via sparse matrix products; the scalar factorization
-is also what lets the SAGA table store one float per sample.
+grad f_i(w) = c_i(w) * x_i. A batch gradient is therefore a gather of
+margins followed by a scatter of scalars, and the SAGA table can store one
+float per sample.
+
+Two kernels do that work:
+
+* Batches (``Objective.batch``) gather the rows of S once from the
+  dataset's CSR arrays into flat (row, column, value) entries; margins and
+  weighted row sums are then one ``np.bincount`` each over those entries.
+* Full passes (``loss_full``, ``grad_full``, ``grad_coefs``) go through the
+  scipy CSR copy ``Objective.X``, whose compiled matvec is faster over all n
+  rows.
+
+The batch kernel reproduces scipy's bits: ``np.bincount`` starts every bin
+at 0.0 and adds the entries' products in storage order, exactly as scipy's
+``csr_matvec`` (margins) and ``csc_matvec`` (``X.T @ c``) accumulate them,
+so ``batch(S).margins(w)`` equals ``X[S] @ w`` and ``batch(S).scatter(c)``
+equals ``X[S].T @ c`` bit for bit.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -17,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-__all__ = ["Objective", "SmoothnessInfo", "LOSS_KINDS"]
+__all__ = ["Objective", "Batch", "SmoothnessInfo", "LOSS_KINDS"]
 
 LOSS_KINDS = ("logistic", "nlls")
 
@@ -33,6 +48,55 @@ class SmoothnessInfo:
     L_i: np.ndarray
     L_tilde: float
     L_bound: float
+
+
+def _sum_by(bins, weights, length):
+    # An empty gather makes bincount return int64 zeros; keep float64.
+    return np.bincount(bins, weights=weights, minlength=length).astype(
+        np.float64, copy=False
+    )
+
+
+class Batch:
+    """The rows of a batch S, gathered once from the dataset's CSR arrays.
+
+    Gathered entry t belongs to batch position ``rows[t]`` (duplicates in S
+    are gathered once per occurrence), feature ``cols[t]``, value
+    ``vals[t]``; entries keep the storage order of the rows. ``y`` holds the
+    labels of S. A Batch is built per call and never cached, so one
+    Objective can serve several threads.
+    """
+
+    __slots__ = ("_obj", "size", "y", "rows", "cols", "vals")
+
+    def __init__(self, obj, S):
+        ds = obj.dataset
+        start = ds.indptr.take(S)
+        lens = ds.indptr.take(S + 1) - start
+        # position of gathered entry t in the CSR arrays: the start of its
+        # row plus its offset within the row
+        pos = (start - lens.cumsum() + lens).repeat(lens)
+        pos += np.arange(len(pos))
+        self._obj = obj
+        self.size = len(S)
+        self.y = obj.y.take(S)
+        self.rows = np.arange(self.size).repeat(lens)
+        self.cols = ds.indices.take(pos)
+        self.vals = ds.values.take(pos)
+
+    def margins(self, w):
+        """<w, x_i> for every i in S, w a float64 array of length d;
+        equals ``X[S] @ w`` bit for bit."""
+        return _sum_by(self.rows, self.vals * w.take(self.cols), self.size)
+
+    def coefs(self, w):
+        """Gradient multipliers c_i(w) for every i in S."""
+        return self._obj._coefs(self.margins(w), self.y)
+
+    def scatter(self, c):
+        """sum_t c[t] x_{S[t]} for a float64 array c of length |S|, as a
+        dense length-d vector; equals ``X[S].T @ c`` bit for bit."""
+        return _sum_by(self.cols, self.vals * c.take(self.rows), self._obj.d)
 
 
 class Objective:
@@ -112,10 +176,14 @@ class Objective:
         z = self.margins(w, rows=rows)
         return self._coefs(z, self.y[rows])
 
-    def margin_coefs(self, z, y):
-        """Gradient multipliers from precomputed margins; lets callers that
-        already hold a batch slice evaluate several points without re-slicing."""
-        return self._coefs(np.asarray(z), np.asarray(y))
+    def batch(self, S):
+        """Gather the rows of the sample indices S (duplicates allowed)."""
+        S = np.asarray(S, dtype=np.int64)
+        if S.ndim != 1:
+            raise ValueError("batch indices must be a vector")
+        if S.size and (S.min() < 0 or S.max() >= self.n):
+            raise IndexError(f"batch index out of range [0, {self.n})")
+        return Batch(self, S)
 
     def grad_sample(self, i, w):
         """grad f_i(w) as a dense length-d vector."""
@@ -133,9 +201,8 @@ class Objective:
         if S.size == 0:
             raise ValueError("empty batch")
         w = self._check_w(w)
-        XS = self.X[S]
-        c = self.margin_coefs(np.asarray(XS @ w).ravel(), self.y[S])
-        return np.asarray(XS.T @ c).ravel() / S.size
+        B = self.batch(S)
+        return B.scatter(B.coefs(w)) / S.size
 
     def grad_full(self, w):
         """grad f(w), the average of all n per-sample gradients."""

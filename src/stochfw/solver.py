@@ -10,6 +10,10 @@ With eta_k in (0, 1] and feasible x^0, every iterate is a convex
 combination of feasible points and stays feasible. The update is computed
 in exactly the association x + eta*(s - x) for cross-run reproducibility.
 
+A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
+first iteration k that records it or hands the estimate to the LMO,
+whatever ``record_every`` is.
+
 Oracle accounting: the estimator owns the SFO counter; lmo_total equals K.
 Frank-Wolfe gap evaluations need one full gradient (n SFO-equivalents) and
 one LMO each; these are metered separately (gap_sfo_total, gap_lmo_total)
@@ -152,7 +156,14 @@ def solve(cfg, obj, cset, x0, callback=None):
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
             record(k, x)
-        s = lmo(cset, est.g)
+        try:
+            s = lmo(cset, est.g)
+        except ValueError:
+            # The LMO's own finiteness check doubles as the estimate's, so
+            # unrecorded iterations pay for no extra scan of g.
+            if np.all(np.isfinite(est.g)):
+                raise
+            raise NanAbort(k, "gradient estimate") from None
         lmo_total += 1
         step = eta(cfg.schedule, k)
         x_new = x + step * (s - x)

@@ -13,6 +13,7 @@ from stochfw.cli import (
     run_experiment,
 )
 from stochfw.metrics import Trace, TraceRow
+from stochfw.objectives import Objective
 
 from conftest import separable_libsvm_text
 
@@ -168,6 +169,32 @@ def test_nan_abort_exits_3(tmp_path):
                           K=10, batch=1, seeds=[0], algorithms=["fw"],
                           out_dir=str(tmp_path / "out"))
     assert run_experiment(spec, log=lambda m: None) == 3
+
+
+def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
+                                                   monkeypatch, capsys):
+    # grad_full turns NaN after fw's init pass; with record_every = 5 the
+    # LMO at k=1 sees the estimate before any recorded row does.
+    grad_full = Objective.grad_full
+    calls = []
+
+    def poisoned(self, w):
+        calls.append(1)
+        return grad_full(self, w) if len(calls) == 1 else np.full(self.d, np.nan)
+
+    monkeypatch.setattr(Objective, "grad_full", poisoned)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"dataset = {dataset_file}\n"
+        "alg = fw\n"
+        "K = 10\n"
+        "seed = 0\n"
+        "record_every = 5\n"
+        "gap_every = 0\n"
+        f"out = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "non-finite gradient estimate at iteration 1" in capsys.readouterr().out
 
 
 def test_config_file_parsing(tmp_path, dataset_file):

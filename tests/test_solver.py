@@ -111,27 +111,41 @@ def test_infeasible_x0_rejected():
         solve(fw_config(5), obj, cset, np.full(obj.d, 1.0))
 
 
+class Poisoned:
+    """An Objective whose ``method`` returns NaN after its first ``calls_ok`` calls."""
+
+    def __init__(self, inner, method, calls_ok):
+        self._inner, self._method, self._calls_ok = inner, method, calls_ok
+        self.calls = 0
+
+    def __getattr__(self, name):
+        fn = getattr(self._inner, name)
+        if name != self._method:
+            return fn
+
+        def poisoned(w):
+            self.calls += 1
+            return fn(w) if self.calls <= self._calls_ok else fn(w) * np.nan
+
+        return poisoned
+
+
 def test_nan_abort_carries_iteration():
     obj = tiny_objective(n=6, d=4)
-
-    class Poisoned:
-        def __init__(self, inner):
-            self._inner = inner
-            self.calls = 0
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-        def loss_full(self, w):
-            self.calls += 1
-            if self.calls > 3:
-                return float("nan")
-            return self._inner.loss_full(w)
-
-    poisoned = Poisoned(obj)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
     with pytest.raises(NanAbort) as err:
-        solve(fw_config(10), poisoned, cset, np.zeros(obj.d))
+        solve(fw_config(10), Poisoned(obj, "loss_full", 3), cset, np.zeros(obj.d))
+    assert err.value.k == 3
+
+
+def test_nan_gradient_aborts_between_recorded_rows():
+    # The update at k=2 makes the estimate NaN; with record_every=5 no
+    # row is recorded at k=3, so the LMO is the first to see it.
+    obj = tiny_objective(n=6, d=4)
+    cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    with pytest.raises(NanAbort, match="gradient estimate") as err:
+        solve(fw_config(10, record_every=5), Poisoned(obj, "grad_full", 3), cset,
+              np.zeros(obj.d))
     assert err.value.k == 3
 
 
