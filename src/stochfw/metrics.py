@@ -63,9 +63,12 @@ def fw_gap(obj, cset, y):
     """gap(y) = <grad f(y), y - s> with s the LMO vertex at grad f(y).
 
     Mathematically non-negative for feasible y; values within 1e-12 below
-    zero (rounding) are reported as 0.
+    zero (rounding) are reported as 0. NaN when grad f(y) is not finite,
+    since no vertex minimizes against it.
     """
     g = obj.grad_full(y)
+    if not np.all(np.isfinite(g)):
+        return float("nan")
     s = lmo(cset, g)
     gap = float(g @ (np.asarray(y, dtype=np.float64) - s))
     if -_GAP_CLAMP <= gap < 0.0:

@@ -2,7 +2,8 @@
 
 Everything here trades speed for independence: vertex enumeration instead
 of closed-form LMOs, central differences instead of analytic gradients,
-exhaustive batch enumeration instead of sampling. Budgets are deliberately
+exhaustive batch enumeration instead of sampling, a per-token Python loop
+instead of the vectorised LibSVM parser. Budgets are deliberately
 tiny (n <= 8, b <= 4, d <= 10) so enumerations stay under 10^4 cases.
 These oracles are shipped with the library (not buried in test code) so
 any reimplementation can be checked against the same fixtures.
@@ -15,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset, ParseError
+
 __all__ = [
     "EnumerationBudget",
+    "parse_libsvm_by_tokens",
     "lmo_by_enumeration",
     "finite_diff_grad",
     "expected_estimator_update",
@@ -158,3 +162,82 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b, sampling,
         return acc / len(batches)
 
     raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def parse_libsvm_by_tokens(text, d=None, name=""):
+    """LibSVM text to a :class:`~stochfw.data.Dataset`, one token at a time.
+
+    The oracle for :func:`stochfw.data.parse_libsvm`: ``float``/``int`` on
+    each token and the checks in the order a reader meets them. On ASCII
+    input in the parser's grammar both return equal Datasets or raise the
+    same :class:`~stochfw.data.ParseError`. This loop also takes what Python
+    spells as numbers beyond that grammar (``1_0``, non-ASCII digits and
+    spaces) and decodes ``text`` as UTF-8.
+    """
+    if hasattr(text, "read"):
+        text = text.read()
+    content = text.decode("utf-8") if isinstance(text, bytes) else text
+
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    labels: list[float] = []
+    max_index = 0  # 1-based
+
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric label {tokens[0]!r}") from None
+        if not np.isfinite(label):
+            raise ParseError(lineno, f"non-finite label {tokens[0]!r}")
+
+        prev_index = 0
+        for tok in tokens[1:]:
+            idx_str, _, val_str = tok.partition(":")
+            if not val_str:
+                raise ParseError(lineno, f"malformed feature token {tok!r}")
+            try:
+                idx = int(idx_str)
+                val = float(val_str)
+            except ValueError:
+                raise ParseError(lineno, f"malformed feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(lineno, f"feature index {idx} is not positive")
+            if idx == prev_index:
+                raise ParseError(lineno, f"duplicate feature index {idx}")
+            if idx < prev_index:
+                raise ParseError(
+                    lineno, f"feature index {idx} not increasing (after {prev_index})"
+                )
+            if not np.isfinite(val):
+                raise ParseError(lineno, f"non-finite value in token {tok!r}")
+            indices.append(idx - 1)
+            values.append(val)
+            prev_index = idx
+        max_index = max(max_index, prev_index)
+        labels.append(label)
+        indptr.append(len(indices))
+
+    if not labels:
+        raise ParseError(0, "empty file: no data lines")
+
+    if d is None:
+        d = max_index
+        if d == 0:
+            raise ParseError(0, "no features present and no explicit d given")
+    elif max_index > d:
+        raise ParseError(0, f"feature index {max_index} exceeds explicit d={d}")
+
+    return Dataset(
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int64),
+        values=np.asarray(values, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.float64),
+        d=int(d),
+        name=name,
+    )

@@ -12,7 +12,8 @@ in exactly the association x + eta*(s - x) for cross-run reproducibility.
 
 A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
 first iteration k that records it or hands the estimate to the LMO,
-whatever ``record_every`` is.
+whatever ``record_every`` is; so does a non-finite full gradient at a row
+that evaluates the Frank-Wolfe gap.
 
 Oracle accounting: the estimator owns the SFO counter; lmo_total equals K.
 Frank-Wolfe gap evaluations need one full gradient (n SFO-equivalents) and
@@ -143,6 +144,8 @@ def solve(cfg, obj, cset, x0, callback=None):
         gap_k = None
         if cfg.gap_every > 0 and k % cfg.gap_every == 0:
             gap_k = fw_gap(obj, cset, x_k)
+            if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
+                raise NanAbort(k, "full gradient")
             gap_sfo += obj.n
             gap_lmo += 1
         wall = time.monotonic_ns() - t0 if cfg.timing else 0

@@ -197,6 +197,31 @@ def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
     assert "non-finite gradient estimate at iteration 1" in capsys.readouterr().out
 
 
+def test_nan_full_gradient_at_gap_row_exits_3(tmp_path, dataset_file, monkeypatch,
+                                              capsys):
+    # grad_full turns NaN after sarah's init pass, so the gap at k=0 is the
+    # first to see it
+    grad_full = Objective.grad_full
+    calls = []
+
+    def poisoned(self, w):
+        calls.append(1)
+        return grad_full(self, w) if len(calls) == 1 else np.full(self.d, np.nan)
+
+    monkeypatch.setattr(Objective, "grad_full", poisoned)
+    assert main(["run", "--dataset", str(dataset_file), "--alg", "sarah_fw",
+                 "--K", "10", "--gap-every", "1", "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite full gradient at iteration 0" in capsys.readouterr().out
+
+
+def test_non_ascii_dataset_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.libsvm"
+    bad.write_bytes(b"+1 1:1\n-1 2:\xe9\n")
+    assert main(["run", "--dataset", str(bad), "--K", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().out
+
+
 def test_config_file_parsing(tmp_path, dataset_file):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

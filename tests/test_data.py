@@ -1,9 +1,14 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochfw.data import Dataset, ParseError, normalize_labels, parse_libsvm, to_libsvm
+from stochfw.objectives import Objective
+from stochfw.reference import parse_libsvm_by_tokens
+
+from conftest import binary_sparse_libsvm_text
 
 A9A_PATH = Path(__file__).parent / "data" / "a9a"
 
@@ -144,3 +149,65 @@ def test_to_csr_matches_rows():
     assert X.shape == (2, 3)
     dense = X.toarray()
     assert np.array_equal(dense, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
+
+
+def test_parse_memory_stays_near_the_output_size():
+    text = binary_sparse_libsvm_text(8124, 112, seed=5)
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (ds.indptr, ds.indices, ds.values, ds.labels))
+    assert peak <= 3 * out, (peak, out)
+
+
+def test_parsed_arrays_own_contiguous_memory_that_scipy_shares():
+    ds = parse_libsvm(binary_sparse_libsvm_text(300, 40, seed=2) + "# trailing\n")
+    for arr in (ds.indptr, ds.indices, ds.values, ds.labels):
+        assert arr.flags.c_contiguous
+        assert arr.base is None
+    obj = Objective("logistic", normalize_labels(ds, "logistic"))
+    assert np.shares_memory(obj.X.data, ds.values)
+
+
+@pytest.mark.parametrize(
+    "raw,lineno,byte",
+    [
+        (b"+1 1:1\n-1 2:\xff\n", 2, 0xFF),  # not UTF-8 at all
+        ("+1 1:1\n-1 \uff12:1\n".encode(), 2, 0xEF),  # full-width digit
+        ("+1\u00a01:1\n".encode(), 1, 0xC2),  # no-break space
+        ("# caf\u00e9\n+1 1:1\n".encode(), 1, 0xC3),  # even in a comment
+    ],
+)
+def test_non_ascii_byte_is_a_parse_error_at_its_line(raw, lineno, byte):
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(raw)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: non-ASCII byte 0x{byte:02x}"
+    with pytest.raises(ParseError):
+        parse_libsvm(raw.decode("utf-8", "surrogateescape"))
+
+
+def test_non_ascii_line_after_a_bad_line_reports_the_bad_line():
+    with pytest.raises(ParseError, match="^line 1: duplicate"):
+        parse_libsvm("+1 1:1 1:2\n-1 \u00e9:1\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("+1 1:1_0\n", "malformed feature token '1:1_0'"),  # digit separator
+        ("+1 1_0:1\n", "malformed feature token '1_0:1'"),
+        ("1_0 1:1\n", "non-numeric label '1_0'"),
+        ("+1 0000000000000000000001:1\n",  # an index of more than 18 digits
+         "malformed feature token '0000000000000000000001:1'"),
+    ],
+)
+def test_python_only_spellings_are_malformed(text, message):
+    # Python's int() and float() read these; the token oracle accepts them
+    parse_libsvm_by_tokens(text)
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(text)
+    assert str(err.value) == f"line 1: {message}"

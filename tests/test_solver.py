@@ -149,6 +149,17 @@ def test_nan_gradient_aborts_between_recorded_rows():
     assert err.value.k == 3
 
 
+def test_nan_full_gradient_at_gap_row_aborts():
+    # sarah's init pass is the one good grad_full call; the gap at k=0 then
+    # sees a NaN full gradient while the estimate itself is still finite
+    obj = tiny_objective(n=6, d=4)
+    cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    with pytest.raises(NanAbort, match="full gradient") as err:
+        solve(sarah_config(10, gap_every=1), Poisoned(obj, "grad_full", 1), cset,
+              np.zeros(obj.d))
+    assert err.value.k == 0
+
+
 def test_default_x0_per_kind():
     assert np.array_equal(default_x0(ConstraintSet("l1_ball", 2.0, dim=3)), np.zeros(3))
     assert np.array_equal(default_x0(ConstraintSet("linf_box", 2.0, dim=3)), np.zeros(3))
