@@ -12,7 +12,8 @@ Accepted grammar:
 * Lines end at ``\n``. Space, ``\t``, ``\r``, ``\v``, ``\f`` and
   ``\x1c``-``\x1f`` separate tokens. Blank lines and lines whose first token
   starts with ``#`` are skipped.
-* An index is a decimal integer ``[+-]digits`` of at most 18 digits.
+* An index is a decimal integer ``[+-]digits`` of at most 18 significant
+  digits; leading zeros do not count.
 * A label or value is a decimal number as C ``strtod`` reads it,
   ``[+-](digits[.[digits]] | .digits)[(e|E)[+-]digits]``, or ``inf``,
   ``infinity`` or ``nan`` in any case, which are then rejected as
@@ -134,7 +135,8 @@ _CLASS[[ord("+"), ord("-")]] = _SIGN
 # digit run, any other decimal number, or inf / infinity / nan in any case.
 _BAD, _INT, _FLOAT, _WORD = range(4)
 
-# At most this many digits are read exactly in int64 (10^18 < 2^63).
+# At most this many significant digits are read exactly in int64
+# (10^18 < 2^63).
 _MAX_INT_DIGITS = 18
 
 # Per-token error codes and their messages; a feature token's checks run
@@ -188,15 +190,13 @@ def _kinds(a, special, s, e):
     """
     kind = np.where(e > s, _INT, _BAD).astype(np.int8)
     lead = np.zeros(len(s), dtype=bool)
-    if not (len(s) and len(special)):
+    if not len(s):
         return kind, lead
     # the segment of each special byte; bytes between segments (other
     # segment kinds, comment lines) belong to none
     seg = np.searchsorted(s, special, side="right") - 1
     inside = (seg >= 0) & (special < e[np.maximum(seg, 0)])
     sp, seg = special[inside], seg[inside]
-    if not len(sp):
-        return kind, lead
     spc = _CLASS[a[sp]]
     # the segments holding a special byte, and each byte's place among them
     held = seg[np.flatnonzero(np.diff(seg, prepend=-1))]
@@ -255,22 +255,31 @@ def _digits(a, start, stop):
     return acc
 
 
+def _zeros(a, start, stop):
+    """Whether each nonempty run ``a[start:stop]`` holds only ``0`` bytes."""
+    size = stop - start
+    offset = np.cumsum(size) - size
+    at = np.arange(size.sum()) + np.repeat(start - offset, size)
+    return np.logical_and.reduceat(a[at] == ord("0"), offset)
+
+
 def _signed_digits(a, s, e, kind, lead):
-    """Which segments are digit runs of at most 18 digits, with their
-    magnitudes and whether they carry a minus sign."""
-    exact = (kind == _INT) & (e - s - lead <= _MAX_INT_DIGITS)
-    if not exact.all():
-        s, e, lead = s[exact], e[exact], lead[exact]
-    magnitude = _digits(a, s + lead, e)
-    return exact, magnitude, lead & (a[s] == ord("-"))
+    """Which segments are digit runs of at most 18 significant digits, with
+    their magnitudes and whether they carry a minus sign."""
+    body = s + lead
+    # only the last 18 digits are read; any before them must be zeros
+    head = np.maximum(e - _MAX_INT_DIGITS, body)
+    exact = kind == _INT
+    long = np.flatnonzero(exact & (head > body))
+    exact[long] = _zeros(a, body[long], head[long])
+    magnitude = _digits(a, head[exact], e[exact])
+    return exact, magnitude, lead[exact] & (a[s[exact]] == ord("-"))
 
 
 def _indices(a, s, e, kind, lead):
     """Feature indices (int64) and whether each was a valid index."""
     exact, magnitude, neg = _signed_digits(a, s, e, kind, lead)
     np.negative(magnitude, out=magnitude, where=neg)
-    if exact.all():
-        return magnitude, exact
     out = np.zeros(len(s), dtype=np.int64)
     out[exact] = magnitude
     return out, exact
@@ -282,11 +291,10 @@ def _numbers(a, s, e, kind, lead):
     value = magnitude.astype(np.float64)
     # negating the float, not the integer, keeps the sign of "-0"
     np.negative(value, out=value, where=neg)
-    if exact.all():
-        return value
     out = np.full(len(s), np.nan)
     out[exact] = value
     rest = np.flatnonzero((kind == _FLOAT) | ((kind == _INT) & ~exact))
+    # np.fromstring reads [-1.] from a buffer holding no number
     if len(rest):
         out[rest] = _strtod(a, s[rest], e[rest])
     return out
@@ -330,8 +338,6 @@ def _tokens(a, blank, breaks):
 def _split(a, start, end):
     """Position of each token's first colon (``end`` without one)."""
     colons = np.flatnonzero(a == ord(":")).astype(np.int32)
-    if len(colons) == len(start) and np.all(colons >= start) and np.all(colons < end):
-        return colons, np.ones(len(start), dtype=bool)  # one colon per token
     if not len(colons):
         return end.copy(), np.zeros(len(start), dtype=bool)
     j = np.searchsorted(colons, start)

@@ -201,8 +201,10 @@ def test_non_ascii_line_after_a_bad_line_reports_the_bad_line():
         ("+1 1:1_0\n", "malformed feature token '1:1_0'"),  # digit separator
         ("+1 1_0:1\n", "malformed feature token '1_0:1'"),
         ("1_0 1:1\n", "non-numeric label '1_0'"),
-        ("+1 0000000000000000000001:1\n",  # an index of more than 18 digits
-         "malformed feature token '0000000000000000000001:1'"),
+        ("+1 1000000000000000000:1\n",  # more than 18 significant digits
+         "malformed feature token '1000000000000000000:1'"),
+        ("+1 01000000000000000000:1\n",
+         "malformed feature token '01000000000000000000:1'"),
     ],
 )
 def test_python_only_spellings_are_malformed(text, message):
@@ -211,3 +213,14 @@ def test_python_only_spellings_are_malformed(text, message):
     with pytest.raises(ParseError) as err:
         parse_libsvm(text)
     assert str(err.value) == f"line 1: {message}"
+
+
+def test_long_digit_runs_count_only_their_significant_digits():
+    text = (
+        "+1 0000000000000000000003:1 000000000000000000000000000012:-0.5\n"
+        "-1 1:10000000000000000001 2:00000000000000000000000000007\n"
+    )
+    ds = parse_libsvm(text)
+    assert ds == parse_libsvm_by_tokens(text)
+    assert ds.indices.tolist() == [2, 11, 0, 1]
+    assert ds.values.tolist() == [1.0, -0.5, 1.0000000000000000001e19, 7.0]

@@ -59,8 +59,10 @@ def numbers(draw):
 
 
 def index_spelling(i):
-    """A positive index, sometimes with a plus sign or leading zeros."""
-    return st.tuples(st.sampled_from(["", "", "+"]), st.integers(0, 2)).map(
+    """A positive index, sometimes with a plus sign or leading zeros, at
+    times more than the 18 significant digits an index may have."""
+    zeros = st.sampled_from([0, 0, 1, 2, 24])
+    return st.tuples(st.sampled_from(["", "", "+"]), zeros).map(
         lambda p: f"{p[0]}{'0' * p[1]}{i}")
 
 
