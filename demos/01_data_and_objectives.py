@@ -19,7 +19,8 @@ libsvm_text = """\
 
 ds = parse_libsvm(libsvm_text, name="demo")
 print(f"parsed {ds.n} samples, {ds.d} features, labels {ds.labels}")
-print("row 0:", ds.row(0).indices, ds.row(0).values)
+indices, values = ds.row(0)  # 0-based feature indices and their values
+print("row 0:", indices, values)
 
 # serialize -> parse is an exact round trip (17 significant digits)
 assert parse_libsvm(to_libsvm(ds)) == ds

@@ -8,7 +8,7 @@ traces with exact oracle accounting.
 """
 
 from .constraints import ConstraintSet, contains, diameter, lmo
-from .data import Dataset, ParseError, SparseRow, normalize_labels, parse_libsvm, to_libsvm
+from .data import Dataset, ParseError, normalize_labels, parse_libsvm, to_libsvm
 from .estimators import (
     EstimatorConfig,
     FullGradEstimator,
@@ -39,7 +39,6 @@ __all__ = [
     "SmoothnessInfo",
     "SolveResult",
     "SolverConfig",
-    "SparseRow",
     "Trace",
     "TraceRow",
     "contains",

@@ -12,13 +12,13 @@ because row timestamps default to 0; pass ``timing = true`` in the config
 to stamp real wall times instead.
 
 Configuration is a declarative ``key = value`` file; command-line flags
-override file values. An ``epochs`` request is converted to an iteration
-horizon K per algorithm through its expected per-iteration SFO cost, so a
-shared budget means a shared x-axis of full-gradient equivalents:
+override file values, and both go through the same key table. An
+``epochs`` request is converted to an iteration horizon K per algorithm
+through the expected per-iteration SFO cost in its ``ALGORITHMS`` record,
+so a shared budget means a shared x-axis of full-gradient equivalents.
 
-    fw: n    sarah_fw: p*n + (1-p)*2b    saga_sarah_fw: 2b    momentum_fw: b
-
-Exit codes: 0 success, 1 invalid spec, 2 unreadable/malformed dataset,
+Exit codes: 0 success, 1 invalid spec (bad flags, config values or
+``SARAH_FW_THREADS`` included), 2 unreadable/malformed dataset,
 3 non-finite objective, gradient estimate or full gradient.
 ``SARAH_FW_THREADS`` caps how many grid runs execute in parallel (default 1).
 """
@@ -35,11 +35,11 @@ from pathlib import Path
 
 from .constraints import CONSTRAINT_KINDS, ConstraintSet
 from .data import ParseError, normalize_labels, parse_libsvm
-from .estimators import EstimatorConfig
+from .estimators import ALGORITHMS, EstimatorConfig
 from .metrics import Trace, TraceRow
 from .objectives import LOSS_KINDS, Objective
 from .schedules import SCHEDULE_KINDS, Schedule, default_batch, default_params
-from .solver import ALGORITHMS, NanAbort, SolverConfig, default_x0, solve
+from .solver import NanAbort, SolverConfig, default_x0, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -47,7 +47,6 @@ __all__ = [
     "run_experiment",
     "emit_csv",
     "read_csv",
-    "expected_sfo_per_iteration",
     "main",
 ]
 
@@ -67,7 +66,7 @@ class ExperimentSpec:
 
     ``p`` and ``lam`` default to the theory-prescribed values for the
     resolved batch size; ``batch`` defaults to ceil(n/100); ``schedule``
-     'auto' picks classic_fw / theorem1 / theorem3 per algorithm.
+    'auto' picks the rule of each algorithm's ``ALGORITHMS`` record.
     """
 
     dataset_path: str
@@ -112,46 +111,6 @@ class ExperimentSpec:
             raise SpecError("no seeds requested")
 
 
-def expected_sfo_per_iteration(algorithm, n, b, p):
-    """Average SFO cost of one iteration, the unit for epoch conversion."""
-    if algorithm == "fw":
-        return float(n)
-    if algorithm == "sarah_fw":
-        return p * n + (1.0 - p) * 2.0 * b
-    if algorithm == "saga_sarah_fw":
-        return 2.0 * b
-    if algorithm == "momentum_fw":
-        return float(b)
-    raise SpecError(f"unknown algorithm {algorithm!r}")
-
-
-def _schedule_for(spec, algorithm, K, n, b, p):
-    kind = spec.schedule
-    if kind == "auto":
-        kind = {
-            "fw": "classic_fw",
-            "sarah_fw": "theorem1",
-            "saga_sarah_fw": "theorem3",
-            "momentum_fw": "classic_fw",
-        }[algorithm]
-    if kind == "classic_fw":
-        return Schedule.classic_fw(K)
-    if kind == "sqrt_k":
-        return Schedule.sqrt_k(K)
-    if kind == "theorem1":
-        return Schedule.theorem1(K, p)
-    return Schedule.theorem3(K, b, n)
-
-
-def _estimator_cfg_for(spec, algorithm, b, p, lam):
-    kind = ALGORITHMS[algorithm]
-    if kind == "sarah":
-        return EstimatorConfig(kind=kind, b=b, p=p)
-    if kind == "saga_sarah":
-        return EstimatorConfig(kind=kind, b=b, lam=lam)
-    return EstimatorConfig(kind=kind, b=b)
-
-
 def build_solver_configs(spec, n):
     """Resolve defaults and expand the grid into concrete SolverConfigs."""
     b = spec.batch if spec.batch is not None else default_batch(n)
@@ -165,22 +124,23 @@ def build_solver_configs(spec, n):
         raise SpecError(f"lambda={lam} outside (0, 1]")
 
     configs = []
-    for alg in spec.algorithms:
+    for name in spec.algorithms:
+        alg = ALGORITHMS[name]
         if spec.K is not None:
             K = spec.K
         else:
-            cost = expected_sfo_per_iteration(alg, n, b, p)
-            K = max(1, ceil(spec.epochs * n / cost))
+            K = max(1, ceil(spec.epochs * n / alg.sfo_per_iteration(n, b, p)))
         gap_every = spec.gap_every
         if gap_every is None:
             gap_every = max(1, ceil(K / 50))
+        kind = alg.schedule if spec.schedule == "auto" else spec.schedule
         for seed in spec.seeds:
             configs.append(
                 SolverConfig(
-                    algorithm=alg,
+                    algorithm=name,
                     K=K,
-                    schedule=_schedule_for(spec, alg, K, n, b, p),
-                    estimator_cfg=_estimator_cfg_for(spec, alg, b, p, lam),
+                    schedule=Schedule(kind, K, p=p, b=b, n=n),
+                    estimator_cfg=EstimatorConfig(kind=alg.estimator.kind, b=b, p=p, lam=lam),
                     seed=seed,
                     gap_every=gap_every,
                     record_every=spec.record_every,
@@ -231,10 +191,20 @@ def read_csv(path):
     return trace
 
 
+def _thread_count():
+    """The grid's pool size from ``SARAH_FW_THREADS``, at least 1."""
+    raw = os.environ.get("SARAH_FW_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise SpecError(f"SARAH_FW_THREADS={raw!r} is not an integer") from None
+
+
 def run_experiment(spec, log=print):
     """Execute the grid described by ``spec``; returns a process exit code."""
     try:
         spec.validate()
+        threads = _thread_count()
     except SpecError as exc:
         log(f"invalid spec: {exc}")
         return EXIT_INVALID_SPEC
@@ -251,6 +221,7 @@ def run_experiment(spec, log=print):
     except (ParseError, ValueError) as exc:
         log(f"cannot parse dataset {path}: {exc}")
         return EXIT_PARSE_ERROR
+    del text  # nothing reads the raw bytes after the parse
 
     obj = Objective(spec.loss, ds)
     cset = ConstraintSet(spec.constraint, spec.radius, dim=ds.d)
@@ -271,7 +242,6 @@ def run_experiment(spec, log=print):
         emit_csv(result.trace, csv_path)
         return cfg, result, csv_path
 
-    threads = max(1, int(os.environ.get("SARAH_FW_THREADS", "1")))
     try:
         if threads == 1:
             outcomes = [one_run(cfg) for cfg in configs]
@@ -359,10 +329,39 @@ _CONFIG_KEYS = {
 }
 
 
+# ``stochfw run`` flag -> help; a flag's value goes through the converter
+# of the config key spelled as its lower-cased name
+_FLAGS = {
+    "dataset": "LibSVM dataset path",
+    "loss": "logistic or nlls",
+    "alg": "comma-separated algorithm list",
+    "radius": "constraint radius",
+    "batch": "mini-batch size b",
+    "K": "iteration horizon",
+    "epochs": "SFO budget in epochs (n SFO each)",
+    "seed": "comma-separated seed list",
+    "gap_every": "Frank-Wolfe gap period; 0 disables",
+    "out": "output directory",
+}
+
+
 def build_spec(config_values, args):
-    """Merge config-file values with flag overrides (flags win)."""
+    """Merge config-file values with flag overrides (flags win).
+
+    A ``--K`` or ``--epochs`` flag replaces both horizon keys of the file.
+    """
+    flags = {name.lower(): getattr(args, name) for name in _FLAGS}
+    flags = {key: raw for key, raw in flags.items() if raw is not None}
+    horizon = {"k", "epochs"} & flags.keys()
+    if len(horizon) == 2:
+        raise SpecError("give --K or --epochs, not both")
+    if horizon:
+        config_values = {
+            key: raw for key, raw in config_values.items() if key not in ("k", "epochs")
+        }
+
     fields = {}
-    for key, raw in config_values.items():
+    for key, raw in [*config_values.items(), *flags.items()]:
         if key not in _CONFIG_KEYS:
             raise SpecError(f"unknown config key {key!r}")
         name, conv = _CONFIG_KEYS[key]
@@ -371,29 +370,6 @@ def build_spec(config_values, args):
         except ValueError as exc:
             raise SpecError(f"bad value for {key!r}: {exc}") from None
 
-    if args.dataset is not None:
-        fields["dataset_path"] = args.dataset
-    if args.loss is not None:
-        fields["loss"] = args.loss
-    if args.alg is not None:
-        fields["algorithms"] = [a.strip() for a in args.alg.split(",") if a.strip()]
-    if args.radius is not None:
-        fields["radius"] = args.radius
-    if args.batch is not None:
-        fields["batch"] = args.batch
-    if args.K is not None:
-        fields["K"] = args.K
-        fields.pop("epochs", None)
-    if args.epochs is not None:
-        fields["epochs"] = args.epochs
-        fields.pop("K", None)
-    if args.seed is not None:
-        fields["seeds"] = [int(x) for x in args.seed.split(",") if x.strip()]
-    if args.gap_every is not None:
-        fields["gap_every"] = args.gap_every
-    if args.out is not None:
-        fields["out_dir"] = args.out
-
     if "dataset_path" not in fields:
         raise SpecError("no dataset given (config 'dataset' or --dataset)")
     if "K" not in fields and "epochs" not in fields:
@@ -401,35 +377,32 @@ def build_spec(config_values, args):
     return ExperimentSpec(**fields)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a SpecError."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochfw",
         description="Projection-free stochastic optimization experiment runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute an experiment grid")
     run.add_argument("--config", help="key = value experiment file")
-    run.add_argument("--dataset", help="LibSVM dataset path")
-    run.add_argument("--loss", choices=list(LOSS_KINDS))
-    run.add_argument("--alg", help="comma-separated algorithm list")
-    run.add_argument("--radius", type=float, help="constraint radius")
-    run.add_argument("--batch", type=int, help="mini-batch size b")
-    run.add_argument("--K", type=int, help="iteration horizon")
-    run.add_argument("--epochs", type=float, help="SFO budget in epochs (n SFO each)")
-    run.add_argument("--seed", help="comma-separated seed list")
-    run.add_argument("--gap-every", dest="gap_every", type=int)
-    run.add_argument("--out", help="output directory")
+    for name, help_text in _FLAGS.items():
+        run.add_argument("--" + name.replace("_", "-"), dest=name, help=help_text)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    if args.command != "run":  # argparse enforces this; defensive
-        return EXIT_INVALID_SPEC
     try:
+        args = _build_parser().parse_args(argv)
         config_values = load_config_file(args.config) if args.config else {}
         spec = build_spec(config_values, args)
-    except (SpecError, TypeError) as exc:
+    except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     except OSError as exc:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SparseRow",
     "Dataset",
     "ParseError",
     "parse_libsvm",
@@ -47,24 +46,6 @@ class ParseError(ValueError):
     def __init__(self, lineno, message):
         self.lineno = lineno
         super().__init__(f"line {lineno}: {message}")
-
-
-@dataclass(frozen=True, eq=False)
-class SparseRow:
-    """One sample: 0-based feature indices (strictly increasing) and values."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseRow):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +88,10 @@ class Dataset:
         return len(self.indptr) - 1
 
     def row(self, i):
+        """Sample i as ``(indices, values)``: its 0-based feature indices,
+        strictly increasing, and their values."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseRow(self.indices[lo:hi], self.values[lo:hi])
+        return self.indices[lo:hi], self.values[lo:hi]
 
     def to_csr(self):
         """Rows as a scipy ``csr_matrix`` of shape (n, d)."""
@@ -518,10 +501,7 @@ def to_libsvm(ds):
     """Serialize back to LibSVM text. Parsing the result reproduces ``ds``."""
     lines = []
     for i in range(ds.n):
-        row = ds.row(i)
         parts = [f"{ds.labels[i]:.17g}"]
-        parts.extend(
-            f"{idx + 1}:{val:.17g}" for idx, val in zip(row.indices, row.values)
-        )
+        parts.extend(f"{idx + 1}:{val:.17g}" for idx, val in zip(*ds.row(i)))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

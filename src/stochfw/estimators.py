@@ -2,9 +2,10 @@
 
 Each estimator owns its estimate g, its seeded RNG, and its stochastic
 first-order oracle (SFO) counter; the counter increments by exactly the
-number of per-sample gradient evaluations performed. The SARAH refresh coin
-is drawn before any batch so the refresh branch consumes exactly one RNG
-draw, which keeps seeded reruns bit-exact.
+number of per-sample gradient evaluations performed. Random choices go
+through ``draw_refresh`` (SARAH's coin) and ``draw_batch``. The coin is drawn
+before any batch so the refresh branch consumes exactly one RNG draw, which
+keeps seeded reruns bit-exact.
 
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
@@ -41,6 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Algorithm",
+    "ALGORITHMS",
     "EstimatorConfig",
     "FullGradEstimator",
     "SarahEstimator",
@@ -51,7 +54,6 @@ __all__ = [
     "SAMPLING_MODES",
 ]
 
-ESTIMATOR_KINDS = ("full", "sarah", "saga_sarah", "momentum")
 SAMPLING_MODES = ("with_replacement", "without_replacement")
 
 _SAGA_RECOMPUTE_EVERY = 10_000
@@ -128,7 +130,7 @@ class FullGradEstimator(_Estimator):
         super().__init__(cfg, obj, seed)
         self._full_refresh(x0)
 
-    def update(self, x_new, x_old=None, k=None):
+    def update(self, x_new, x_old, k):
         self._full_refresh(x_new)
 
 
@@ -140,22 +142,21 @@ class SarahEstimator(_Estimator):
     def __init__(self, cfg, obj, x0, seed):
         super().__init__(cfg, obj, seed)
         self._full_refresh(x0)
-        self.refresh_log = []
+        self.refreshes = 0
 
-    def update(self, x_new, x_old, k=None, force_refresh=None, force_batch=None):
+    def draw_refresh(self):
+        """The refresh coin: True with probability p."""
+        return self.rng.random() < self.cfg.p
+
+    def update(self, x_new, x_old, k):
         # Coin first, then batch: the refresh branch consumes one RNG draw.
-        if force_refresh is None:
-            refresh = self.rng.random() < self.cfg.p
-        else:
-            refresh = bool(force_refresh)
-        if refresh:
+        if self.draw_refresh():
             self._full_refresh(x_new)
+            self.refreshes += 1
         else:
-            S = self.draw_batch() if force_batch is None else force_batch
-            B = self.obj.batch(S)
+            B = self.obj.batch(self.draw_batch())
             self.g = self.g + B.scatter(B.coefs(x_new) - B.coefs(x_old)) / B.size
             self.sfo_count += 2 * B.size
-        self.refresh_log.append(refresh)
 
 
 class SagaSarahEstimator(_Estimator):
@@ -185,9 +186,9 @@ class SagaSarahEstimator(_Estimator):
         """Recompute (1/n) sum_j y_j from the stored table."""
         return np.asarray(self.obj.X.T @ self.table_coefs).ravel() / self.obj.n
 
-    def update(self, x_new, x_old, k=None, force_batch=None):
+    def update(self, x_new, x_old, k):
         obj, lam = self.obj, self.cfg.lam
-        S = self.draw_batch() if force_batch is None else force_batch
+        S = self.draw_batch()
         B = obj.batch(S)
         b = B.size
 
@@ -224,19 +225,34 @@ class MomentumEstimator(_Estimator):
         self._full_refresh(x0)
         self.rho = cfg.momentum_rho or default_momentum_rho
 
-    def update(self, x_new, x_old=None, k=0, force_batch=None):
+    def update(self, x_new, x_old, k):
         rho = self.rho(k)
-        S = self.draw_batch() if force_batch is None else np.asarray(force_batch)
+        S = self.draw_batch()
         self.g = (1.0 - rho) * self.g + rho * self.obj.grad_batch(S, x_new)
         self.sfo_count += len(S)
 
 
-_CLASSES = {
-    "full": FullGradEstimator,
-    "sarah": SarahEstimator,
-    "saga_sarah": SagaSarahEstimator,
-    "momentum": MomentumEstimator,
+@dataclass(frozen=True)
+class Algorithm:
+    """A Frank-Wolfe variant of ``ALGORITHMS``, the one table of them: its
+    estimator class, the step-size rule that ``schedule = auto`` picks, and
+    its expected SFO cost of one iteration, ``sfo_per_iteration(n, b, p)``,
+    the unit that turns epochs into K."""
+
+    estimator: type
+    schedule: str
+    sfo_per_iteration: object
+
+
+ALGORITHMS = {
+    "fw": Algorithm(FullGradEstimator, "classic_fw", lambda n, b, p: n),
+    "sarah_fw": Algorithm(SarahEstimator, "theorem1", lambda n, b, p: p * n + (1 - p) * 2 * b),
+    "saga_sarah_fw": Algorithm(SagaSarahEstimator, "theorem3", lambda n, b, p: 2 * b),
+    "momentum_fw": Algorithm(MomentumEstimator, "classic_fw", lambda n, b, p: b),
 }
+
+_CLASSES = {a.estimator.kind: a.estimator for a in ALGORITHMS.values()}
+ESTIMATOR_KINDS = tuple(_CLASSES)
 
 
 def init_estimator(cfg, obj, x0, seed):

@@ -8,9 +8,9 @@ float per sample.
 
 Two kernels do that work:
 
-* Batches (``Objective.batch``) gather the rows of S once from the
-  dataset's CSR arrays into flat (row, column, value) entries; margins and
-  weighted row sums are then one ``np.bincount`` each over those entries.
+* Batches and single samples (``Objective.batch``) gather the rows of S
+  once from the dataset's CSR arrays into flat (row, column, value) entries;
+  margins and weighted row sums are then one ``np.bincount`` each.
 * Full passes (``loss_full``, ``grad_full``, ``grad_coefs``) go through the
   scipy CSR copy ``Objective.X``, whose compiled matvec is faster over all n
   rows.
@@ -47,7 +47,6 @@ class SmoothnessInfo:
 
     L_i: np.ndarray
     L_tilde: float
-    L_bound: float
 
 
 def _sum_by(bins, weights, length):
@@ -133,9 +132,8 @@ class Objective:
             raise ValueError("w contains NaN or Inf")
         return w
 
-    def margins(self, w, rows=None):
-        X = self.X if rows is None else self.X[rows]
-        return np.asarray(X @ w).ravel()
+    def margins(self, w):
+        return np.asarray(self.X @ w).ravel()
 
     def _losses(self, z, y):
         if self.kind == "logistic":
@@ -152,11 +150,9 @@ class Objective:
 
     def loss_sample(self, i, w):
         """f_i(w) for one sample."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
         w = self._check_w(w)
-        z = self.margins(w, rows=[i])
-        return float(self._losses(z, self.y[[i]])[0])
+        B = self.batch([i])
+        return float(self._losses(B.margins(w), B.y)[0])
 
     def loss_full(self, w):
         """f(w) = (1/n) sum_i f_i(w); overflow-safe for any finite w."""
@@ -164,17 +160,11 @@ class Objective:
         z = self.margins(w)
         return float(np.mean(self._losses(z, self.y)))
 
-    def grad_coefs(self, w, rows=None):
-        """Scalar multipliers c_i with grad f_i(w) = c_i * x_i.
-
-        ``rows=None`` evaluates every sample in storage order.
-        """
+    def grad_coefs(self, w):
+        """Scalar multipliers c_i with grad f_i(w) = c_i * x_i, every sample
+        in storage order."""
         w = self._check_w(w)
-        if rows is None:
-            return self._coefs(self.margins(w), self.y)
-        rows = np.asarray(rows, dtype=np.int64)
-        z = self.margins(w, rows=rows)
-        return self._coefs(z, self.y[rows])
+        return self._coefs(self.margins(w), self.y)
 
     def batch(self, S):
         """Gather the rows of the sample indices S (duplicates allowed)."""
@@ -187,13 +177,9 @@ class Objective:
 
     def grad_sample(self, i, w):
         """grad f_i(w) as a dense length-d vector."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        c = self.grad_coefs(w, [i])[0]
-        g = np.zeros(self.d)
-        row = self.dataset.row(i)
-        g[row.indices] = c * row.values
-        return g
+        w = self._check_w(w)
+        B = self.batch([i])
+        return B.scatter(B.coefs(w))
 
     def grad_batch(self, S, w):
         """(1/|S|) sum_{i in S} grad f_i(w); duplicates count with multiplicity."""
@@ -206,10 +192,7 @@ class Objective:
 
     def grad_full(self, w):
         """grad f(w), the average of all n per-sample gradients."""
-        w = self._check_w(w)
-        z = self.margins(w)
-        c = self._coefs(z, self.y)
-        return np.asarray(self.X.T @ c).ravel() / self.n
+        return np.asarray(self.X.T @ self.grad_coefs(w)).ravel() / self.n
 
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""
@@ -219,4 +202,4 @@ class Objective:
         else:
             L_i = _NLLS_CURVATURE_BOUND * sq_norms
         L_tilde = float(np.sqrt(np.mean(L_i**2)))
-        return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde, L_bound=L_tilde)
+        return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde)

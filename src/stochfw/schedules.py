@@ -103,12 +103,8 @@ def default_params(algorithm, n, b):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def default_batch(n, regime="convex_small"):
-    """Default batch size: ceil(n/100) for the convex runs, ceil(sqrt(n))."""
+def default_batch(n):
+    """Default batch size: ceil(n/100)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if regime == "convex_small":
-        return max(1, ceil(n / 100))
-    if regime == "sqrt_n":
-        return ceil(sqrt(n))
-    raise ValueError(f"unknown regime {regime!r}")
+    return ceil(n / 100)

@@ -29,19 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import contains, lmo
-from .estimators import init_estimator
+from .estimators import ALGORITHMS, init_estimator
 from .metrics import Trace, TraceRow, fw_gap
 from .schedules import eta
 
-__all__ = ["SolverConfig", "SolveResult", "NanAbort", "solve", "default_x0", "ALGORITHMS"]
+__all__ = ["SolverConfig", "SolveResult", "NanAbort", "solve", "default_x0"]
 
-# algorithm name -> estimator kind
-ALGORITHMS = {
-    "fw": "full",
-    "sarah_fw": "sarah",
-    "saga_sarah_fw": "saga_sarah",
-    "momentum_fw": "momentum",
-}
 
 class NanAbort(RuntimeError):
     """Objective or gradient became non-finite; carries the iteration index."""
@@ -72,10 +65,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if ALGORITHMS[self.algorithm] != self.estimator_cfg.kind:
+        kind = ALGORITHMS[self.algorithm].estimator.kind
+        if kind != self.estimator_cfg.kind:
             raise ValueError(
-                f"{self.algorithm} needs a {ALGORITHMS[self.algorithm]!r} estimator, "
-                f"got {self.estimator_cfg.kind!r}"
+                f"{self.algorithm} needs a {kind!r} estimator, got {self.estimator_cfg.kind!r}"
             )
         if self.K < 0:
             raise ValueError("K must be non-negative")
@@ -170,7 +163,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         lmo_total += 1
         step = eta(cfg.schedule, k)
         x_new = x + step * (s - x)
-        est.update(x_new, x, k=k)
+        est.update(x_new, x, k)
         x = x_new
 
     if cfg.K > 0:

@@ -6,6 +6,8 @@ synthetic stand-ins with the same shapes as the reference datasets
 and goes through the real text parser so the full pipeline is exercised.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ def tiny_objective(kind="logistic", n=6, d=4, seed=0):
         feats = " ".join(f"{j + 1}:{rng.normal():.6f}" for j in range(d))
         lines.append(f"{label} {feats}")
     return Objective(kind, parse_libsvm("\n".join(lines), name="tiny"))
+
+
+def scripted(est, refresh=None, batch=None):
+    """Replace an estimator's random draws with fixed ones; returns ``est``.
+
+    ``refresh`` is the SARAH coin: one bool for every update, or a sequence
+    with one bool per update. ``batch`` is the index array every update
+    uses. A draw left as None stays random.
+    """
+    if refresh is not None:
+        coins = itertools.repeat(refresh) if isinstance(refresh, bool) else iter(refresh)
+        est.draw_refresh = lambda: next(coins)
+    if batch is not None:
+        S = np.asarray(batch, dtype=np.int64)
+        est.draw_batch = lambda: S
+    return est
 
 
 @pytest.fixture(scope="session")

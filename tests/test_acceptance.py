@@ -23,7 +23,7 @@ from stochfw.reference import (
 from stochfw.schedules import Schedule, default_batch, default_params, eta
 from stochfw.solver import SolverConfig, solve
 
-from conftest import separable_libsvm_text, tiny_objective
+from conftest import scripted, separable_libsvm_text, tiny_objective
 
 RADIUS = 2e3
 
@@ -102,12 +102,12 @@ def test_criterion_03_estimator_expectations():
                 EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling),
                 obj, x_old, 0)
             est.g = g0.copy()
-            est.update(x_new, x_old, force_refresh=False, force_batch=S)
+            scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
             acc += est.g
         est = SarahEstimator(
             EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0)
         est.g = g0.copy()
-        est.update(x_new, x_old, force_refresh=True)
+        scripted(est, refresh=True).update(x_new, x_old, 0)
         impl = p * est.g + (1 - p) * acc / len(batches)
         worst = max(worst, float(np.max(np.abs(impl - enum))))
 
@@ -122,7 +122,7 @@ def test_criterion_03_estimator_expectations():
             est.g = g0.copy()
             est.table_coefs = stale_coefs.copy()
             est.saga_avg = est.table_mean()
-            est.update(x_new, x_old, force_batch=S)
+            scripted(est, batch=S).update(x_new, x_old, 0)
             acc += est.g
         worst = max(worst, float(np.max(np.abs(acc / len(batches) - enum))))
 
@@ -182,10 +182,9 @@ def test_criterion_06_sfo_accounting(bc_logistic):
     cfg = SolverConfig(algorithm="sarah_fw", K=K, schedule=Schedule.theorem1(K, p),
                        estimator_cfg=EstimatorConfig(kind="sarah", b=b, p=p), seed=6)
     res = solve(cfg, bc_logistic, cset, x0)
-    log = res.estimator.refresh_log
-    k_full = sum(log)
+    k_full = res.estimator.refreshes
     k_batch = K - k_full
-    sarah_ok = (len(log) == K
+    sarah_ok = (res.lmo_total == K
                 and res.sfo_total == n + k_full * n + 2 * b * k_batch)
 
     cfg2 = SolverConfig(algorithm="saga_sarah_fw", K=K, schedule=Schedule.theorem3(K, b, n),

@@ -2,7 +2,8 @@
 
 ``Objective.batch(S)`` must reproduce scipy's row-slice products bit for bit
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
-b = n; ``grad_batch`` must be the mean of the per-sample gradients; and
+b = n; ``grad_batch`` must be the mean of the per-sample gradients up to
+the rounding of the two summation orders; and
 one Objective must serve batches from several threads at once.
 """
 
@@ -73,14 +74,41 @@ def test_margins_and_scatter_match_scipy_bit_for_bit(data):
     assert np.array_equal(B.y, obj.y[S])
 
 
+def assert_grad_batch_is_mean(obj, S, w):
+    # Both sides average the same per-sample products; only the order of the
+    # sums differs (np.mean sums pairwise from |S| = 8 on, the kernel in
+    # storage order). Each mean of m terms is within m * eps/2 * mean|t| of
+    # the exact one, so the two are within m * eps * mean|t| per coordinate.
+    terms = np.array([obj.grad_sample(int(i), w) for i in S])
+    bound = len(S) * np.finfo(np.float64).eps * np.mean(np.abs(terms), axis=0)
+    assert np.all(np.abs(obj.grad_batch(S, w) - terms.mean(axis=0)) <= bound)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_grad_batch_is_mean_of_grad_sample(data):
     obj = data.draw(objectives())
     S = data.draw(batches(obj.n))
     w = data.draw(vectors(obj.d))
-    expect = np.mean([obj.grad_sample(int(i), w) for i in S], axis=0)
-    assert np.max(np.abs(obj.grad_batch(S, w) - expect)) <= 1e-15
+    assert_grad_batch_is_mean(obj, S, w)
+
+
+def test_grad_batch_mean_differs_by_summation_order():
+    # A case where the two sums differ by 1.78e-15, beyond an absolute 1e-15.
+    values = [38.6, 10.2, -2.8, -29.3, -51.3, -57.9, 9.6, -37.1, 57.1, -47.1]
+    labels = [1, -1, -1, -1, 1, -1, 1, 1, -1, 1]
+    ds = Dataset(
+        indptr=np.arange(11, dtype=np.int64),
+        indices=np.zeros(10, dtype=np.int64),
+        values=np.array(values),
+        labels=np.array(labels, dtype=np.float64),
+        d=1,
+    )
+    obj = Objective("logistic", ds)
+    S, w = np.arange(10), np.zeros(1)
+    expect = np.mean([obj.grad_sample(i, w) for i in S], axis=0)
+    assert np.max(np.abs(obj.grad_batch(S, w) - expect)) > 1e-15
+    assert_grad_batch_is_mean(obj, S, w)
 
 
 def test_all_empty_rows_give_float_zeros():

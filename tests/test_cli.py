@@ -6,12 +6,12 @@ from stochfw.cli import (
     build_solver_configs,
     build_spec,
     emit_csv,
-    expected_sfo_per_iteration,
     load_config_file,
     main,
     read_csv,
     run_experiment,
 )
+from stochfw.estimators import ALGORITHMS
 from stochfw.metrics import Trace, TraceRow
 from stochfw.objectives import Objective
 
@@ -60,10 +60,11 @@ def test_csv_round_trip_exact(tmp_path):
 
 def test_expected_sfo_per_iteration_formulas():
     n, b, p = 683, 7, 0.02
-    assert expected_sfo_per_iteration("fw", n, b, p) == n
-    assert expected_sfo_per_iteration("sarah_fw", n, b, p) == p * n + (1 - p) * 2 * b
-    assert expected_sfo_per_iteration("saga_sarah_fw", n, b, p) == 2 * b
-    assert expected_sfo_per_iteration("momentum_fw", n, b, p) == b
+    cost = {name: alg.sfo_per_iteration(n, b, p) for name, alg in ALGORITHMS.items()}
+    assert cost["fw"] == n
+    assert cost["sarah_fw"] == p * n + (1 - p) * 2 * b
+    assert cost["saga_sarah_fw"] == 2 * b
+    assert cost["momentum_fw"] == b
 
 
 def test_epochs_to_horizon_conversion(dataset_file):
@@ -271,3 +272,32 @@ def test_main_end_to_end(dataset_file, tmp_path, capsys):
 
 def test_main_invalid_spec(tmp_path):
     assert main(["run", "--K", "5"]) == 1  # no dataset anywhere
+
+
+@pytest.mark.parametrize(
+    "flags, threads",
+    [
+        (["--K", "abc"], "1"),
+        (["--K", "5", "--loss", "bad"], "1"),
+        (["--K", "5", "--epochs", "2"], "1"),
+        (["--K", "5", "--no-such-flag", "1"], "1"),
+        (["--K", "5"], "abc"),
+    ],
+    ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag", "bad-threads"],
+)
+def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, monkeypatch, capsys,
+                                         flags, threads):
+    monkeypatch.setenv("SARAH_FW_THREADS", threads)
+    out = tmp_path / "out"
+    argv = ["run", "--dataset", str(dataset_file), "--out", str(out), *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "invalid spec:" in captured.out + captured.err
+    assert not out.exists()  # rejected before any run wrote output
+
+
+def test_run_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--epochs" in capsys.readouterr().out

@@ -18,12 +18,12 @@ def test_parse_basic():
     assert ds.n == 2
     assert ds.d == 3
     assert np.array_equal(ds.labels, [1.0, -1.0])
-    row0 = ds.row(0)
-    assert np.array_equal(row0.indices, [0, 2])
-    assert np.array_equal(row0.values, [0.5, 2.0])
-    row1 = ds.row(1)
-    assert np.array_equal(row1.indices, [1])
-    assert np.array_equal(row1.values, [1.0])
+    indices, values = ds.row(0)
+    assert np.array_equal(indices, [0, 2])
+    assert np.array_equal(values, [0.5, 2.0])
+    indices, values = ds.row(1)
+    assert np.array_equal(indices, [1])
+    assert np.array_equal(values, [1.0])
 
 
 def test_parse_accepts_bytes_and_crlf_and_comments():
@@ -76,8 +76,9 @@ def test_parse_is_order_preserving():
     ds = parse_libsvm("\n".join(lines))
     for i in range(10):
         assert ds.labels[i] == (-1) ** i
-        assert ds.row(i).indices[0] == i % 3
-        assert ds.row(i).values[0] == i + 0.5
+        indices, values = ds.row(i)
+        assert indices[0] == i % 3
+        assert values[0] == i + 0.5
 
 
 def test_round_trip_identity():

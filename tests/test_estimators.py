@@ -9,7 +9,7 @@ from stochfw.estimators import (
 )
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
-from conftest import tiny_objective
+from conftest import scripted, tiny_objective
 
 
 @pytest.fixture
@@ -57,17 +57,17 @@ def test_init_saga_cold_start(obj):
 def test_sarah_p1_always_refreshes(obj):
     x_new, x_old = random_points(obj)
     est = init_estimator(EstimatorConfig(kind="sarah", b=2, p=1.0), obj, x_old, 0)
-    for _ in range(10):
-        est.update(x_new, x_old)
+    for k in range(10):
+        est.update(x_new, x_old, k)
         assert np.array_equal(est.g, obj.grad_full(x_new))
-    assert est.refresh_log == [True] * 10
+    assert est.refreshes == 10
 
 
 def test_sarah_no_move_keeps_estimate_on_batch_branch(obj):
     x_new, x_old = random_points(obj)
     est = init_estimator(EstimatorConfig(kind="sarah", b=2, p=0.5), obj, x_old, 0)
     g_before = est.g.copy()
-    est.update(x_old, x_old, force_refresh=False)
+    scripted(est, refresh=False).update(x_old, x_old, 0)
     assert np.array_equal(est.g, g_before)
 
 
@@ -75,7 +75,7 @@ def test_sarah_refresh_consumes_exactly_one_rng_draw(obj):
     x_new, x_old = random_points(obj)
     seed = 42
     est = init_estimator(EstimatorConfig(kind="sarah", b=2, p=1.0), obj, x_old, seed)
-    est.update(x_new, x_old)  # refresh branch: one uniform draw
+    est.update(x_new, x_old, 0)  # refresh branch: one uniform draw
     twin = np.random.default_rng(seed)
     twin.random()
     assert est.rng.random() == twin.random()
@@ -104,13 +104,13 @@ def test_sarah_expectation_identity(obj, sampling):
             EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0
         )
         est.g = g0.copy()
-        est.update(x_new, x_old, force_refresh=False, force_batch=S)
+        scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
         acc += est.g
     est = SarahEstimator(
         EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0
     )
     est.g = g0.copy()
-    est.update(x_new, x_old, force_refresh=True)
+    scripted(est, refresh=True).update(x_new, x_old, 0)
     impl = p * est.g + (1 - p) * acc / len(batches)
     assert np.max(np.abs(impl - enum)) <= 1e-12
 
@@ -139,7 +139,7 @@ def test_saga_sarah_expectation_identity(obj, sampling):
         est.g = g0.copy()
         est.table_coefs = table_coefs.copy()
         est.saga_avg = est.table_mean()
-        est.update(x_new, x_old, force_batch=S)
+        scripted(est, batch=S).update(x_new, x_old, 0)
         acc += est.g
     assert np.max(np.abs(acc / len(batches) - enum)) <= 1e-12
 
@@ -168,7 +168,7 @@ def test_saga_sarah_collapses_to_full_gradient(obj):
     est = init_estimator(
         EstimatorConfig(kind="saga_sarah", b=obj.n, lam=1.0), obj, x_old, 0
     )
-    est.update(x_new, x_old, force_batch=list(range(obj.n)))
+    scripted(est, batch=range(obj.n)).update(x_new, x_old, 0)
     assert np.max(np.abs(est.g - obj.grad_full(x_new))) <= 1e-12
 
 
@@ -180,7 +180,7 @@ def test_saga_sarah_stationary_update(obj):
         EstimatorConfig(kind="saga_sarah", b=3, lam=lam), obj, x_old, 0
     )
     g0 = est.g.copy()
-    est.update(x_old, x_old, force_batch=[0, 2, 4])
+    scripted(est, batch=[0, 2, 4]).update(x_old, x_old, 0)
     expect = (1 - lam) * g0 + lam * obj.grad_full(x_old)
     assert np.max(np.abs(est.g - expect)) <= 1e-12
 
@@ -215,7 +215,7 @@ def test_momentum_rho_one_takes_batch_gradient(obj):
     x_new, x_old = random_points(obj)
     cfg = EstimatorConfig(kind="momentum", b=2, momentum_rho=lambda k: 1.0)
     est = init_estimator(cfg, obj, x_old, 0)
-    est.update(x_new, x_old, k=0, force_batch=[1, 3])
+    scripted(est, batch=[1, 3]).update(x_new, x_old, 0)
     assert np.array_equal(est.g, obj.grad_batch([1, 3], x_new))
 
 
@@ -226,7 +226,7 @@ def test_momentum_full_batch_rho_one_is_full_gradient(obj):
         sampling="without_replacement",
     )
     est = init_estimator(cfg, obj, x_old, 0)
-    est.update(x_new, x_old, k=0)
+    est.update(x_new, x_old, 0)
     assert np.max(np.abs(est.g - obj.grad_full(x_new))) <= 1e-12
 
 
@@ -235,20 +235,25 @@ def test_sfo_accounting_with_forced_branches(obj):
     b = 2
     est = init_estimator(EstimatorConfig(kind="sarah", b=b, p=0.5), obj, x_old, 0)
     pattern = [True, False, False, True, False, False, False, True]
-    for refresh in pattern:
-        est.update(x_new, x_old, force_refresh=refresh)
+    scripted(est, refresh=pattern)
+    deltas = []
+    for k in range(len(pattern)):
+        before = est.sfo_count
+        est.update(x_new, x_old, k)
+        deltas.append(est.sfo_count - before)
     k_full = sum(pattern)
     k_batch = len(pattern) - k_full
     assert est.sfo_count == obj.n + k_full * obj.n + 2 * b * k_batch
-    assert est.refresh_log == pattern
+    assert deltas == [obj.n if refresh else 2 * b for refresh in pattern]
+    assert est.refreshes == k_full
 
 
 def test_saga_sfo_accounting(obj):
     x_new, x_old = random_points(obj)
     b = 3
     est = init_estimator(EstimatorConfig(kind="saga_sarah", b=b, lam=0.2), obj, x_old, 0)
-    for _ in range(25):
-        est.update(x_new, x_old)
+    for k in range(25):
+        est.update(x_new, x_old, k)
     assert est.sfo_count == obj.n + 2 * b * 25
 
 
@@ -265,9 +270,9 @@ def test_same_seed_same_draws(obj):
     runs = []
     for _ in range(2):
         est = init_estimator(EstimatorConfig(kind="sarah", b=2, p=0.3), obj, x_old, 99)
-        for _ in range(20):
-            est.update(x_new, x_old)
-        runs.append((est.g.copy(), est.sfo_count, list(est.refresh_log)))
+        for k in range(20):
+            est.update(x_new, x_old, k)
+        runs.append((est.g.copy(), est.sfo_count, est.refreshes))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1:] == runs[1][1:]
 

@@ -125,7 +125,6 @@ def test_smoothness_logistic_single_basis_vector():
     info = obj.smoothness()
     assert info.L_i == pytest.approx([0.25], abs=0)
     assert info.L_tilde == pytest.approx(0.25, abs=0)
-    assert info.L_bound <= info.L_tilde
 
 
 def test_smoothness_zero_rows_give_zero():
@@ -137,10 +136,9 @@ def test_smoothness_zero_rows_give_zero():
     assert info.L_i[1] == 0.25
 
 
-def test_smoothness_l_bound_le_l_tilde(bc_logistic, bc_nlls):
+def test_smoothness_l_tilde_is_rms_of_l_i(bc_logistic, bc_nlls):
     for obj in (bc_logistic, bc_nlls):
         info = obj.smoothness()
-        assert info.L_bound <= info.L_tilde
         assert info.L_tilde == pytest.approx(
             float(np.sqrt(np.mean(info.L_i**2))), rel=1e-15
         )

@@ -93,9 +93,7 @@ def test_default_params_rejects_bad_batch():
 
 def test_default_batch():
     assert default_batch(683) == 7
-    assert default_batch(100, "sqrt_n") == 10
     assert default_batch(1) == 1
-    assert default_batch(1, "sqrt_n") == 1
     assert default_batch(22696) == 227
 
 
