@@ -14,7 +14,6 @@ from stochfw import (
     ConstraintSet,
     EstimatorConfig,
     Objective,
-    Schedule,
     SolverConfig,
     normalize_labels,
     parse_libsvm,
@@ -59,15 +58,15 @@ K_saga = ceil(budget / (2 * b))
 
 runs = {
     "fw": solve(
-        SolverConfig("fw", K_fw, Schedule.classic_fw(K_fw),
+        SolverConfig("fw", K_fw, "classic_fw",
                      EstimatorConfig(kind="full"), seed=1),
         obj, cset, x0),
     "sarah_fw": solve(
-        SolverConfig("sarah_fw", K_sarah, Schedule.theorem1(K_sarah, p),
+        SolverConfig("sarah_fw", K_sarah, "theorem1",
                      EstimatorConfig(kind="sarah", b=b, p=p), seed=1),
         obj, cset, x0),
     "saga_sarah_fw": solve(
-        SolverConfig("saga_sarah_fw", K_saga, Schedule.theorem3(K_saga, b, n),
+        SolverConfig("saga_sarah_fw", K_saga, "theorem3",
                      EstimatorConfig(kind="saga_sarah", b=b, lam=lam), seed=1),
         obj, cset, x0),
 }
@@ -75,7 +74,7 @@ runs = {
 # f_min from the best run, continued 10x longer
 K_ref = 10 * K_sarah
 ref = solve(
-    SolverConfig("sarah_fw", K_ref, Schedule.theorem1(K_ref, p),
+    SolverConfig("sarah_fw", K_ref, "theorem1",
                  EstimatorConfig(kind="sarah", b=b, p=p), seed=99,
                  record_every=K_ref),
     obj, cset, x0)

@@ -14,7 +14,6 @@ from stochfw import (
     ConstraintSet,
     EstimatorConfig,
     Objective,
-    Schedule,
     SolverConfig,
     min_gap_so_far,
     normalize_labels,
@@ -56,7 +55,7 @@ for alg, est in (
 ):
     for K in (100, 1_000, 10_000):
         gap_every = max(1, ceil(K / 50))
-        cfg = SolverConfig(alg, K, Schedule.sqrt_k(K), est, seed=11,
+        cfg = SolverConfig(alg, K, "sqrt_k", est, seed=11,
                            gap_every=gap_every, record_every=gap_every)
         res = solve(cfg, obj, cset, x0)
         min_gap = min_gap_so_far(res.trace)[-1]

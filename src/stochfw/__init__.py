@@ -19,7 +19,7 @@ from .estimators import (
 )
 from .metrics import Trace, TraceRow, fw_gap, min_gap_so_far, relative_suboptimality
 from .objectives import Objective, SmoothnessInfo
-from .schedules import Schedule, default_batch, default_params, eta
+from .schedules import default_batch, default_params, eta
 from .solver import NanAbort, SolveResult, SolverConfig, default_x0, solve
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "ParseError",
     "SagaSarahEstimator",
     "SarahEstimator",
-    "Schedule",
     "SmoothnessInfo",
     "SolveResult",
     "SolverConfig",

@@ -9,7 +9,8 @@ dataset. Each run writes ``<algorithm>_seed<seed>.csv`` with the schema
 plus a ``summary.csv`` with final objective, minimum recorded gap, and
 oracle totals per run. Runs with the same spec and seeds are byte-identical
 because row timestamps default to 0; pass ``timing = true`` in the config
-to stamp real wall times instead.
+to stamp real wall times instead (true/false, 1/0, yes/no, on/off in any
+case; any other value is an invalid spec).
 
 Configuration is a declarative ``key = value`` file; command-line flags
 override file values, and both go through the same key table. An
@@ -38,7 +39,7 @@ from .data import ParseError, normalize_labels, parse_libsvm
 from .estimators import ALGORITHMS, EstimatorConfig
 from .metrics import Trace, TraceRow
 from .objectives import LOSS_KINDS, Objective
-from .schedules import SCHEDULE_KINDS, Schedule, default_batch, default_params
+from .schedules import SCHEDULE_KINDS, default_batch, default_params
 from .solver import NanAbort, SolverConfig, default_x0, solve
 
 __all__ = [
@@ -112,7 +113,9 @@ class ExperimentSpec:
 
 
 def build_solver_configs(spec, n):
-    """Resolve defaults and expand the grid into concrete SolverConfigs."""
+    """Resolve defaults and expand the grid into concrete SolverConfigs. Every
+    estimator config carries the resolved b and p, which the step-size rule
+    named by each SolverConfig reads in ``solve``."""
     b = spec.batch if spec.batch is not None else default_batch(n)
     if not 1 <= b <= n:
         raise SpecError(f"batch size {b} outside [1, n={n}]")
@@ -133,13 +136,13 @@ def build_solver_configs(spec, n):
         gap_every = spec.gap_every
         if gap_every is None:
             gap_every = max(1, ceil(K / 50))
-        kind = alg.schedule if spec.schedule == "auto" else spec.schedule
+        schedule = alg.schedule if spec.schedule == "auto" else spec.schedule
         for seed in spec.seeds:
             configs.append(
                 SolverConfig(
                     algorithm=name,
                     K=K,
-                    schedule=Schedule(kind, K, p=p, b=b, n=n),
+                    schedule=schedule,
                     estimator_cfg=EstimatorConfig(kind=alg.estimator.kind, b=b, p=p, lam=lam),
                     seed=seed,
                     gap_every=gap_every,
@@ -257,7 +260,7 @@ def run_experiment(spec, log=print):
     for cfg, result, csv_path in outcomes:
         gaps = result.trace.gap_values()
         min_gap = _format_float(min(gaps)) if gaps else ""
-        final_f = obj.loss_full(result.x_final)
+        final_f = result.trace.rows[-1].f  # solve records row K at x_final
         lines.append(
             ",".join(
                 [
@@ -284,8 +287,15 @@ def run_experiment(spec, log=print):
     return EXIT_OK
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _parse_bool(value):
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+    key = str(value).strip().lower()
+    if key not in _BOOLS:
+        raise ValueError(f"{value!r} is not one of {', '.join(_BOOLS)}")
+    return _BOOLS[key]
 
 
 def load_config_file(path):

@@ -25,9 +25,10 @@ weighted sum of the rows of S. An update gathers those rows once
 scalar coefficients, then one scatter of the coefficients back onto the
 rows: O(b * nnz_row) work per term, with no sparse matrix built per call.
 Full refreshes, the SAGA initial pass and the table recomputation cover all
-n rows and go through the objective's scipy full pass instead. The kernel
-sums in scipy's order (see ``stochfw.objectives``), so every batch term has
-the same bits as its scipy sparse-product form.
+n rows and go through the objective's full passes (``grad_full``,
+``grad_coefs``, ``mean_rows``) instead. The kernel sums in scipy's order
+(see ``stochfw.objectives``), so every batch term has the same bits as its
+scipy sparse-product form.
 
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
@@ -177,14 +178,14 @@ class SagaSarahEstimator(_Estimator):
             # One pass fills the table and the initial estimate together.
             coefs = obj.grad_coefs(x0)
             self.table_coefs = coefs
-            self.saga_avg = np.asarray(obj.X.T @ coefs).ravel() / n
+            self.saga_avg = obj.mean_rows(coefs)
             self.g = self.saga_avg.copy()
             self.sfo_count += n
         self._updates_since_recompute = 0
 
     def table_mean(self):
         """Recompute (1/n) sum_j y_j from the stored table."""
-        return np.asarray(self.obj.X.T @ self.table_coefs).ravel() / self.obj.n
+        return self.obj.mean_rows(self.table_coefs)
 
     def update(self, x_new, x_old, k):
         obj, lam = self.obj, self.cfg.lam

@@ -11,9 +11,9 @@ Two kernels do that work:
 * Batches and single samples (``Objective.batch``) gather the rows of S
   once from the dataset's CSR arrays into flat (row, column, value) entries;
   margins and weighted row sums are then one ``np.bincount`` each.
-* Full passes (``loss_full``, ``grad_full``, ``grad_coefs``) go through the
-  scipy CSR copy ``Objective.X``, whose compiled matvec is faster over all n
-  rows.
+* Full passes (``loss_full``, ``grad_full``, ``grad_coefs``, ``mean_rows``)
+  go through the scipy CSR copy ``Objective.X``, whose compiled matvec is
+  faster over all n rows. No other module touches that copy.
 
 The batch kernel reproduces scipy's bits: ``np.bincount`` starts every bin
 at 0.0 and adds the entries' products in storage order, exactly as scipy's
@@ -190,9 +190,14 @@ class Objective:
         B = self.batch(S)
         return B.scatter(B.coefs(w)) / S.size
 
+    def mean_rows(self, c):
+        """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
+        array c of length n, as a dense length-d vector."""
+        return np.asarray(self.X.T @ c).ravel() / self.n
+
     def grad_full(self, w):
         """grad f(w), the average of all n per-sample gradients."""
-        return np.asarray(self.X.T @ self.grad_coefs(w)).ravel() / self.n
+        return self.mean_rows(self.grad_coefs(w))
 
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""

@@ -6,55 +6,19 @@ the variance-reduced solvers in the convex case: constant on a plateau for
 the first half of the run, then harmonic decay, continuous at the switch
 index k0 = ceil(K/2). ``sqrt_k`` is the flat 1/sqrt(K) rule for the
 non-convex case. All emitted values lie in (0, 1].
+
+A rule is named by its kind alone. ``eta`` takes the horizon K and the
+rule's parameters (p for theorem1, b and n for theorem3) from the run it
+steps, so a rule cannot disagree with the estimator or the data it drives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, sqrt
 
-__all__ = ["Schedule", "eta", "default_params", "default_batch", "SCHEDULE_KINDS"]
+__all__ = ["eta", "default_params", "default_batch", "SCHEDULE_KINDS"]
 
 SCHEDULE_KINDS = ("classic_fw", "theorem1", "theorem3", "sqrt_k")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Step-size rule with its planned horizon K and rule parameters."""
-
-    kind: str
-    K: int
-    p: float | None = None  # theorem1
-    b: int | None = None  # theorem3
-    n: int | None = None  # theorem3
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.K < 0:
-            raise ValueError("K must be non-negative")
-        if self.kind == "theorem1":
-            if self.p is None or not 0 < self.p <= 1:
-                raise ValueError("theorem1 schedule needs p in (0, 1]")
-        if self.kind == "theorem3":
-            if self.b is None or self.n is None or not 1 <= self.b <= self.n:
-                raise ValueError("theorem3 schedule needs 1 <= b <= n")
-
-    @classmethod
-    def classic_fw(cls, K):
-        return cls(kind="classic_fw", K=K)
-
-    @classmethod
-    def theorem1(cls, K, p):
-        return cls(kind="theorem1", K=K, p=p)
-
-    @classmethod
-    def theorem3(cls, K, b, n):
-        return cls(kind="theorem3", K=K, b=b, n=n)
-
-    @classmethod
-    def sqrt_k(cls, K):
-        return cls(kind="sqrt_k", K=K)
 
 
 def _plateau_then_harmonic(k, K, plateau, half_life):
@@ -71,19 +35,29 @@ def _plateau_then_harmonic(k, K, plateau, half_life):
     return 2.0 / (2.0 * half_life + k - k0)
 
 
-def eta(schedule, k):
-    """Step size eta_k; valid for 0 <= k < K."""
-    if not 0 <= k < schedule.K:
-        raise ValueError(f"iteration {k} outside horizon [0, {schedule.K})")
-    if schedule.kind == "classic_fw":
+def eta(kind, k, K, p=None, b=None, n=None):
+    """Step size eta_k of rule ``kind`` for 0 <= k < K.
+
+    theorem1 reads SARAH's refresh probability p, theorem3 the batch size b
+    and the dataset size n; ``solve`` passes the run's own values.
+    """
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if not 0 <= k < K:
+        raise ValueError(f"iteration {k} outside horizon [0, {K})")
+    if kind == "classic_fw":
         return 2.0 / (k + 2.0)
-    if schedule.kind == "sqrt_k":
-        return 1.0 / sqrt(schedule.K)
-    if schedule.kind == "theorem1":
-        return _plateau_then_harmonic(k, schedule.K, schedule.p / 2.0, 2.0 / schedule.p)
+    if kind == "sqrt_k":
+        return 1.0 / sqrt(K)
+    if kind == "theorem1":
+        if p is None or not 0 < p <= 1:
+            raise ValueError("theorem1 schedule needs p in (0, 1]")
+        return _plateau_then_harmonic(k, K, p / 2.0, 2.0 / p)
+    if b is None or n is None or not 1 <= b <= n:
+        raise ValueError("theorem3 schedule needs 1 <= b <= n")
     # theorem3: plateau b/(4n), switch at K = 4n/b, tail 2/(8n/b + k - k0)
-    ratio = schedule.b / schedule.n
-    return _plateau_then_harmonic(k, schedule.K, ratio / 4.0, 4.0 / ratio)
+    ratio = b / n
+    return _plateau_then_harmonic(k, K, ratio / 4.0, 4.0 / ratio)
 
 
 def default_params(algorithm, n, b):

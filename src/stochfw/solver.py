@@ -1,10 +1,15 @@
-"""The Frank-Wolfe iteration loop binding objective, set, estimator, schedule.
+"""The Frank-Wolfe iteration loop binding objective, set, estimator, step size.
 
 Every algorithm shares the same loop:
 
     s^k     = argmin_{s in X} <g^k, s>          (one LMO call)
     x^{k+1} = x^k + eta_k (s^k - x^k)
     g^{k+1} = estimator update
+
+The step size eta_k comes from the rule named by ``SolverConfig.schedule``
+fed the run's own K, the estimator's p and b and the data's n. A rule the
+run cannot feed (theorem1 without p, theorem3 with b > n) raises
+``ValueError`` at k = 0, before the first estimator update.
 
 With eta_k in (0, 1] and feasible x^0, every iterate is a convex
 combination of feasible points and stays feasible. The update is computed
@@ -31,7 +36,7 @@ import numpy as np
 from .constraints import contains, lmo
 from .estimators import ALGORITHMS, init_estimator
 from .metrics import Trace, TraceRow, fw_gap
-from .schedules import eta
+from .schedules import SCHEDULE_KINDS, eta
 
 __all__ = ["SolverConfig", "SolveResult", "NanAbort", "solve", "default_x0"]
 
@@ -46,8 +51,9 @@ class NanAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """One run: algorithm, horizon, schedule, estimator parameters, seed.
+    """One run: algorithm, horizon, step-size rule, estimator parameters, seed.
 
+    ``schedule`` names a rule of ``SCHEDULE_KINDS``.
     ``gap_every = 0`` disables gap evaluation. ``record_every`` thins the
     trace. ``timing`` stamps rows with a monotonic clock; it defaults off so
     reruns with the same seed are byte-identical.
@@ -55,7 +61,7 @@ class SolverConfig:
 
     algorithm: str
     K: int
-    schedule: object
+    schedule: str
     estimator_cfg: object
     seed: int = 0
     gap_every: int = 0
@@ -72,8 +78,8 @@ class SolverConfig:
             )
         if self.K < 0:
             raise ValueError("K must be non-negative")
-        if self.schedule.K != self.K:
-            raise ValueError("schedule.K must equal solver K")
+        if self.schedule not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {self.schedule!r}")
         if self.gap_every < 0:
             raise ValueError("gap_every must be >= 0")
         if self.record_every < 1:
@@ -119,7 +125,7 @@ def solve(cfg, obj, cset, x0, callback=None):
             "algorithm": cfg.algorithm,
             "K": cfg.K,
             "seed": cfg.seed,
-            "schedule": cfg.schedule.kind,
+            "schedule": cfg.schedule,
             "dataset": obj.dataset.name,
         }
     )
@@ -148,6 +154,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         if callback is not None:
             callback(k, x_k)
 
+    p, b, n = cfg.estimator_cfg.p, cfg.estimator_cfg.b, obj.n
     lmo_total = 0
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
@@ -161,7 +168,7 @@ def solve(cfg, obj, cset, x0, callback=None):
                 raise
             raise NanAbort(k, "gradient estimate") from None
         lmo_total += 1
-        step = eta(cfg.schedule, k)
+        step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
         est.update(x_new, x, k)
         x = x_new

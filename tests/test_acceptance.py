@@ -20,7 +20,7 @@ from stochfw.reference import (
     finite_diff_grad,
     vertex_matrix,
 )
-from stochfw.schedules import Schedule, default_batch, default_params, eta
+from stochfw.schedules import default_batch, default_params, eta
 from stochfw.solver import SolverConfig, solve
 
 from conftest import scripted, separable_libsvm_text, tiny_objective
@@ -137,7 +137,7 @@ def test_criterion_04_p1_degeneracy(bc_logistic):
     runs = {}
     for alg, est in (("fw", EstimatorConfig(kind="full")),
                      ("sarah_fw", EstimatorConfig(kind="sarah", b=7, p=1.0))):
-        cfg = SolverConfig(algorithm=alg, K=K, schedule=Schedule.classic_fw(K),
+        cfg = SolverConfig(algorithm=alg, K=K, schedule="classic_fw",
                            estimator_cfg=est, seed=17)
         runs[alg] = solve(cfg, bc_logistic, cset, x0)
     same_x = np.array_equal(runs["fw"].x_final, runs["sarah_fw"].x_final)
@@ -162,11 +162,10 @@ def test_criterion_05_feasibility(bc_logistic):
             violations += 1
 
     grid = [
-        ("fw", Schedule.classic_fw(K), EstimatorConfig(kind="full")),
-        ("sarah_fw", Schedule.theorem1(K, p), EstimatorConfig(kind="sarah", b=b, p=p)),
-        ("saga_sarah_fw", Schedule.theorem3(K, b, n),
-         EstimatorConfig(kind="saga_sarah", b=b, lam=lam)),
-        ("momentum_fw", Schedule.classic_fw(K), EstimatorConfig(kind="momentum", b=b)),
+        ("fw", "classic_fw", EstimatorConfig(kind="full")),
+        ("sarah_fw", "theorem1", EstimatorConfig(kind="sarah", b=b, p=p)),
+        ("saga_sarah_fw", "theorem3", EstimatorConfig(kind="saga_sarah", b=b, lam=lam)),
+        ("momentum_fw", "classic_fw", EstimatorConfig(kind="momentum", b=b)),
     ]
     for alg, sch, est in grid:
         cfg = SolverConfig(algorithm=alg, K=K, schedule=sch, estimator_cfg=est, seed=2)
@@ -179,7 +178,7 @@ def test_criterion_06_sfo_accounting(bc_logistic):
     n, b, p, lam, cset = bc_setup(bc_logistic)
     x0 = np.zeros(bc_logistic.d)
     K = 400
-    cfg = SolverConfig(algorithm="sarah_fw", K=K, schedule=Schedule.theorem1(K, p),
+    cfg = SolverConfig(algorithm="sarah_fw", K=K, schedule="theorem1",
                        estimator_cfg=EstimatorConfig(kind="sarah", b=b, p=p), seed=6)
     res = solve(cfg, bc_logistic, cset, x0)
     k_full = res.estimator.refreshes
@@ -187,7 +186,7 @@ def test_criterion_06_sfo_accounting(bc_logistic):
     sarah_ok = (res.lmo_total == K
                 and res.sfo_total == n + k_full * n + 2 * b * k_batch)
 
-    cfg2 = SolverConfig(algorithm="saga_sarah_fw", K=K, schedule=Schedule.theorem3(K, b, n),
+    cfg2 = SolverConfig(algorithm="saga_sarah_fw", K=K, schedule="theorem3",
                         estimator_cfg=EstimatorConfig(kind="saga_sarah", b=b, lam=lam),
                         seed=6)
     res2 = solve(cfg2, bc_logistic, cset, x0)
@@ -208,21 +207,20 @@ def test_criterion_07_convex_convergence(bc_logistic):
     K_saga = ceil(budget / (2 * b))
     K_fw = 100
     runs = {
-        "fw": solve(SolverConfig("fw", K_fw, Schedule.classic_fw(K_fw),
+        "fw": solve(SolverConfig("fw", K_fw, "classic_fw",
                                  EstimatorConfig(kind="full"), seed=1),
                     bc_logistic, cset, x0),
-        "sarah_fw": solve(SolverConfig("sarah_fw", K_sarah, Schedule.theorem1(K_sarah, p),
+        "sarah_fw": solve(SolverConfig("sarah_fw", K_sarah, "theorem1",
                                        EstimatorConfig(kind="sarah", b=b, p=p), seed=1),
                           bc_logistic, cset, x0),
-        "saga_sarah_fw": solve(SolverConfig("saga_sarah_fw", K_saga,
-                                            Schedule.theorem3(K_saga, b, n),
+        "saga_sarah_fw": solve(SolverConfig("saga_sarah_fw", K_saga, "theorem3",
                                             EstimatorConfig(kind="saga_sarah", b=b, lam=lam),
                                             seed=1),
                                bc_logistic, cset, x0),
     }
     # f_min from the best algorithm run 10x longer, as the plots do
     K_ref = 10 * K_sarah
-    ref = solve(SolverConfig("sarah_fw", K_ref, Schedule.theorem1(K_ref, p),
+    ref = solve(SolverConfig("sarah_fw", K_ref, "theorem1",
                              EstimatorConfig(kind="sarah", b=b, p=p), seed=99,
                              record_every=K_ref),
                 bc_logistic, cset, x0)
@@ -262,7 +260,7 @@ def test_criterion_08_nonconvex_gap_trend(bc_nlls):
         mins = {}
         for K in (100, 10_000):
             ge = max(1, ceil(K / 50))
-            cfg = SolverConfig(alg, K, Schedule.sqrt_k(K), est, seed=11,
+            cfg = SolverConfig(alg, K, "sqrt_k", est, seed=11,
                                gap_every=ge, record_every=ge)
             res = solve(cfg, bc_nlls, cset, x0)
             mins[K] = float(min_gap_so_far(res.trace)[-1])
@@ -275,19 +273,19 @@ def test_criterion_08_nonconvex_gap_trend(bc_nlls):
 
 
 def test_criterion_09_schedule_conformance():
-    s1 = Schedule.theorem1(10, p=0.5)
-    hand = (eta(s1, 4) == 0.25 and eta(s1, 5) == 0.25 and eta(s1, 9) == 2.0 / 12.0)
-    classic = Schedule.classic_fw(10)
-    hand = hand and eta(classic, 0) == 1.0 and eta(classic, 2) == 0.5
-    flat = Schedule.sqrt_k(100)
-    hand = hand and all(eta(flat, k) == 0.1 for k in range(100))
+    hand = (eta("theorem1", 4, 10, p=0.5) == 0.25 and eta("theorem1", 5, 10, p=0.5) == 0.25
+            and eta("theorem1", 9, 10, p=0.5) == 2.0 / 12.0)
+    hand = hand and eta("classic_fw", 0, 10) == 1.0 and eta("classic_fw", 2, 10) == 0.5
+    hand = hand and all(eta("sqrt_k", k, 100) == 0.1 for k in range(100))
 
     cont = True
-    for s, plateau in ((Schedule.theorem1(1000, p=0.037), 0.037 / 2),
-                       (Schedule.theorem3(1000, b=7, n=683), (7 / 683) / 4)):
-        k0 = ceil(s.K / 2)
-        cont = cont and eta(s, k0) == plateau and eta(s, k0 - 1) == plateau
-        values = [eta(s, k) for k in range(s.K)]
+    K = 1000
+    for kind, params, plateau in (("theorem1", {"p": 0.037}, 0.037 / 2),
+                                  ("theorem3", {"b": 7, "n": 683}, (7 / 683) / 4)):
+        k0 = ceil(K / 2)
+        cont = (cont and eta(kind, k0, K, **params) == plateau
+                and eta(kind, k0 - 1, K, **params) == plateau)
+        values = [eta(kind, k, K, **params) for k in range(K)]
         cont = cont and all(v <= plateau for v in values)
         cont = cont and all(a >= b for a, b in zip(values, values[1:]))
     report(9, "schedule-conformance", hand and cont,

@@ -258,6 +258,19 @@ def test_config_file_parsing(tmp_path, dataset_file):
     assert spec.seeds == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "raw, value",
+    [("true", True), ("On", True), ("YES", True), ("1", True),
+     ("false", False), ("Off", False), ("no", False), (" 0 ", False)],
+)
+def test_timing_spellings(dataset_file, raw, value):
+    class Args:
+        dataset = loss = alg = radius = batch = K = epochs = seed = gap_every = out = None
+
+    spec = build_spec({"dataset": str(dataset_file), "k": "5", "timing": raw}, Args())
+    assert spec.timing is value
+
+
 def test_main_end_to_end(dataset_file, tmp_path, capsys):
     out = tmp_path / "cli_out"
     code = main([
@@ -275,21 +288,28 @@ def test_main_invalid_spec(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, threads",
+    "flags, threads, config",
     [
-        (["--K", "abc"], "1"),
-        (["--K", "5", "--loss", "bad"], "1"),
-        (["--K", "5", "--epochs", "2"], "1"),
-        (["--K", "5", "--no-such-flag", "1"], "1"),
-        (["--K", "5"], "abc"),
+        (["--K", "abc"], "1", None),
+        (["--K", "5", "--loss", "bad"], "1", None),
+        (["--K", "5", "--epochs", "2"], "1", None),
+        (["--K", "5", "--no-such-flag", "1"], "1", None),
+        (["--K", "5"], "abc", None),
+        (["--K", "5"], "1", "timing = ture\n"),
+        (["--K", "5"], "1", "timing = 2\n"),
     ],
-    ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag", "bad-threads"],
+    ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag", "bad-threads",
+         "config-timing-typo", "config-timing-2"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, monkeypatch, capsys,
-                                         flags, threads):
+                                         flags, threads, config):
     monkeypatch.setenv("SARAH_FW_THREADS", threads)
     out = tmp_path / "out"
     argv = ["run", "--dataset", str(dataset_file), "--out", str(out), *flags]
+    if config is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "invalid spec:" in captured.out + captured.err

@@ -1,73 +1,87 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stochfw.schedules import Schedule, default_batch, default_params, eta
+from stochfw.schedules import default_batch, default_params, eta
 
 
 def test_theorem1_hand_values():
-    s = Schedule.theorem1(10, p=0.5)
-    assert eta(s, 4) == 0.25
-    assert eta(s, 5) == 2.0 / 8.0
-    assert eta(s, 9) == 2.0 / 12.0
+    assert eta("theorem1", 4, 10, p=0.5) == 0.25
+    assert eta("theorem1", 5, 10, p=0.5) == 2.0 / 8.0
+    assert eta("theorem1", 9, 10, p=0.5) == 2.0 / 12.0
 
 
 def test_theorem1_small_horizon_is_flat():
-    s = Schedule.theorem1(4, p=0.5)  # K <= 2/p
-    assert [eta(s, k) for k in range(4)] == [0.25] * 4
+    # K = 4 <= 2/p
+    assert [eta("theorem1", k, 4, p=0.5) for k in range(4)] == [0.25] * 4
 
 
 def test_classic_fw_values():
-    s = Schedule.classic_fw(10)
-    assert eta(s, 0) == 1.0
-    assert eta(s, 2) == 0.5
+    assert eta("classic_fw", 0, 10) == 1.0
+    assert eta("classic_fw", 2, 10) == 0.5
 
 
 def test_sqrt_k_is_flat():
-    s = Schedule.sqrt_k(100)
-    assert all(eta(s, k) == 0.1 for k in range(100))
+    assert all(eta("sqrt_k", k, 100) == 0.1 for k in range(100))
 
 
 def test_theorem3_hand_values():
-    s = Schedule.theorem3(K=100, b=10, n=50)  # 4n/b = 20 < K, k0 = 50
-    assert eta(s, 0) == 10.0 / 200.0
-    assert eta(s, 49) == 0.05
-    assert eta(s, 50) == 2.0 / 40.0
-    assert eta(s, 99) == 2.0 / (40.0 + 49.0)
+    rule = {"K": 100, "b": 10, "n": 50}  # 4n/b = 20 < K, k0 = 50
+    assert eta("theorem3", 0, **rule) == 10.0 / 200.0
+    assert eta("theorem3", 49, **rule) == 0.05
+    assert eta("theorem3", 50, **rule) == 2.0 / 40.0
+    assert eta("theorem3", 99, **rule) == 2.0 / (40.0 + 49.0)
 
 
-@pytest.mark.parametrize(
-    "s",
-    [
-        Schedule.theorem1(1000, p=0.02),
-        Schedule.theorem1(7, p=0.9),
-        Schedule.theorem3(1000, b=7, n=683),
-        Schedule.theorem3(12, b=5, n=5),
-    ],
-)
-def test_plateau_schedules_non_increasing_in_unit_interval(s):
-    values = np.array([eta(s, k) for k in range(s.K)])
+@st.composite
+def plateau_rules(draw):
+    """(kind, K, rule parameters) of a theorem1 or theorem3 run."""
+    kind = draw(st.sampled_from(["theorem1", "theorem3"]))
+    K = draw(st.integers(1, 3000))
+    if kind == "theorem1":
+        # A subnormal p is left out: the smallest one halves to a 0.0 step.
+        p = draw(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+        return kind, K, {"p": p}
+    n = draw(st.integers(1, 10**6))
+    return kind, K, {"b": draw(st.integers(1, n)), "n": n}
+
+
+@given(rule=plateau_rules())
+@example(rule=("theorem1", 1000, {"p": 0.02}))
+@example(rule=("theorem1", 7, {"p": 0.9}))
+@example(rule=("theorem3", 1000, {"b": 7, "n": 683}))
+@example(rule=("theorem3", 12, {"b": 5, "n": 5}))
+@settings(max_examples=200, deadline=None)
+def test_plateau_schedules_non_increasing_in_unit_interval(rule):
+    kind, K, params = rule
+    values = np.array([eta(kind, k, K, **params) for k in range(K)])
     assert np.all(values > 0)
     assert np.all(values <= 1.0)
     assert np.all(np.diff(values) <= 0)
-    assert np.all(values <= values[0])
+    plateau = params["p"] / 2.0 if kind == "theorem1" else (params["b"] / params["n"]) / 4.0
+    k0 = -(-K // 2)
+    for k in (k0 - 1, k0):
+        if k < K:
+            assert values[k] == plateau
 
 
 def test_continuity_at_switch_index():
-    for s, plateau in [
-        (Schedule.theorem1(1000, p=0.037), 0.037 / 2),
-        (Schedule.theorem3(1000, b=7, n=683), (7 / 683) / 4),
+    for kind, params, plateau in [
+        ("theorem1", {"p": 0.037}, 0.037 / 2),
+        ("theorem3", {"b": 7, "n": 683}, (7 / 683) / 4),
     ]:
-        k0 = -(-s.K // 2)
-        assert eta(s, k0) == plateau
-        assert eta(s, k0 - 1) == plateau
+        K = 1000
+        k0 = -(-K // 2)
+        assert eta(kind, k0, K, **params) == plateau
+        assert eta(kind, k0 - 1, K, **params) == plateau
 
 
 def test_eta_range_checks():
-    s = Schedule.classic_fw(5)
     with pytest.raises(ValueError):
-        eta(s, -1)
+        eta("classic_fw", -1, 5)
     with pytest.raises(ValueError):
-        eta(s, 5)
+        eta("classic_fw", 5, 5)
 
 
 def test_default_params_hand_values():
@@ -99,10 +113,14 @@ def test_default_batch():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        Schedule.theorem1(10, p=0.0)
+        eta("theorem1", 0, 10, p=0.0)
     with pytest.raises(ValueError):
-        Schedule.theorem1(10, p=1.5)
+        eta("theorem1", 0, 10, p=1.5)
     with pytest.raises(ValueError):
-        Schedule.theorem3(10, b=5, n=4)
+        eta("theorem1", 0, 10)
     with pytest.raises(ValueError):
-        Schedule(kind="bogus", K=10)
+        eta("theorem3", 0, 10, b=5, n=4)
+    with pytest.raises(ValueError):
+        eta("theorem3", 0, 10, b=5)
+    with pytest.raises(ValueError):
+        eta("bogus", 0, 10)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from stochfw.constraints import ConstraintSet, contains
+from stochfw.constraints import ConstraintSet, contains, lmo
 from stochfw.data import parse_libsvm
-from stochfw.estimators import EstimatorConfig
+from stochfw.estimators import EstimatorConfig, FullGradEstimator, SagaSarahEstimator
 from stochfw.objectives import Objective
-from stochfw.schedules import Schedule
 from stochfw.solver import NanAbort, SolverConfig, default_x0, solve
 
 from conftest import tiny_objective
@@ -13,14 +12,14 @@ from conftest import tiny_objective
 
 def fw_config(K, **kwargs):
     return SolverConfig(
-        algorithm="fw", K=K, schedule=Schedule.classic_fw(K),
+        algorithm="fw", K=K, schedule="classic_fw",
         estimator_cfg=EstimatorConfig(kind="full"), **kwargs,
     )
 
 
 def sarah_config(K, p=0.5, b=2, **kwargs):
     return SolverConfig(
-        algorithm="sarah_fw", K=K, schedule=Schedule.classic_fw(K),
+        algorithm="sarah_fw", K=K, schedule="classic_fw",
         estimator_cfg=EstimatorConfig(kind="sarah", b=b, p=p), **kwargs,
     )
 
@@ -168,14 +167,41 @@ def test_default_x0_per_kind():
 
 
 def test_config_validation():
-    sch = Schedule.classic_fw(5)
     est = EstimatorConfig(kind="full")
     with pytest.raises(ValueError):
-        SolverConfig(algorithm="bogus", K=5, schedule=sch, estimator_cfg=est)
+        SolverConfig(algorithm="bogus", K=5, schedule="classic_fw", estimator_cfg=est)
     with pytest.raises(ValueError):
-        SolverConfig(algorithm="sarah_fw", K=5, schedule=sch, estimator_cfg=est)
+        SolverConfig(algorithm="sarah_fw", K=5, schedule="classic_fw", estimator_cfg=est)
+    with pytest.raises(ValueError, match="unknown schedule"):
+        SolverConfig(algorithm="fw", K=5, schedule="bogus", estimator_cfg=est)
     with pytest.raises(ValueError):
-        SolverConfig(algorithm="fw", K=4, schedule=sch, estimator_cfg=est)
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="fw", K=5, schedule=sch, estimator_cfg=est,
+        SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
                      record_every=0)
+
+
+def test_step_size_rule_reads_the_run(monkeypatch):
+    # theorem1's first step is the plateau p/2 of the estimator's own p:
+    # from x0 = 0 the first iterate is exactly eta_0 * s_0.
+    obj = tiny_objective(n=10, d=4, seed=8)
+    cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    x0 = np.zeros(obj.d)
+    p = 0.02
+    cfg = SolverConfig("sarah_fw", 50, "theorem1", EstimatorConfig(kind="sarah", b=2, p=p))
+    iterates = {}
+    solve(cfg, obj, cset, x0, callback=lambda k, x: iterates.setdefault(k, x.copy()))
+    s0 = lmo(cset, obj.grad_full(x0))
+    assert np.array_equal(iterates[1], (p / 2.0) * s0)
+
+    # A rule whose parameters the run lacks or violates fails before any
+    # estimator update: theorem1 without p, theorem3 with b > n.
+    def no_update(self, x_new, x_old, k):
+        raise AssertionError("estimator updated before the step-size check")
+
+    monkeypatch.setattr(FullGradEstimator, "update", no_update)
+    monkeypatch.setattr(SagaSarahEstimator, "update", no_update)
+    with pytest.raises(ValueError, match="theorem1 schedule needs p"):
+        solve(SolverConfig("fw", 5, "theorem1", EstimatorConfig(kind="full")),
+              obj, cset, x0)
+    too_big = EstimatorConfig(kind="saga_sarah", b=obj.n + 1, lam=0.5)
+    with pytest.raises(ValueError, match="theorem3 schedule needs 1 <= b <= n"):
+        solve(SolverConfig("saga_sarah_fw", 5, "theorem3", too_big), obj, cset, x0)
