@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochfw.schedules import default_batch, default_params, eta
@@ -47,14 +47,7 @@ def plateau_rules(draw):
     return kind, K, {"b": draw(st.integers(1, n)), "n": n}
 
 
-@given(rule=plateau_rules())
-@example(rule=("theorem1", 1000, {"p": 0.02}))
-@example(rule=("theorem1", 7, {"p": 0.9}))
-@example(rule=("theorem3", 1000, {"b": 7, "n": 683}))
-@example(rule=("theorem3", 12, {"b": 5, "n": 5}))
-@settings(max_examples=200, deadline=None)
-def test_plateau_schedules_non_increasing_in_unit_interval(rule):
-    kind, K, params = rule
+def check_plateau_schedule(kind, K, params):
     values = np.array([eta(kind, k, K, **params) for k in range(K)])
     assert np.all(values > 0)
     assert np.all(values <= 1.0)
@@ -64,6 +57,25 @@ def test_plateau_schedules_non_increasing_in_unit_interval(rule):
     for k in (k0 - 1, k0):
         if k < K:
             assert values[k] == plateau
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        ("theorem1", 1000, {"p": 0.02}),
+        ("theorem1", 7, {"p": 0.9}),
+        ("theorem3", 1000, {"b": 7, "n": 683}),
+        ("theorem3", 12, {"b": 5, "n": 5}),
+    ],
+)
+def test_plateau_schedules_non_increasing_in_unit_interval(s):
+    check_plateau_schedule(*s)
+
+
+@given(rule=plateau_rules())
+@settings(max_examples=200, deadline=None)
+def test_plateau_schedules_property(rule):
+    check_plateau_schedule(*rule)
 
 
 def test_continuity_at_switch_index():
