@@ -121,8 +121,8 @@ def build_solver_configs(spec, n):
         raise SpecError(f"batch size {b} outside [1, n={n}]")
     p = spec.p if spec.p is not None else default_params("sarah", n, b)[0]
     lam = spec.lam if spec.lam is not None else default_params("saga_sarah", n, b)[1]
-    if not 0 < p <= 1:
-        raise SpecError(f"p={p} outside (0, 1]")
+    if not 0 < p <= 1 or p / 2.0 == 0.0:
+        raise SpecError(f"p={p} outside (0, 1] or halves to 0")
     if not 0 < lam <= 1:
         raise SpecError(f"lambda={lam} outside (0, 1]")
 

@@ -48,11 +48,18 @@ class ParseError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
+# Feature indices and CSR positions are int32, so d and nnz stay below this.
+INDEX_LIMIT = 2**31
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A parsed dataset: CSR-stored rows plus one label per row.
 
-    All arrays are read-only; a Dataset can be shared freely across threads.
+    ``indptr`` and ``indices`` are int32, so scipy's ``to_csr`` shares all
+    three CSR arrays; only a d or nnz of 2^31 or more, which ``parse_libsvm``
+    rejects, keeps them int64. All arrays are read-only; a Dataset can be
+    shared freely across threads.
     """
 
     indptr: np.ndarray
@@ -63,6 +70,9 @@ class Dataset:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        index = np.int32 if max(self.d, len(self.indices)) < INDEX_LIMIT else np.int64
+        for name in ("indptr", "indices"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=index))
         for arr in (self.indptr, self.indices, self.values, self.labels):
             arr.setflags(write=False)
         if self.n < 1:
@@ -225,11 +235,16 @@ def _digits(a, start, stop):
     """Value of each ASCII digit run ``a[start:stop]`` of at most 18 digits."""
     acc = np.zeros(len(start), dtype=np.int64)
     width = int((stop - start).max()) if len(start) else 0
+    at = np.empty(len(start), dtype=np.intp)  # take() would copy other ints
+    live = np.empty(len(start), dtype=bool)
+    digit = np.empty(len(start), dtype=np.uint8)
     for k in range(width):
-        at = start + k
-        live = at < stop
-        np.minimum(at, stop - 1, out=at)
-        digit = a[at] - np.uint8(48)
+        np.add(start, k, out=at)
+        np.less(at, stop, out=live)
+        # a finished run reads any byte in range; ``live`` zeroes it
+        np.minimum(at, len(a) - 1, out=at)
+        np.take(a, at, out=digit)
+        digit -= np.uint8(48)
         digit *= live
         # Horner step acc = 10 acc + digit on the runs still going; the
         # small-int operands are cast in buffers, not in int64 temporaries
@@ -255,6 +270,7 @@ def _signed_digits(a, s, e, kind, lead):
     exact = kind == _INT
     long = np.flatnonzero(exact & (head > body))
     exact[long] = _zeros(a, body[long], head[long])
+    del body
     magnitude = _digits(a, head[exact], e[exact])
     return exact, magnitude, lead[exact] & (a[s[exact]] == ord("-"))
 
@@ -343,10 +359,12 @@ def _parse_chunk(a, line0):
     feat = ~first
     ls, le = start[first], end[first]
     fs, fe = start[feat], end[feat]
+    del start, end  # a token's span is read back from these four
     colon, has_colon = _split(a, fs, fe)
     vs = np.minimum(colon + 1, fe)
     # non-digit token bytes, except the index/value separators
     special = ~blank & ((a - np.uint8(48)) > 9)
+    del blank
     special[colon[has_colon]] = False
     special = np.flatnonzero(special)
     lab_kind, lab_lead = _kinds(a, special, ls, le)
@@ -362,7 +380,7 @@ def _parse_chunk(a, line0):
     same, down = np.zeros_like(follows), np.zeros_like(follows)
     same[1:] = follows[1:] & (idx[1:] == idx[:-1])
     down[1:] = follows[1:] & (idx[1:] < idx[:-1])
-    code = np.empty(len(start), dtype=np.int8)
+    code = np.empty(len(first), dtype=np.int8)
     code[first] = np.where(
         lab_kind == _BAD,
         _NON_NUMERIC_LABEL,
@@ -381,20 +399,23 @@ def _parse_chunk(a, line0):
     )
 
     bad = np.flatnonzero(code)
+    if len(bad):
+        # the first bad token is feature k, or label t - k
+        t = int(bad[0])
+        k = int(np.count_nonzero(feat[:t]))
+        lo, hi = (fs[k], fe[k]) if feat[t] else (ls[t - k], le[t - k])
     high = int(np.argmax(a >= 0x80))
     if a[high] >= 0x80:
         line = int(np.searchsorted(breaks, high))
-        if not len(bad) or line <= np.searchsorted(breaks, start[bad[0]]):
+        if not len(bad) or line <= np.searchsorted(breaks, lo):
             raise ParseError(line0 + line + 1, f"non-ASCII byte 0x{a[high]:02x}")
     if len(bad):
-        t = int(bad[0])
-        k = int(np.count_nonzero(feat[:t]))
         message = _MESSAGES[code[t]].format(
-            tok=a[start[t]:end[t]].tobytes().decode("ascii"),
+            tok=a[lo:hi].tobytes().decode("ascii"),
             idx=int(idx[k]) if feat[t] else 0,
             prev=int(idx[k - 1]) if feat[t] and follows[k] else 0,
         )
-        raise ParseError(line0 + int(np.searchsorted(breaks, start[t])) + 1, message)
+        raise ParseError(line0 + int(np.searchsorted(breaks, lo)) + 1, message)
     counts = np.diff(np.flatnonzero(first), append=len(first)) - 1
     return lab, counts, idx, val
 
@@ -425,10 +446,10 @@ def parse_libsvm(text, d=None, name=""):
     raw = _as_bytes(text)
     rows = raw.count(b"\n") + 1
     labels = np.empty(rows, dtype=np.float64)
-    indptr = np.empty(rows + 1, dtype=np.int64)
+    indptr = np.empty(rows + 1, dtype=np.int32)
     indptr[0] = 0
     nnz_cap = raw.count(b":")
-    indices = np.empty(nnz_cap, dtype=np.int64)
+    indices = np.empty(nnz_cap, dtype=np.int32)
     values = np.empty(nnz_cap, dtype=np.float64)
     n = nnz = line = max_index = 0
     for lo, hi in _chunks(raw):
@@ -456,6 +477,10 @@ def parse_libsvm(text, d=None, name=""):
             raise ParseError(0, "no features present and no explicit d given")
     elif max_index > d:
         raise ParseError(0, f"feature index {max_index} exceeds explicit d={d}")
+    if d >= INDEX_LIMIT:
+        raise ParseError(0, f"d={d} is not below 2^31 (feature indices are int32)")
+    if nnz >= INDEX_LIMIT:
+        raise ParseError(0, f"{nnz} nonzeros is not below 2^31 (CSR positions are int32)")
 
     # shrink in place: the arrays stay the only owners of their memory
     for arr, size in ((labels, n), (indptr, n + 1), (indices, nnz), (values, nnz)):

@@ -30,6 +30,13 @@ n rows and go through the objective's full passes (``grad_full``,
 (see ``stochfw.objectives``), so every batch term has the same bits as its
 scipy sparse-product form.
 
+Inside ``solve`` an estimator reads margins from the solve's ``Margins``:
+full refreshes and the SAGA initial pass take X x from it, and sarah and
+saga_sarah take a batch's margins as ``z.take(S)`` at a point where z
+already is, or where the next recorded row will put it; elsewhere the
+batch kernel computes them. Built without one (``init_estimator(cfg, obj,
+x0, seed)``), an estimator makes every full pass itself.
+
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
 step) and recomputed from scratch every 10^4 updates to wash out float
@@ -41,6 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .objectives import Margins
 
 __all__ = [
     "Algorithm",
@@ -89,8 +98,11 @@ class EstimatorConfig:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if self.b < 1:
             raise ValueError("batch size must be >= 1")
-        if self.kind == "sarah" and (self.p is None or not 0 < self.p <= 1):
-            raise ValueError("sarah needs refresh probability p in (0, 1]")
+        if self.kind == "sarah" and (
+            self.p is None or not 0 < self.p <= 1 or self.p / 2.0 == 0.0
+        ):
+            # theorem1 steps p/2, which must not round to 0
+            raise ValueError("sarah needs refresh probability p in (0, 1] with p/2 > 0")
         if self.kind == "saga_sarah" and (self.lam is None or not 0 < self.lam <= 1):
             raise ValueError("saga_sarah needs mixing weight lam in (0, 1]")
         if self.cold_start and self.kind != "saga_sarah":
@@ -100,7 +112,7 @@ class EstimatorConfig:
 class _Estimator:
     kind = None
 
-    def __init__(self, cfg, obj, seed):
+    def __init__(self, cfg, obj, seed, margins):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         if cfg.sampling == "without_replacement" and cfg.b > obj.n:
@@ -110,6 +122,7 @@ class _Estimator:
         self.rng = np.random.default_rng(seed)
         self.sfo_count = 0
         self.g = None
+        self.margins = Margins(obj) if margins is None else margins
 
     def draw_batch(self):
         n, b = self.obj.n, self.cfg.b
@@ -118,8 +131,15 @@ class _Estimator:
         return self.rng.choice(n, size=b, replace=False)
 
     def _full_refresh(self, x):
-        self.g = self.obj.grad_full(x)
+        self.g = self.obj.grad_full(x, self.margins.at(x))
         self.sfo_count += self.obj.n
+
+    def _batch_coefs(self, B, x_new, x_old):
+        """Gradient multipliers of batch B at x_new and at x_old, with margins
+        taken from the solve's z where it holds them."""
+        # x_old first: z at x_new may be replayed over z at x_old
+        c_old = B.coefs(x_old, self.margins.held(x_old))
+        return B.coefs(x_new, self.margins.held(x_new)), c_old
 
 
 class FullGradEstimator(_Estimator):
@@ -127,8 +147,8 @@ class FullGradEstimator(_Estimator):
 
     kind = "full"
 
-    def __init__(self, cfg, obj, x0, seed):
-        super().__init__(cfg, obj, seed)
+    def __init__(self, cfg, obj, x0, seed, margins=None):
+        super().__init__(cfg, obj, seed, margins)
         self._full_refresh(x0)
 
     def update(self, x_new, x_old, k):
@@ -140,8 +160,8 @@ class SarahEstimator(_Estimator):
 
     kind = "sarah"
 
-    def __init__(self, cfg, obj, x0, seed):
-        super().__init__(cfg, obj, seed)
+    def __init__(self, cfg, obj, x0, seed, margins=None):
+        super().__init__(cfg, obj, seed, margins)
         self._full_refresh(x0)
         self.refreshes = 0
 
@@ -156,7 +176,8 @@ class SarahEstimator(_Estimator):
             self.refreshes += 1
         else:
             B = self.obj.batch(self.draw_batch())
-            self.g = self.g + B.scatter(B.coefs(x_new) - B.coefs(x_old)) / B.size
+            c_new, c_old = self._batch_coefs(B, x_new, x_old)
+            self.g = self.g + B.scatter(c_new - c_old) / B.size
             self.sfo_count += 2 * B.size
 
 
@@ -165,8 +186,8 @@ class SagaSarahEstimator(_Estimator):
 
     kind = "saga_sarah"
 
-    def __init__(self, cfg, obj, x0, seed):
-        super().__init__(cfg, obj, seed)
+    def __init__(self, cfg, obj, x0, seed, margins=None):
+        super().__init__(cfg, obj, seed, margins)
         n = obj.n
         if cfg.cold_start:
             i0 = int(self.rng.integers(0, n))
@@ -176,7 +197,7 @@ class SagaSarahEstimator(_Estimator):
             self.saga_avg = np.zeros(obj.d)
         else:
             # One pass fills the table and the initial estimate together.
-            coefs = obj.grad_coefs(x0)
+            coefs = obj.grad_coefs(x0, self.margins.at(x0))
             self.table_coefs = coefs
             self.saga_avg = obj.mean_rows(coefs)
             self.g = self.saga_avg.copy()
@@ -193,8 +214,7 @@ class SagaSarahEstimator(_Estimator):
         B = obj.batch(S)
         b = B.size
 
-        c_new = B.coefs(x_new)
-        c_old = B.coefs(x_old)
+        c_new, c_old = self._batch_coefs(B, x_new, x_old)
         sarah_term = B.scatter(c_new - c_old) / b
         saga_term = B.scatter(c_old - self.table_coefs[S]) / b + self.saga_avg
         self.g = sarah_term + (1.0 - lam) * self.g + lam * saga_term
@@ -221,8 +241,8 @@ class MomentumEstimator(_Estimator):
 
     kind = "momentum"
 
-    def __init__(self, cfg, obj, x0, seed):
-        super().__init__(cfg, obj, seed)
+    def __init__(self, cfg, obj, x0, seed, margins=None):
+        super().__init__(cfg, obj, seed, margins)
         self._full_refresh(x0)
         self.rho = cfg.momentum_rho or default_momentum_rho
 
@@ -256,6 +276,10 @@ _CLASSES = {a.estimator.kind: a.estimator for a in ALGORITHMS.values()}
 ESTIMATOR_KINDS = tuple(_CLASSES)
 
 
-def init_estimator(cfg, obj, x0, seed):
-    """Build the estimator named by ``cfg.kind`` with g initialized at x0."""
-    return _CLASSES[cfg.kind](cfg, obj, np.asarray(x0, dtype=np.float64), seed)
+def init_estimator(cfg, obj, x0, seed, margins=None):
+    """Build the estimator named by ``cfg.kind`` with g initialized at x0.
+
+    ``margins`` is the solve's ``Margins``; full passes then read X x from it.
+    Without it every full pass makes its own.
+    """
+    return _CLASSES[cfg.kind](cfg, obj, np.asarray(x0, dtype=np.float64), seed, margins)

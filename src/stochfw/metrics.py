@@ -59,14 +59,15 @@ class Trace:
         return [r.gap for r in self.rows if r.gap is not None]
 
 
-def fw_gap(obj, cset, y):
+def fw_gap(obj, cset, y, z=None):
     """gap(y) = <grad f(y), y - s> with s the LMO vertex at grad f(y).
 
-    Mathematically non-negative for feasible y; values within 1e-12 below
-    zero (rounding) are reported as 0. NaN when grad f(y) is not finite,
-    since no vertex minimizes against it.
+    ``z``, if given, is X y, and grad f(y) is computed from it. Mathematically
+    non-negative for feasible y; values within 1e-12 below zero (rounding)
+    are reported as 0. NaN when grad f(y) is not finite, since no vertex
+    minimizes against it.
     """
-    g = obj.grad_full(y)
+    g = obj.grad_full(y, z)
     if not np.all(np.isfinite(g)):
         return float("nan")
     s = lmo(cset, g)

@@ -6,14 +6,19 @@ grad f_i(w) = c_i(w) * x_i. A batch gradient is therefore a gather of
 margins followed by a scatter of scalars, and the SAGA table can store one
 float per sample.
 
-Two kernels do that work:
+Three kernels do that work:
 
 * Batches and single samples (``Objective.batch``) gather the rows of S
   once from the dataset's CSR arrays into flat (row, column, value) entries;
   margins and weighted row sums are then one ``np.bincount`` each.
-* Full passes (``loss_full``, ``grad_full``, ``grad_coefs``, ``mean_rows``)
-  go through the scipy CSR copy ``Objective.X``, whose compiled matvec is
-  faster over all n rows. No other module touches that copy.
+* Full passes (``margins``, ``mean_rows``) go through scipy's
+  ``Objective.X``, whose compiled matvec is faster over all n rows. It
+  shares all three CSR arrays with the dataset. No other module touches it.
+* A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
+  a step toward a one-hot vertex r e_i moves z by one column of X, which
+  ``Objective.column`` reads from a column view built on first use.
+  ``loss_full``, ``grad_coefs``, ``grad_full`` and ``Batch.coefs`` take
+  such a z instead of making a pass of their own.
 
 The batch kernel reproduces scipy's bits: ``np.bincount`` starts every bin
 at 0.0 and adds the entries' products in storage order, exactly as scipy's
@@ -27,12 +32,13 @@ nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-__all__ = ["Objective", "Batch", "SmoothnessInfo", "LOSS_KINDS"]
+__all__ = ["Objective", "Batch", "Margins", "SmoothnessInfo", "LOSS_KINDS"]
 
 LOSS_KINDS = ("logistic", "nlls")
 
@@ -66,7 +72,7 @@ class Batch:
     Objective can serve several threads.
     """
 
-    __slots__ = ("_obj", "size", "y", "rows", "cols", "vals")
+    __slots__ = ("_obj", "S", "size", "y", "rows", "cols", "vals")
 
     def __init__(self, obj, S):
         ds = obj.dataset
@@ -77,6 +83,7 @@ class Batch:
         pos = (start - lens.cumsum() + lens).repeat(lens)
         pos += np.arange(len(pos))
         self._obj = obj
+        self.S = S
         self.size = len(S)
         self.y = obj.y.take(S)
         self.rows = np.arange(self.size).repeat(lens)
@@ -88,9 +95,11 @@ class Batch:
         equals ``X[S] @ w`` bit for bit."""
         return _sum_by(self.rows, self.vals * w.take(self.cols), self.size)
 
-    def coefs(self, w):
-        """Gradient multipliers c_i(w) for every i in S."""
-        return self._obj._coefs(self.margins(w), self.y)
+    def coefs(self, w, z=None):
+        """Gradient multipliers c_i(w) for every i in S; ``z``, if given, is
+        X w over all n samples and supplies the margins."""
+        margins = self.margins(w) if z is None else z.take(self.S)
+        return self._obj._coefs(margins, self.y)
 
     def scatter(self, c):
         """sum_t c[t] x_{S[t]} for a float64 array c of length |S|, as a
@@ -114,7 +123,11 @@ class Objective:
         self.kind = kind
         self.dataset = dataset
         self.X = dataset.to_csr()
+        self._XT = self.X.T  # a CSC view of the same arrays, built once
         self.y = dataset.labels
+        # the column view, built by the first ``column`` call of any thread
+        self._columns = None
+        self._columns_lock = threading.Lock()
 
     @property
     def n(self):
@@ -133,7 +146,19 @@ class Objective:
         return w
 
     def margins(self, w):
+        """X w, one pass over all nnz entries."""
         return np.asarray(self.X @ w).ravel()
+
+    def column(self, i):
+        """Column i of X as ``(rows, values)``, rows increasing."""
+        view = self._columns
+        if view is None:
+            with self._columns_lock:
+                if self._columns is None:
+                    self._columns = _column_view(self.X)
+                view = self._columns
+        lo, hi = view.indptr[i], view.indptr[i + 1]
+        return view.indices[lo:hi], self.X.data.take(view.data[lo:hi])
 
     def _losses(self, z, y):
         if self.kind == "logistic":
@@ -154,17 +179,19 @@ class Objective:
         B = self.batch([i])
         return float(self._losses(B.margins(w), B.y)[0])
 
-    def loss_full(self, w):
-        """f(w) = (1/n) sum_i f_i(w); overflow-safe for any finite w."""
-        w = self._check_w(w)
-        z = self.margins(w)
+    def loss_full(self, w, z=None):
+        """f(w) = (1/n) sum_i f_i(w); overflow-safe for any finite w. ``z``,
+        if given, is X w, and no pass over X is made."""
+        if z is None:
+            z = self.margins(self._check_w(w))
         return float(np.mean(self._losses(z, self.y)))
 
-    def grad_coefs(self, w):
+    def grad_coefs(self, w, z=None):
         """Scalar multipliers c_i with grad f_i(w) = c_i * x_i, every sample
-        in storage order."""
-        w = self._check_w(w)
-        return self._coefs(self.margins(w), self.y)
+        in storage order; ``z`` as for ``loss_full``."""
+        if z is None:
+            z = self.margins(self._check_w(w))
+        return self._coefs(z, self.y)
 
     def batch(self, S):
         """Gather the rows of the sample indices S (duplicates allowed)."""
@@ -193,11 +220,12 @@ class Objective:
     def mean_rows(self, c):
         """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
         array c of length n, as a dense length-d vector."""
-        return np.asarray(self.X.T @ c).ravel() / self.n
+        return np.asarray(self._XT @ c).ravel() / self.n
 
-    def grad_full(self, w):
-        """grad f(w), the average of all n per-sample gradients."""
-        return self.mean_rows(self.grad_coefs(w))
+    def grad_full(self, w, z=None):
+        """grad f(w), the average of all n per-sample gradients; ``z`` as for
+        ``loss_full``."""
+        return self.mean_rows(self.grad_coefs(w, z))
 
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""
@@ -208,3 +236,90 @@ class Objective:
             L_i = _NLLS_CURVATURE_BOUND * sq_norms
         L_tilde = float(np.sqrt(np.mean(L_i**2)))
         return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde)
+
+
+def _column_view(X):
+    """X in CSC form holding, in place of each value, the entry's int32
+    position in X's CSR arrays: 8 bytes per nonzero, the values stay shared."""
+    from scipy.sparse import csr_matrix
+
+    positions = np.arange(X.nnz, dtype=np.int32)
+    return csr_matrix((positions, X.indices, X.indptr), shape=X.shape).tocsc()
+
+
+class Margins:
+    """z = X x for one solve, held at the last iterate a reader needed.
+
+    The solve reports each step x' = x + eta (s - x) to ``step``. When s is
+    a one-hot vertex r e_i (the l1 ball and the simplex), the margins follow
+    z' = z + eta (r X[:, i] - z): one column of X and one O(n) pass. ``at``
+    replays the steps taken since z's iterate, in that association, unless
+    the replay would touch more entries than a pass over X (n + nnz/d per
+    step against nnz); then it recomputes X x. A dense vertex (the box) is
+    never replayed, so there z is only shared between reads at one iterate.
+    Replayed margins differ from X x by rounding only; each solve replays
+    the same steps, so its results stay bit-reproducible.
+
+    Iterates are told apart by identity. The array ``at`` returns is
+    overwritten by the next replay. ``Margins(obj)``, following no solve,
+    answers every ``at`` with a pass over X and every ``held`` with None.
+    """
+
+    def __init__(self, obj, x=None):
+        self._obj = obj
+        self.x = x  # the solve's current iterate
+        self._point = None  # the iterate z belongs to
+        self._z = None
+        self._steps = None  # vertex steps from _point to x; None: recompute
+        self._due = False
+        self._scaled = None  # replay buffer
+        n, d, nnz = obj.n, obj.d, obj.X.nnz
+        self._max_steps = nnz * d // (n * d + nnz)
+
+    def step(self, x_new, eta, s, due):
+        """The solve moved from ``x`` to x_new = x + eta (s - x); ``due``
+        says the next recorded row reads x_new."""
+        self.x, self._due = x_new, due
+        steps = self._steps
+        if steps is None:
+            return
+        if len(steps) < self._max_steps:
+            (nz,) = s.nonzero()
+            if len(nz) == 1:
+                steps.append((eta, nz[0], s[nz[0]]))
+                return
+        self._steps = None
+
+    def at(self, x):
+        """X x; shared by every read at the solve's current iterate."""
+        if x is self._point:
+            return self._z
+        if x is not self.x:
+            return self._obj.margins(x)
+        if self._steps is None:
+            self._z = self._obj.margins(x)
+        else:
+            for eta, i, r in self._steps:
+                self._replay(eta, i, r)
+        self._point, self._steps = x, []
+        return self._z
+
+    def held(self, x):
+        """X x if z is at x, or the next recorded row will read x; else None."""
+        if x is self._point or (self._due and x is self.x):
+            return self.at(x)
+        return None
+
+    def _replay(self, eta, i, r):
+        z = self._z
+        if self._scaled is None:
+            self._scaled = np.empty_like(z)
+        rows, vals = self._obj.column(i)
+        zc = z.take(rows)
+        column = r * vals
+        column -= zc
+        column *= eta
+        column += zc  # z + eta (r X[:, i] - z) on the column's rows
+        np.multiply(z, eta, out=self._scaled)
+        z -= self._scaled  # z + eta (0 - z) elsewhere
+        z[rows] = column

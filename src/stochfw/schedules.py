@@ -5,7 +5,8 @@ Four step-size rules are provided. ``classic_fw`` is the parameter-free
 the variance-reduced solvers in the convex case: constant on a plateau for
 the first half of the run, then harmonic decay, continuous at the switch
 index k0 = ceil(K/2). ``sqrt_k`` is the flat 1/sqrt(K) rule for the
-non-convex case. All emitted values lie in (0, 1].
+non-convex case. All emitted values lie in (0, 1]; theorem1 therefore
+rejects a p whose half rounds to 0 (the smallest subnormals).
 
 A rule is named by its kind alone. ``eta`` takes the horizon K and the
 rule's parameters (p for theorem1, b and n for theorem3) from the run it
@@ -50,8 +51,8 @@ def eta(kind, k, K, p=None, b=None, n=None):
     if kind == "sqrt_k":
         return 1.0 / sqrt(K)
     if kind == "theorem1":
-        if p is None or not 0 < p <= 1:
-            raise ValueError("theorem1 schedule needs p in (0, 1]")
+        if p is None or not 0 < p <= 1 or p / 2.0 == 0.0:
+            raise ValueError("theorem1 schedule needs p in (0, 1] with p/2 > 0")
         return _plateau_then_harmonic(k, K, p / 2.0, 2.0 / p)
     if b is None or n is None or not 1 <= b <= n:
         raise ValueError("theorem3 schedule needs 1 <= b <= n")

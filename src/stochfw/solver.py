@@ -15,6 +15,16 @@ With eta_k in (0, 1] and feasible x^0, every iterate is a convex
 combination of feasible points and stays feasible. The update is computed
 in exactly the association x + eta*(s - x) for cross-run reproducibility.
 
+Every full-data pass reads the margins z = X x from one ``Margins`` per
+solve: the loss of each recorded row, the gap's full gradient and the
+estimator's full refreshes. The loop reports each step to it, so on the
+l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one column
+of X instead of a pass over all of X; on the box, whose vertices are
+dense, the reads at one iterate (fw's gradient at x^{k+1} and row k+1's
+loss) share one pass. Replayed margins differ from X x by rounding, so
+such traces can differ from a pass-per-read loop's in the last bits, and
+they are bit-reproducible run to run.
+
 A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
 first iteration k that records it or hands the estimate to the LMO,
 whatever ``record_every`` is; so does a non-finite full gradient at a row
@@ -36,6 +46,7 @@ import numpy as np
 from .constraints import contains, lmo
 from .estimators import ALGORITHMS, init_estimator
 from .metrics import Trace, TraceRow, fw_gap
+from .objectives import Margins
 from .schedules import SCHEDULE_KINDS, eta
 
 __all__ = ["SolverConfig", "SolveResult", "NanAbort", "solve", "default_x0"]
@@ -119,7 +130,8 @@ def solve(cfg, obj, cset, x0, callback=None):
     if not contains(cset, x, 0.0):
         raise ValueError("x0 is not feasible")
 
-    est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seed)
+    margins = Margins(obj, x)
+    est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seed, margins)
     trace = Trace(
         metadata={
             "algorithm": cfg.algorithm,
@@ -135,14 +147,14 @@ def solve(cfg, obj, cset, x0, callback=None):
 
     def record(k, x_k):
         nonlocal gap_sfo, gap_lmo
-        f_k = obj.loss_full(x_k)
+        f_k = obj.loss_full(x_k, margins.at(x_k))
         if not np.isfinite(f_k):
             raise NanAbort(k, "objective")
         if not np.all(np.isfinite(est.g)):
             raise NanAbort(k, "gradient estimate")
         gap_k = None
         if cfg.gap_every > 0 and k % cfg.gap_every == 0:
-            gap_k = fw_gap(obj, cset, x_k)
+            gap_k = fw_gap(obj, cset, x_k, margins.at(x_k))
             if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                 raise NanAbort(k, "full gradient")
             gap_sfo += obj.n
@@ -170,6 +182,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         lmo_total += 1
         step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
+        margins.step(x_new, step, s, due=(k + 1) % cfg.record_every == 0 or k + 1 == cfg.K)
         est.update(x_new, x, k)
         x = x_new
 

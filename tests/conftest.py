@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stochfw.data import normalize_labels, parse_libsvm
-from stochfw.objectives import Objective
+from stochfw.objectives import Margins, Objective
 
 
 def separable_libsvm_text(n, d, seed, margin_floor=0.3, scale=1.0):
@@ -70,6 +70,20 @@ def scripted(est, refresh=None, batch=None):
         S = np.asarray(batch, dtype=np.int64)
         est.draw_batch = lambda: S
     return est
+
+
+def poison_margins(monkeypatch, calls_ok):
+    """Make every ``Margins.at`` read after the first ``calls_ok`` return NaN
+    margins; every full-data loss and gradient of a solve reads them there."""
+    at = Margins.at
+    calls = []
+
+    def poisoned(self, x):
+        calls.append(x)
+        z = at(self, x)
+        return z if len(calls) <= calls_ok else z * np.nan
+
+    monkeypatch.setattr(Margins, "at", poisoned)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,8 @@ from stochfw.cli import (
 )
 from stochfw.estimators import ALGORITHMS
 from stochfw.metrics import Trace, TraceRow
-from stochfw.objectives import Objective
 
-from conftest import separable_libsvm_text
+from conftest import poison_margins, separable_libsvm_text
 
 
 @pytest.fixture
@@ -174,16 +173,9 @@ def test_nan_abort_exits_3(tmp_path):
 
 def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
                                                    monkeypatch, capsys):
-    # grad_full turns NaN after fw's init pass; with record_every = 5 the
-    # LMO at k=1 sees the estimate before any recorded row does.
-    grad_full = Objective.grad_full
-    calls = []
-
-    def poisoned(self, w):
-        calls.append(1)
-        return grad_full(self, w) if len(calls) == 1 else np.full(self.d, np.nan)
-
-    monkeypatch.setattr(Objective, "grad_full", poisoned)
+    # margins turn NaN after fw's init pass and row 0; with record_every = 5
+    # the LMO at k=1 sees the estimate before any recorded row does.
+    poison_margins(monkeypatch, 2)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         f"dataset = {dataset_file}\n"
@@ -200,16 +192,9 @@ def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
 
 def test_nan_full_gradient_at_gap_row_exits_3(tmp_path, dataset_file, monkeypatch,
                                               capsys):
-    # grad_full turns NaN after sarah's init pass, so the gap at k=0 is the
-    # first to see it
-    grad_full = Objective.grad_full
-    calls = []
-
-    def poisoned(self, w):
-        calls.append(1)
-        return grad_full(self, w) if len(calls) == 1 else np.full(self.d, np.nan)
-
-    monkeypatch.setattr(Objective, "grad_full", poisoned)
+    # margins turn NaN after sarah's init pass and row 0's loss, so the gap
+    # at k=0 is the first to see them
+    poison_margins(monkeypatch, 2)
     assert main(["run", "--dataset", str(dataset_file), "--alg", "sarah_fw",
                  "--K", "10", "--gap-every", "1", "--out", str(tmp_path / "out")]) == 3
     assert "non-finite full gradient at iteration 0" in capsys.readouterr().out

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochfw import data
 from stochfw.data import Dataset, ParseError, normalize_labels, parse_libsvm, to_libsvm
 from stochfw.objectives import Objective
 from stochfw.reference import parse_libsvm_by_tokens
@@ -225,3 +226,25 @@ def test_long_digit_runs_count_only_their_significant_digits():
     assert ds == parse_libsvm_by_tokens(text)
     assert ds.indices.tolist() == [2, 11, 0, 1]
     assert ds.values.tolist() == [1.0, -0.5, 1.0000000000000000001e19, 7.0]
+
+
+def test_index_arrays_are_int32_and_shared_with_scipy():
+    ds = normalize_labels(parse_libsvm(binary_sparse_libsvm_text(300, 40, seed=2)), "logistic")
+    assert ds.indptr.dtype == ds.indices.dtype == np.int32
+    X = Objective("logistic", ds).X
+    for mine, scipys in ((ds.indptr, X.indptr), (ds.indices, X.indices), (ds.values, X.data)):
+        assert np.shares_memory(mine, scipys)
+
+
+def test_d_or_nnz_of_2_to_the_31_is_a_parse_error(monkeypatch):
+    ds = parse_libsvm("+1 2147483647:1\n")  # the largest d int32 indices hold
+    assert ds.d == 2**31 - 1 and ds.indices.tolist() == [2**31 - 2]
+    with pytest.raises(ParseError, match=r"^line 0: d=2147483648 is not below 2\^31"):
+        parse_libsvm("+1 2147483648:1\n")
+    with pytest.raises(ParseError, match=r"^line 0: d=2147483648 is not below 2\^31"):
+        parse_libsvm("+1 1:1\n", d=2**31)
+    # nnz at the limit, with the limit lowered so the file stays small
+    monkeypatch.setattr(data, "INDEX_LIMIT", 3)
+    parse_libsvm("+1 1:1\n-1 2:1\n")
+    with pytest.raises(ParseError, match=r"^line 0: 3 nonzeros is not below 2\^31"):
+        parse_libsvm("+1 1:1 2:1\n-1 2:1\n")

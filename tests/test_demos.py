@@ -23,3 +23,19 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_experiment_harness_demo_removes_its_temp_dir(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    work, temp = tmp_path / "cwd", tmp_path / "tmp"
+    work.mkdir()
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
+    demo = ROOT / "demos" / "05_experiment_harness.py"
+    proc = subprocess.run([sys.executable, str(demo)], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert list(temp.iterdir()) == []

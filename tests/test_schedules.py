@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochfw.estimators import EstimatorConfig
 from stochfw.schedules import default_batch, default_params, eta
 
 
@@ -40,8 +41,8 @@ def plateau_rules(draw):
     kind = draw(st.sampled_from(["theorem1", "theorem3"]))
     K = draw(st.integers(1, 3000))
     if kind == "theorem1":
-        # A subnormal p is left out: the smallest one halves to a 0.0 step.
-        p = draw(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+        # subnormals too; only a p whose half rounds to 0 is rejected
+        p = draw(st.floats(0.0, 1.0, exclude_min=True).filter(lambda p: p / 2.0 > 0.0))
         return kind, K, {"p": p}
     n = draw(st.integers(1, 10**6))
     return kind, K, {"b": draw(st.integers(1, n)), "n": n}
@@ -94,6 +95,16 @@ def test_eta_range_checks():
         eta("classic_fw", -1, 5)
     with pytest.raises(ValueError):
         eta("classic_fw", 5, 5)
+
+
+def test_p_whose_half_underflows_is_rejected():
+    # the smallest subnormal halves to 0.0, which would be a zero step
+    with pytest.raises(ValueError, match="p/2 > 0"):
+        eta("theorem1", 0, 10, p=5e-324)
+    with pytest.raises(ValueError, match="p/2 > 0"):
+        EstimatorConfig(kind="sarah", p=5e-324)
+    assert eta("theorem1", 0, 10, p=1e-323) == 5e-324
+    EstimatorConfig(kind="sarah", p=1e-323)
 
 
 def test_default_params_hand_values():

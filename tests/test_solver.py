@@ -7,7 +7,7 @@ from stochfw.estimators import EstimatorConfig, FullGradEstimator, SagaSarahEsti
 from stochfw.objectives import Objective
 from stochfw.solver import NanAbort, SolverConfig, default_x0, solve
 
-from conftest import tiny_objective
+from conftest import poison_margins, tiny_objective
 
 
 def fw_config(K, **kwargs):
@@ -110,52 +110,36 @@ def test_infeasible_x0_rejected():
         solve(fw_config(5), obj, cset, np.full(obj.d, 1.0))
 
 
-class Poisoned:
-    """An Objective whose ``method`` returns NaN after its first ``calls_ok`` calls."""
-
-    def __init__(self, inner, method, calls_ok):
-        self._inner, self._method, self._calls_ok = inner, method, calls_ok
-        self.calls = 0
-
-    def __getattr__(self, name):
-        fn = getattr(self._inner, name)
-        if name != self._method:
-            return fn
-
-        def poisoned(w):
-            self.calls += 1
-            return fn(w) if self.calls <= self._calls_ok else fn(w) * np.nan
-
-        return poisoned
-
-
-def test_nan_abort_carries_iteration():
+def test_nan_abort_carries_iteration(monkeypatch):
+    # reads: x0 for the init pass and row 0, then x_{k+1} for fw's update at
+    # k and for row k+1; the eighth read is row 3's loss
     obj = tiny_objective(n=6, d=4)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    poison_margins(monkeypatch, 7)
     with pytest.raises(NanAbort) as err:
-        solve(fw_config(10), Poisoned(obj, "loss_full", 3), cset, np.zeros(obj.d))
+        solve(fw_config(10), obj, cset, np.zeros(obj.d))
     assert err.value.k == 3
 
 
-def test_nan_gradient_aborts_between_recorded_rows():
+def test_nan_gradient_aborts_between_recorded_rows(monkeypatch):
     # The update at k=2 makes the estimate NaN; with record_every=5 no
     # row is recorded at k=3, so the LMO is the first to see it.
     obj = tiny_objective(n=6, d=4)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    poison_margins(monkeypatch, 4)  # init, row 0, updates at k=0 and k=1
     with pytest.raises(NanAbort, match="gradient estimate") as err:
-        solve(fw_config(10, record_every=5), Poisoned(obj, "grad_full", 3), cset,
-              np.zeros(obj.d))
+        solve(fw_config(10, record_every=5), obj, cset, np.zeros(obj.d))
     assert err.value.k == 3
 
 
-def test_nan_full_gradient_at_gap_row_aborts():
-    # sarah's init pass is the one good grad_full call; the gap at k=0 then
-    # sees a NaN full gradient while the estimate itself is still finite
+def test_nan_full_gradient_at_gap_row_aborts(monkeypatch):
+    # sarah's init pass and row 0's loss are the good reads; the gap at k=0
+    # then sees NaN margins while the estimate itself is still finite
     obj = tiny_objective(n=6, d=4)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    poison_margins(monkeypatch, 2)
     with pytest.raises(NanAbort, match="full gradient") as err:
-        solve(sarah_config(10, gap_every=1), Poisoned(obj, "grad_full", 1), cset,
-              np.zeros(obj.d))
+        solve(sarah_config(10, gap_every=1), obj, cset, np.zeros(obj.d))
     assert err.value.k == 0
 
 
