@@ -123,7 +123,9 @@ class Objective:
         self.kind = kind
         self.dataset = dataset
         self.X = dataset.to_csr()
-        self._XT = self.X.T  # a CSC view of the same arrays, built once
+        # X.T sharing X's arrays; scipy builds a new matrix object on every
+        # .T, which costs more than the product on small data
+        self._XT = self.X.T
         self.y = dataset.labels
         # the column view, built by the first ``column`` call of any thread
         self._columns = None
