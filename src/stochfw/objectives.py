@@ -76,7 +76,9 @@ class Batch:
 
     def __init__(self, obj, S):
         ds = obj.dataset
-        start = ds.indptr.take(S)
+        # intp positions and columns: take() and bincount() would convert
+        # the dataset's int32 arrays again on every call
+        start = ds.indptr.take(S).astype(np.intp)
         lens = ds.indptr.take(S + 1) - start
         # position of gathered entry t in the CSR arrays: the start of its
         # row plus its offset within the row
@@ -87,7 +89,7 @@ class Batch:
         self.size = len(S)
         self.y = obj.y.take(S)
         self.rows = np.arange(self.size).repeat(lens)
-        self.cols = ds.indices.take(pos)
+        self.cols = ds.indices.take(pos).astype(np.intp)
         self.vals = ds.values.take(pos)
 
     def margins(self, w):
