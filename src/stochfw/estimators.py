@@ -137,7 +137,8 @@ class _Estimator:
     def _batch_coefs(self, B, x_new, x_old):
         """Gradient multipliers of batch B at x_new and at x_old, with margins
         taken from the solve's z where it holds them."""
-        # x_old first: z at x_new may be replayed over z at x_old
+        # x_old first, while z may still be there: reading x_new can replay
+        # z past it, and x_old then costs the batch kernel
         c_old = B.coefs(x_old, self.margins.held(x_old))
         return B.coefs(x_new, self.margins.held(x_new)), c_old
 

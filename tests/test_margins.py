@@ -121,6 +121,28 @@ def test_no_solve_makes_more_passes_than_the_parent(algorithm, kind, record_ever
     assert len(passes) <= _PARENT_PASSES[algorithm, kind, record_every]
 
 
+@pytest.mark.parametrize("kind", ["l1_ball", "simplex", "linf_box"])
+@pytest.mark.parametrize("algorithm", sorted(_ESTIMATORS))
+def test_cached_reads_match_a_pass_per_read(algorithm, kind, monkeypatch):
+    # every recorded loss, gap, refresh and batch margin read through the
+    # cache against the same solve with a fresh pass over X at every read
+    obj = tiny_objective(n=20, d=6, seed=9)
+    cset = ConstraintSet(kind, 3.0, dim=obj.d)
+    cfg = SolverConfig(algorithm, 80, "classic_fw", _ESTIMATORS[algorithm], seed=4,
+                       gap_every=3, record_every=2)
+    cached = solve(cfg, obj, cset, default_x0(cset))
+    monkeypatch.setattr(Margins, "at", lambda self, x: self._obj.margins(x))
+    monkeypatch.setattr(Margins, "held", lambda self, x: None)
+    fresh = solve(cfg, obj, cset, default_x0(cset))
+    assert cached.sfo_total == fresh.sfo_total
+    for a, b in zip(cached.trace.rows, fresh.trace.rows, strict=True):
+        assert (a.k, a.sfo, a.lmo) == (b.k, b.sfo, b.lmo)
+        assert a.f == pytest.approx(b.f, rel=1e-12)
+        assert (a.gap is None) == (b.gap is None)
+        if a.gap is not None:
+            assert a.gap == pytest.approx(b.gap, rel=1e-10, abs=1e-12)
+
+
 def test_first_use_from_four_threads_builds_one_view(monkeypatch):
     text = binary_sparse_libsvm_text(400, 30, seed=11)
 
