@@ -23,10 +23,11 @@ Both losses have grad f_i = c_i * x_i, so every batch term above is a
 weighted sum of the rows of S. An update gathers those rows once
 (``Objective.batch``) and evaluates each term as margins at a point, then
 scalar coefficients, then one scatter of the coefficients back onto the
-rows: O(b * nnz_row) work per term, with no sparse matrix built per call.
-Full refreshes, the SAGA initial pass and the table recomputation cover all
-n rows and go through the objective's full passes (``grad_full``,
-``grad_coefs``, ``mean_rows``) instead. The kernel sums in scipy's order
+rows: O(b * nnz_row) work per term in scipy's compiled sparse loops, with no
+sparse matrix object built per call. Full refreshes, the SAGA initial pass
+and the table recomputation cover all n rows and go through the objective's
+full passes (``grad_full``, ``grad_coefs``, ``mean_rows``) instead. The
+batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
 (see ``stochfw.objectives``), so every batch term has the same bits as its
 scipy sparse-product form.
 

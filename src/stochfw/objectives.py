@@ -9,8 +9,8 @@ float per sample.
 Three kernels do that work:
 
 * Batches and single samples (``Objective.batch``) gather the rows of S
-  once from the dataset's CSR arrays into flat (row, column, value) entries;
-  margins and weighted row sums are then one ``np.bincount`` each.
+  once into a CSR triple; margins and weighted row sums are then one
+  compiled loop each, with no sparse matrix built.
 * Full passes (``margins``, ``mean_rows``) go through scipy's
   ``Objective.X``, whose compiled matvec is faster over all n rows. It
   shares all three CSR arrays with the dataset. No other module touches it.
@@ -20,11 +20,13 @@ Three kernels do that work:
   ``loss_full``, ``grad_coefs``, ``grad_full`` and ``Batch.coefs`` take
   such a z instead of making a pass of their own.
 
-The batch kernel reproduces scipy's bits: ``np.bincount`` starts every bin
-at 0.0 and adds the entries' products in storage order, exactly as scipy's
-``csr_matvec`` (margins) and ``csc_matvec`` (``X.T @ c``) accumulate them,
-so ``batch(S).margins(w)`` equals ``X[S] @ w`` and ``batch(S).scatter(c)``
-equals ``X[S].T @ c`` bit for bit.
+The batch kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w`` and
+``X[S].T @ c`` (``csr_row_index``, ``csr_matvec``, ``csc_matvec`` from the
+private ``scipy.sparse._sparsetools``), so ``batch(S).margins(w)`` and
+``batch(S).scatter(c)`` equal those forms bit for bit; the property in
+``tests/test_batch_kernel.py`` fails if a scipy release changes them. They
+are bound where an Objective is built: ``import stochfw`` loads no
+``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -55,58 +57,61 @@ class SmoothnessInfo:
     L_tilde: float
 
 
-def _sum_by(bins, weights, length):
-    # An empty gather makes bincount return int64 zeros; keep float64.
-    return np.bincount(bins, weights=weights, minlength=length).astype(
-        np.float64, copy=False
-    )
+def _check_length(a, size, name):
+    # the compiled loops read ``size`` entries of ``a`` with no bounds check
+    if a.shape != (size,):
+        raise ValueError(f"{name} has shape {a.shape}, expected ({size},)")
 
 
 class Batch:
-    """The rows of a batch S, gathered once from the dataset's CSR arrays.
+    """The rows of a batch S, gathered once into a CSR triple (``indptr``,
+    ``indices``, ``values``) with the dataset's index dtype; its row t is
+    sample S[t], duplicates included, and ``y`` holds the labels of S. Built
+    per call and never cached, so one Objective can serve several threads."""
 
-    Gathered entry t belongs to batch position ``rows[t]`` (duplicates in S
-    are gathered once per occurrence), feature ``cols[t]``, value
-    ``vals[t]``; entries keep the storage order of the rows. ``y`` holds the
-    labels of S. A Batch is built per call and never cached, so one
-    Objective can serve several threads.
-    """
-
-    __slots__ = ("_obj", "S", "size", "y", "rows", "cols", "vals")
+    __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values")
 
     def __init__(self, obj, S):
-        ds = obj.dataset
-        # intp positions and columns: take() and bincount() would convert
-        # the dataset's int32 arrays again on every call
-        start = ds.indptr.take(S).astype(np.intp)
-        lens = ds.indptr.take(S + 1) - start
-        # position of gathered entry t in the CSR arrays: the start of its
-        # row plus its offset within the row
-        pos = (start - lens.cumsum() + lens).repeat(lens)
-        pos += np.arange(len(pos))
-        self._obj = obj
-        self.S = S
-        self.size = len(S)
-        self.y = obj.y.take(S)
-        self.rows = np.arange(self.size).repeat(lens)
-        self.cols = ds.indices.take(pos).astype(np.intp)
-        self.vals = ds.values.take(pos)
+        S = np.asarray(S, dtype=np.int64)
+        if S.ndim != 1:
+            raise ValueError("batch indices must be a vector")
+        if S.size and (S.min() < 0 or S.max() >= obj.n):
+            raise IndexError(f"batch index out of range [0, {obj.n})")
+        ds, ptr = obj.dataset, obj.dataset.indptr
+        # as scipy's X[S]: a running sum of the row lengths, then one compiled copy
+        self.indptr = np.zeros(len(S) + 1, dtype=ptr.dtype)
+        np.add.accumulate(ptr.take(S + 1) - ptr.take(S), out=self.indptr[1:])
+        self.indices = np.empty(self.indptr[-1], dtype=ptr.dtype)
+        self.values = np.empty(self.indptr[-1])
+        obj._loops.csr_row_index(len(S), S.astype(ptr.dtype), ptr, ds.indices, ds.values,
+                                 self.indices, self.values)
+        self._obj, self.S, self.size, self.y = obj, S, len(S), obj.y.take(S)
 
     def margins(self, w):
         """<w, x_i> for every i in S, w a float64 array of length d;
         equals ``X[S] @ w`` bit for bit."""
-        return _sum_by(self.rows, self.vals * w.take(self.cols), self.size)
+        _check_length(w, self._obj.d, "w")
+        out = np.zeros(self.size)
+        self._obj._loops.csr_matvec(self.size, self._obj.d, self.indptr, self.indices,
+                                    self.values, w, out)
+        return out
 
     def coefs(self, w, z=None):
         """Gradient multipliers c_i(w) for every i in S; ``z``, if given, is
         X w over all n samples and supplies the margins."""
+        _check_length(w, self._obj.d, "w")
         margins = self.margins(w) if z is None else z.take(self.S)
         return self._obj._coefs(margins, self.y)
 
     def scatter(self, c):
         """sum_t c[t] x_{S[t]} for a float64 array c of length |S|, as a
         dense length-d vector; equals ``X[S].T @ c`` bit for bit."""
-        return _sum_by(self.cols, self.vals * c.take(self.rows), self._obj.d)
+        _check_length(c, self.size, "c")
+        out = np.zeros(self._obj.d)
+        # the triple read in CSC form is X[S].T
+        self._obj._loops.csc_matvec(self._obj.d, self.size, self.indptr, self.indices,
+                                    self.values, c, out)
+        return out
 
 
 class Objective:
@@ -125,6 +130,8 @@ class Objective:
         self.kind = kind
         self.dataset = dataset
         self.X = dataset.to_csr()
+        from scipy.sparse import _sparsetools  # Batch's loops; to_csr loaded scipy.sparse
+        self._loops = _sparsetools
         # X.T sharing X's arrays; scipy builds a new matrix object on every
         # .T, which costs more than the product on small data
         self._XT = self.X.T
@@ -199,11 +206,6 @@ class Objective:
 
     def batch(self, S):
         """Gather the rows of the sample indices S (duplicates allowed)."""
-        S = np.asarray(S, dtype=np.int64)
-        if S.ndim != 1:
-            raise ValueError("batch indices must be a vector")
-        if S.size and (S.min() < 0 or S.max() >= self.n):
-            raise IndexError(f"batch index out of range [0, {self.n})")
         return Batch(self, S)
 
     def grad_sample(self, i, w):
@@ -214,12 +216,11 @@ class Objective:
 
     def grad_batch(self, S, w):
         """(1/|S|) sum_{i in S} grad f_i(w); duplicates count with multiplicity."""
-        S = np.asarray(S, dtype=np.int64)
-        if S.size == 0:
-            raise ValueError("empty batch")
         w = self._check_w(w)
         B = self.batch(S)
-        return B.scatter(B.coefs(w)) / S.size
+        if B.size == 0:
+            raise ValueError("empty batch")
+        return B.scatter(B.coefs(w)) / B.size
 
     def mean_rows(self, c):
         """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
@@ -234,10 +235,7 @@ class Objective:
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""
         sq_norms = np.asarray(self.X.power(2).sum(axis=1)).ravel()
-        if self.kind == "logistic":
-            L_i = sq_norms / 4.0
-        else:
-            L_i = _NLLS_CURVATURE_BOUND * sq_norms
+        L_i = sq_norms * (0.25 if self.kind == "logistic" else _NLLS_CURVATURE_BOUND)
         L_tilde = float(np.sqrt(np.mean(L_i**2)))
         return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde)
 

@@ -1,22 +1,32 @@
-"""Property tests: the gather/bincount batch kernel against scipy's X[S].
+"""Property tests: the batch kernel on scipy's compiled CSR loops against X[S].
 
 ``Objective.batch(S)`` must reproduce scipy's row-slice products bit for bit
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
-b = n; ``grad_batch`` must be the mean of the per-sample gradients up to
-the rounding of the two summation orders; and
-one Objective must serve batches from several threads at once.
+b = n, and with int32 or int64 index arrays. The kernel calls the loops
+behind those products (``scipy.sparse._sparsetools``, a private module), so
+this property is what fails if a scipy release changes them. The loops
+check no bounds, so a ``Batch`` must reject an out-of-range S and a w or c
+of the wrong length itself. ``grad_batch`` must be the mean of the
+per-sample gradients up to the rounding of the two summation orders; one
+Objective must serve batches from several threads at once; and
+``import stochfw.cli`` must not load ``scipy.sparse``, which the kernel
+binds only where an Objective is built.
 """
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stochfw import data as data_module
 from stochfw.data import Dataset
-from stochfw.objectives import Objective
+from stochfw.objectives import Batch, Objective
 
 _VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -60,18 +70,35 @@ def vectors(size):
     return st.lists(_VALUES, min_size=size, max_size=size).map(np.array)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_margins_and_scatter_match_scipy_bit_for_bit(data):
-    obj = data.draw(objectives())
+def assert_kernel_matches_scipy(obj, data):
     S = data.draw(batches(obj.n))
     w = data.draw(vectors(obj.d))
     c = data.draw(vectors(len(S)))
     B = obj.batch(S)
     XS = obj.X[S]
+    assert B.indices.dtype == obj.dataset.indices.dtype
     assert np.array_equal(B.margins(w), np.asarray(XS @ w).ravel())
     assert np.array_equal(B.scatter(c), np.asarray(XS.T @ c).ravel())
     assert np.array_equal(B.y, obj.y[S])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_margins_and_scatter_match_scipy_bit_for_bit(data):
+    assert_kernel_matches_scipy(data.draw(objectives()), data)
+
+
+# the patch holds for the whole test, so one fixture serves every example
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_kernel_matches_scipy_on_int64_indices(monkeypatch, data):
+    # a Dataset keeps int64 indices only at a d or nnz of 2^31 or more;
+    # lowering the limit gets them on small shapes
+    monkeypatch.setattr(data_module, "INDEX_LIMIT", 0)
+    obj = data.draw(objectives())
+    assert obj.dataset.indices.dtype == np.int64
+    assert_kernel_matches_scipy(obj, data)
 
 
 def assert_grad_batch_is_mean(obj, S, w):
@@ -131,6 +158,47 @@ def test_batch_rejects_bad_indices(bc_logistic):
             bc_logistic.batch(S)
     with pytest.raises(ValueError):
         bc_logistic.batch([[0, 1]])
+
+
+def test_batch_built_directly_rejects_out_of_range_indices(bc_logistic):
+    n = bc_logistic.n
+    for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)]):
+        with pytest.raises(IndexError):
+            Batch(bc_logistic, np.array(S))
+
+
+def test_batch_rejects_w_of_wrong_length(bc_logistic):
+    B = bc_logistic.batch([0, 3, 3])
+    z = bc_logistic.margins(np.zeros(bc_logistic.d))
+    for w in (np.ones(bc_logistic.d - 1), np.ones(bc_logistic.d + 1), np.ones((bc_logistic.d, 1))):
+        with pytest.raises(ValueError, match="w has shape"):
+            B.margins(w)
+        with pytest.raises(ValueError, match="w has shape"):
+            B.coefs(w)
+        with pytest.raises(ValueError, match="w has shape"):
+            B.coefs(w, z)
+
+
+def test_batch_rejects_c_of_wrong_length(bc_logistic):
+    B = bc_logistic.batch([0, 3, 3])
+    for c in (np.ones(2), np.ones(4), np.ones(bc_logistic.d), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="c has shape"):
+            B.scatter(c)
+
+
+def test_import_does_not_load_scipy_sparse():
+    # the kernel binds scipy.sparse where an Objective is built; loading it
+    # at import raised the peak RSS of every run by about 0.5 MB
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    code = "import sys, stochfw.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_one_objective_serves_many_threads(mushrooms_scale_logistic):
