@@ -28,8 +28,7 @@ sparse matrix object built per call. Full refreshes, the SAGA initial pass
 and the table recomputation cover all n rows and go through the objective's
 full passes (``grad_full``, ``grad_coefs``, ``mean_rows``) instead. The
 batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
-(see ``stochfw.objectives``), so every batch term has the same bits as its
-scipy sparse-product form.
+(see ``stochfw.objectives``), so every batch term has their bits.
 
 Inside ``solve`` an estimator reads margins from the solve's ``Margins``:
 full refreshes and the SAGA initial pass take X x from it, and sarah and

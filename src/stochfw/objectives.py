@@ -21,12 +21,10 @@ Three kernels do that work:
   such a z instead of making a pass of their own.
 
 The batch kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w`` and
-``X[S].T @ c`` (``csr_row_index``, ``csr_matvec``, ``csc_matvec`` from the
-private ``scipy.sparse._sparsetools``), so ``batch(S).margins(w)`` and
-``batch(S).scatter(c)`` equal those forms bit for bit; the property in
-``tests/test_batch_kernel.py`` fails if a scipy release changes them. They
-are bound where an Objective is built: ``import stochfw`` loads no
-``scipy.sparse``.
+``X[S].T @ c``, from the private ``scipy.sparse._sparsetools``, so it has
+their bits; the bit-for-bit property in ``tests/test_batch_kernel.py`` fails
+if a scipy release changes them. They are bound where an Objective is
+built, so ``import stochfw`` does not load ``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -235,7 +233,10 @@ class Objective:
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""
         sq_norms = np.asarray(self.X.power(2).sum(axis=1)).ravel()
-        L_i = sq_norms * (0.25 if self.kind == "logistic" else _NLLS_CURVATURE_BOUND)
+        if self.kind == "logistic":
+            L_i = sq_norms / 4.0
+        else:
+            L_i = _NLLS_CURVATURE_BOUND * sq_norms
         L_tilde = float(np.sqrt(np.mean(L_i**2)))
         return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde)
 
