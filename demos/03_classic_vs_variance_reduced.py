@@ -59,25 +59,25 @@ K_saga = ceil(budget / (2 * b))
 runs = {
     "fw": solve(
         SolverConfig("fw", K_fw, "classic_fw",
-                     EstimatorConfig(kind="full"), seed=1),
-        obj, cset, x0),
+                     EstimatorConfig(kind="full"), seeds=(1,)),
+        obj, cset, x0).runs[0],
     "sarah_fw": solve(
         SolverConfig("sarah_fw", K_sarah, "theorem1",
-                     EstimatorConfig(kind="sarah", b=b, p=p), seed=1),
-        obj, cset, x0),
+                     EstimatorConfig(kind="sarah", b=b, p=p), seeds=(1,)),
+        obj, cset, x0).runs[0],
     "saga_sarah_fw": solve(
         SolverConfig("saga_sarah_fw", K_saga, "theorem3",
-                     EstimatorConfig(kind="saga_sarah", b=b, lam=lam), seed=1),
-        obj, cset, x0),
+                     EstimatorConfig(kind="saga_sarah", b=b, lam=lam), seeds=(1,)),
+        obj, cset, x0).runs[0],
 }
 
 # f_min from the best run, continued 10x longer
 K_ref = 10 * K_sarah
 ref = solve(
     SolverConfig("sarah_fw", K_ref, "theorem1",
-                 EstimatorConfig(kind="sarah", b=b, p=p), seed=99,
+                 EstimatorConfig(kind="sarah", b=b, p=p), seeds=(99,),
                  record_every=K_ref),
-    obj, cset, x0)
+    obj, cset, x0).runs[0]
 f_min = min(obj.loss_full(ref.x_final), *[r.trace.f_values().min() for r in runs.values()])
 print(f"f_min = {f_min:.3e} (reference run, 10x budget)\n")
 

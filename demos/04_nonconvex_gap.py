@@ -55,9 +55,9 @@ for alg, est in (
 ):
     for K in (100, 1_000, 10_000):
         gap_every = max(1, ceil(K / 50))
-        cfg = SolverConfig(alg, K, "sqrt_k", est, seed=11,
+        cfg = SolverConfig(alg, K, "sqrt_k", est, seeds=(11,),
                            gap_every=gap_every, record_every=gap_every)
-        res = solve(cfg, obj, cset, x0)
+        res = solve(cfg, obj, cset, x0).runs[0]
         min_gap = min_gap_so_far(res.trace)[-1]
         print(f"{alg:15s} {K:7d} {1 / np.sqrt(K):8.4f} {min_gap:17.8f}")
     print()

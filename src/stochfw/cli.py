@@ -21,7 +21,11 @@ so a shared budget means a shared x-axis of full-gradient equivalents.
 Exit codes: 0 success, 1 invalid spec (bad flags, config values or
 ``SARAH_FW_THREADS`` included), 2 unreadable/malformed dataset,
 3 non-finite objective, gradient estimate or full gradient.
-``SARAH_FW_THREADS`` caps how many grid runs execute in parallel (default 1).
+``SARAH_FW_THREADS`` (default 1) sets how many threads run the grid. Each
+algorithm's seeds are dealt into min(threads, seeds) groups of consecutive
+seeds, and ``solve`` runs each group in lockstep, so one thread runs an
+algorithm's seeds together and enough threads run every seed alone; the
+output is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
 from pathlib import Path
 
@@ -137,20 +141,32 @@ def build_solver_configs(spec, n):
         if gap_every is None:
             gap_every = max(1, ceil(K / 50))
         schedule = alg.schedule if spec.schedule == "auto" else spec.schedule
-        for seed in spec.seeds:
-            configs.append(
-                SolverConfig(
-                    algorithm=name,
-                    K=K,
-                    schedule=schedule,
-                    estimator_cfg=EstimatorConfig(kind=alg.estimator.kind, b=b, p=p, lam=lam),
-                    seed=seed,
-                    gap_every=gap_every,
-                    record_every=spec.record_every,
-                    timing=spec.timing,
-                )
+        configs.append(
+            SolverConfig(
+                algorithm=name,
+                K=K,
+                schedule=schedule,
+                estimator_cfg=EstimatorConfig(kind=alg.estimator.kind, b=b, p=p, lam=lam),
+                seeds=tuple(spec.seeds),
+                gap_every=gap_every,
+                record_every=spec.record_every,
+                timing=spec.timing,
             )
+        )
     return configs
+
+
+def lockstep_groups(configs, threads):
+    """Deal each config's seeds into min(threads, m) configs of consecutive
+    seeds, each solved in lockstep: one thread runs each algorithm's seeds
+    together, and a pool of at least m threads runs every seed alone."""
+    groups = []
+    for cfg in configs:
+        m = len(cfg.seeds)
+        parts = min(threads, m)
+        groups += [replace(cfg, seeds=cfg.seeds[i * m // parts:(i + 1) * m // parts])
+                   for i in range(parts)]
+    return groups
 
 
 def _format_float(x):
@@ -239,25 +255,28 @@ def run_experiment(spec, log=print):
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one_run(cfg):
-        result = solve(cfg, obj, cset, x0)
-        csv_path = out_dir / f"{cfg.algorithm}_seed{cfg.seed}.csv"
-        emit_csv(result.trace, csv_path)
-        return cfg, result, csv_path
+    def one_group(cfg):
+        outcomes = []
+        for run in solve(cfg, obj, cset, x0).runs:
+            csv_path = out_dir / f"{cfg.algorithm}_seed{run.seed}.csv"
+            emit_csv(run.trace, csv_path)
+            outcomes.append((cfg, run, csv_path))
+        return outcomes
 
+    groups = lockstep_groups(configs, threads)
     try:
         if threads == 1:
-            outcomes = [one_run(cfg) for cfg in configs]
+            done = [one_group(cfg) for cfg in groups]
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one_run, configs))
+                done = list(pool.map(one_group, groups))
     except NanAbort as exc:
         log(f"aborted: {exc}")
         return EXIT_NAN_ABORT
 
     summary_path = out_dir / "summary.csv"
     lines = ["algorithm,seed,K,final_f,min_gap,sfo_total,lmo_total,gap_sfo_total,gap_lmo_total,csv"]
-    for cfg, result, csv_path in outcomes:
+    for cfg, result, csv_path in [outcome for group in done for outcome in group]:
         gaps = result.trace.gap_values()
         min_gap = _format_float(min(gaps)) if gaps else ""
         final_f = result.trace.rows[-1].f  # solve records row K at x_final
@@ -265,7 +284,7 @@ def run_experiment(spec, log=print):
             ",".join(
                 [
                     cfg.algorithm,
-                    str(cfg.seed),
+                    str(result.seed),
                     str(cfg.K),
                     _format_float(final_f),
                     min_gap,
@@ -278,7 +297,7 @@ def run_experiment(spec, log=print):
             )
         )
         log(
-            f"{cfg.algorithm} seed={cfg.seed}: K={cfg.K} f={final_f:.6g} "
+            f"{cfg.algorithm} seed={result.seed}: K={cfg.K} f={final_f:.6g} "
             f"sfo={result.sfo_total} lmo={result.lmo_total} -> {csv_path}"
         )
     with open(summary_path, "w", newline="") as fh:

@@ -49,29 +49,30 @@ def lmo(cset, g):
     of largest |g|; for the simplex it is r e_i* at the smallest g; for the
     box each coordinate independently takes -r*sign(g_j). Zero gradient
     components fall back to the tie-break vertex (+r at the lowest index).
+    ``g`` may also be an (m, d) block with one gradient per row, as a
+    lockstep solve holds them; then row t of the result is row t's vertex.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError("g must be a vector")
-    if cset.dim is not None and g.shape != (cset.dim,):
-        raise ValueError(f"g has shape {g.shape}, expected ({cset.dim},)")
-    if not np.all(np.isfinite(g)):
+    if g.ndim not in (1, 2):
+        raise ValueError("g must be a vector or an (m, d) block")
+    if cset.dim is not None and g.shape[-1] != cset.dim:
+        raise ValueError(f"g has shape {g.shape}, expected rows of length {cset.dim}")
+    if not np.isfinite(g).all():
         raise ValueError("g contains NaN or Inf")
     r = cset.radius
-    d = g.shape[0]
+    if cset.kind == "linf_box":
+        # argmax corners per coordinate, +r where g_j <= 0
+        return np.where(g > 0, -r, r)
 
+    s = np.zeros(g.shape)
+    g2, s2 = g.reshape(-1, g.shape[-1]), s.reshape(-1, g.shape[-1])
     if cset.kind == "l1_ball":
-        i_star = int(np.argmax(np.abs(g)))
-        s = np.zeros(d)
-        s[i_star] = -r if g[i_star] > 0 else r
-        return s
-    if cset.kind == "simplex":
-        i_star = int(np.argmin(g))
-        s = np.zeros(d)
-        s[i_star] = r
-        return s
-    # linf_box: argmax corners per coordinate, +r where g_j <= 0
-    return np.where(g > 0, -r, r)
+        for t, i in enumerate(np.abs(g2).argmax(axis=1).tolist()):
+            s2[t, i] = -r if g2[t, i] > 0 else r
+    else:  # simplex
+        for t, i in enumerate(g2.argmin(axis=1).tolist()):
+            s2[t, i] = r
+    return s
 
 
 def contains(cset, x, tol):

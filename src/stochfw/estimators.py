@@ -67,6 +67,7 @@ __all__ = [
 SAMPLING_MODES = ("with_replacement", "without_replacement")
 
 _SAGA_RECOMPUTE_EVERY = 10_000
+_NO_POSITION = np.iinfo(np.intp).max
 
 
 def default_momentum_rho(k):
@@ -109,38 +110,100 @@ class EstimatorConfig:
             raise ValueError("cold_start only applies to saga_sarah")
 
 
-class _Estimator:
-    kind = None
+class _PerSeed:
+    """An estimator array kept with a leading seed axis, read and set without
+    it on an estimator built for one seed. Setting copies the value."""
 
-    def __init__(self, cfg, obj, seed, margins):
+    def __set_name__(self, owner, name):
+        self.attr = "_" + name
+
+    def __get__(self, est, owner=None):
+        if est is None:
+            return self
+        value = getattr(est, self.attr)
+        return value[0] if est.single else value
+
+    def __set__(self, est, value):
+        value = np.array(value, dtype=np.float64)
+        setattr(est, self.attr, value[None] if est.single else value)
+
+
+class _Estimator:
+    """State shared by every estimator, held per seed: the RNGs, the margins
+    each seed reads, the SFO counters and the estimates ``g``, one row per
+    seed. ``single`` estimators show ``g`` and the other per-seed arrays
+    without the seed axis."""
+
+    kind = None
+    g = _PerSeed()
+
+    def __init__(self, cfg, obj, x0, seeds, margins):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         if cfg.sampling == "without_replacement" and cfg.b > obj.n:
             raise ValueError("batch size exceeds n for without-replacement sampling")
         self.cfg = cfg
         self.obj = obj
-        self.rng = np.random.default_rng(seed)
-        self.sfo_count = 0
-        self.g = None
-        self.margins = Margins(obj) if margins is None else margins
+        self.single = x0.ndim == 1
+        if self.single:
+            seeds, margins = [seeds], [Margins(obj) if margins is None else margins]
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.margins = list(margins)
+        self.sfo_counts = [0] * len(self.rngs)
+        self._g = np.empty((len(self.rngs), obj.d))
 
-    def draw_batch(self):
+    @property
+    def sfo_count(self):
+        """SFO calls of all seeds together."""
+        return sum(self.sfo_counts)
+
+    @property
+    def rng(self):
+        """The RNG of a single-seed estimator."""
+        (rng,) = self.rngs
+        return rng
+
+    def _iterates(self, x_new, x_old):
+        """An update's points as (m, d) blocks, and as the per-seed arrays
+        the margins know them by: the arguments for a single seed, else the
+        rows a solve passed to each seed's ``Margins.step``."""
+        if self.single:
+            return x_new[None], x_old[None], [x_new], [x_old]
+        return x_new, x_old, [mg.x for mg in self.margins], [mg.prev for mg in self.margins]
+
+    def _rows0(self, x0):
+        return [x0] if self.single else [mg.x for mg in self.margins]
+
+    def draw_batch(self, seeds):
+        """One batch of b sample indices from each listed seed's RNG, as a
+        (len(seeds), b) block."""
         n, b = self.obj.n, self.cfg.b
         if self.cfg.sampling == "with_replacement":
-            return self.rng.integers(0, n, size=b)
-        return self.rng.choice(n, size=b, replace=False)
+            draws = [self.rngs[j].integers(0, n, size=b) for j in seeds]
+        else:
+            draws = [self.rngs[j].choice(n, size=b, replace=False) for j in seeds]
+        return draws[0][None] if len(draws) == 1 else np.concatenate(draws).reshape(-1, b)
 
-    def _full_refresh(self, x):
-        self.g = self.obj.grad_full(x, self.margins.at(x))
-        self.sfo_count += self.obj.n
+    def _full_refresh(self, j, x):
+        self._g[j] = self.obj.grad_full(x, self.margins[j].at(x))
+        self.sfo_counts[j] += self.obj.n
 
-    def _batch_coefs(self, B, x_new, x_old):
-        """Gradient multipliers of batch B at x_new and at x_old, with margins
-        taken from the solve's z where it holds them."""
+    def _batch_coefs(self, B, x_new, x_old, xs_new, xs_old, seeds):
+        """Gradient multipliers of block batch B at x_new and at x_old, with
+        margins taken from each seed's z where it holds them."""
         # x_old first, while z may still be there: reading x_new can replay
         # z past it, and x_old then costs the batch kernel
-        c_old = B.coefs(x_old, self.margins.held(x_old))
-        return B.coefs(x_new, self.margins.held(x_new)), c_old
+        c_old = B.coefs(x_old, self._held(xs_old, seeds))
+        return B.coefs(x_new, self._held(xs_new, seeds)), c_old
+
+    def _held(self, xs, seeds):
+        """Each listed seed's z at its point in xs, or None where its margins
+        do not hold it; None if no seed's do."""
+        zs = [self.margins[j].held(xs[j]) for j in seeds]
+        for z in zs:
+            if z is not None:
+                return zs
+        return None
 
 
 class FullGradEstimator(_Estimator):
@@ -149,11 +212,13 @@ class FullGradEstimator(_Estimator):
     kind = "full"
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, seed, margins)
-        self._full_refresh(x0)
+        super().__init__(cfg, obj, x0, seed, margins)
+        for j, x in enumerate(self._rows0(x0)):
+            self._full_refresh(j, x)
 
     def update(self, x_new, x_old, k):
-        self._full_refresh(x_new)
+        for j, x in enumerate(self._iterates(x_new, x_old)[2]):
+            self._full_refresh(j, x)
 
 
 class SarahEstimator(_Estimator):
@@ -162,74 +227,111 @@ class SarahEstimator(_Estimator):
     kind = "sarah"
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, seed, margins)
-        self._full_refresh(x0)
-        self.refreshes = 0
+        super().__init__(cfg, obj, x0, seed, margins)
+        for j, x in enumerate(self._rows0(x0)):
+            self._full_refresh(j, x)
+        self._refreshes = [0] * len(self.rngs)
+
+    @property
+    def refreshes(self):
+        """Full refreshes so far, per seed (a count for a single seed)."""
+        return self._refreshes[0] if self.single else list(self._refreshes)
 
     def draw_refresh(self):
-        """The refresh coin: True with probability p."""
-        return self.rng.random() < self.cfg.p
+        """The refresh coins, one per seed: True with probability p."""
+        return [rng.random() < self.cfg.p for rng in self.rngs]
 
     def update(self, x_new, x_old, k):
+        x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         # Coin first, then batch: the refresh branch consumes one RNG draw.
-        if self.draw_refresh():
-            self._full_refresh(x_new)
-            self.refreshes += 1
+        seeds = range(len(self.rngs))
+        coins = self.draw_refresh()
+        if any(coins):
+            for j in seeds:
+                if coins[j]:
+                    self._full_refresh(j, xs_new[j])
+                    self._refreshes[j] += 1
+            seeds = [j for j in seeds if not coins[j]]
+            if not seeds:
+                return
+            x_new, x_old = x_new[seeds], x_old[seeds]
+        B = self.obj.batch(self.draw_batch(seeds), block=True)
+        c_new, c_old = self._batch_coefs(B, x_new, x_old, xs_new, xs_old, seeds)
+        step = B.scatter(c_new - c_old) / B.size
+        if len(seeds) == len(self.rngs):
+            self._g = self._g + step
         else:
-            B = self.obj.batch(self.draw_batch())
-            c_new, c_old = self._batch_coefs(B, x_new, x_old)
-            self.g = self.g + B.scatter(c_new - c_old) / B.size
-            self.sfo_count += 2 * B.size
+            self._g[seeds] = self._g[seeds] + step
+        for j in seeds:
+            self.sfo_counts[j] += 2 * B.size
 
 
 class SagaSarahEstimator(_Estimator):
     """SARAH recursion mixed with a SAGA-table correction; no full gradients."""
 
     kind = "saga_sarah"
+    table_coefs = _PerSeed()
+    saga_avg = _PerSeed()
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, seed, margins)
-        n = obj.n
-        if cfg.cold_start:
-            i0 = int(self.rng.integers(0, n))
-            self.g = obj.grad_sample(i0, x0)
-            self.sfo_count += 1
-            self.table_coefs = np.zeros(n)
-            self.saga_avg = np.zeros(obj.d)
-        else:
-            # One pass fills the table and the initial estimate together.
-            coefs = obj.grad_coefs(x0, self.margins.at(x0))
-            self.table_coefs = coefs
-            self.saga_avg = obj.mean_rows(coefs)
-            self.g = self.saga_avg.copy()
-            self.sfo_count += n
+        super().__init__(cfg, obj, x0, seed, margins)
+        m, n = len(self.rngs), obj.n
+        self._table_coefs = np.zeros((m, n))
+        self._saga_avg = np.zeros((m, obj.d))
+        for j, x in enumerate(self._rows0(x0)):
+            if cfg.cold_start:
+                i0 = int(self.rngs[j].integers(0, n))
+                self._g[j] = obj.grad_sample(i0, x)
+                self.sfo_counts[j] += 1
+            else:
+                # One pass fills the table and the initial estimate together.
+                self._table_coefs[j] = obj.grad_coefs(x, self.margins[j].at(x))
+                self._saga_avg[j] = obj.mean_rows(self._table_coefs[j])
+                self._g[j] = self._saga_avg[j]
+                self.sfo_counts[j] += n
+        # seed j's entries start at j n in the flattened table; ``_first``
+        # finds each entry's first position in a batch, and is reset after
+        self._table_start = np.arange(0, m * n, n)[:, None]
+        self._positions = np.arange(m * cfg.b)
+        self._first = np.full(m * n, _NO_POSITION)
         self._updates_since_recompute = 0
 
     def table_mean(self):
-        """Recompute (1/n) sum_j y_j from the stored table."""
-        return self.obj.mean_rows(self.table_coefs)
+        """Recompute (1/n) sum_j y_j from the stored table, per seed."""
+        means = np.array([self.obj.mean_rows(coefs) for coefs in self._table_coefs])
+        return means[0] if self.single else means
 
     def update(self, x_new, x_old, k):
+        x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         obj, lam = self.obj, self.cfg.lam
-        S = self.draw_batch()
-        B = obj.batch(S)
+        seeds = range(len(self.rngs))
+        S = self.draw_batch(seeds)
+        B = obj.batch(S, block=True)
         b = B.size
+        table = self._table_coefs.reshape(-1)
+        entries = S + self._table_start
+        y_S = table.take(entries)
 
-        c_new, c_old = self._batch_coefs(B, x_new, x_old)
+        c_new, c_old = self._batch_coefs(B, x_new, x_old, xs_new, xs_old, seeds)
         sarah_term = B.scatter(c_new - c_old) / b
-        saga_term = B.scatter(c_old - self.table_coefs[S]) / b + self.saga_avg
-        self.g = sarah_term + (1.0 - lam) * self.g + lam * saga_term
-        self.sfo_count += 2 * b
+        saga_term = B.scatter(c_old - y_S) / b + self._saga_avg
+        self._g = sarah_term + (1.0 - lam) * self._g + lam * saga_term
+        for j in seeds:
+            self.sfo_counts[j] += 2 * b
 
-        # Table write-back on unique indices; duplicates in S only affect
-        # the averages above, each y_i is overwritten once. Zeroing the
-        # non-first duplicate positions makes the scatter of delta_vec equal
-        # the sum of per-unique-row deltas without gathering again.
-        uniq, first_pos = np.unique(S, return_index=True)
-        delta_vec = np.zeros(b)
-        delta_vec[first_pos] = c_new[first_pos] - self.table_coefs[uniq]
-        self.saga_avg = self.saga_avg + B.scatter(delta_vec) / obj.n
-        self.table_coefs[uniq] = c_new[first_pos]
+        # Table write-back on each seed's unique indices; duplicates in S only
+        # affect the averages above, each y_i is overwritten once, from its
+        # first position in S. Zeroing the other positions makes the scatter
+        # of delta equal the sum of per-unique-row deltas without gathering
+        # again.
+        flat = entries.reshape(-1)
+        np.minimum.at(self._first, flat, self._positions)
+        first = (self._first.take(flat) == self._positions).reshape(S.shape)
+        self._first[flat] = _NO_POSITION
+        delta = np.zeros(S.shape)
+        np.subtract(c_new, y_S, out=delta, where=first)
+        self._saga_avg = self._saga_avg + B.scatter(delta) / obj.n
+        table[entries[first]] = c_new[first]
 
         self._updates_since_recompute += 1
         if self._updates_since_recompute >= _SAGA_RECOMPUTE_EVERY:
@@ -243,15 +345,20 @@ class MomentumEstimator(_Estimator):
     kind = "momentum"
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, seed, margins)
-        self._full_refresh(x0)
+        super().__init__(cfg, obj, x0, seed, margins)
+        for j, x in enumerate(self._rows0(x0)):
+            self._full_refresh(j, x)
         self.rho = cfg.momentum_rho or default_momentum_rho
 
     def update(self, x_new, x_old, k):
+        if self.single:
+            x_new = x_new[None]
         rho = self.rho(k)
-        S = self.draw_batch()
-        self.g = (1.0 - rho) * self.g + rho * self.obj.grad_batch(S, x_new)
-        self.sfo_count += len(S)
+        B = self.obj.batch(self.draw_batch(range(len(self.rngs))), block=True)
+        # grad_batch's sum, on iterates the solve produced: no check of x_new
+        self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(x_new)) / B.size)
+        for j in range(len(self.rngs)):
+            self.sfo_counts[j] += B.size
 
 
 @dataclass(frozen=True)
@@ -280,7 +387,11 @@ ESTIMATOR_KINDS = tuple(_CLASSES)
 def init_estimator(cfg, obj, x0, seed, margins=None):
     """Build the estimator named by ``cfg.kind`` with g initialized at x0.
 
-    ``margins`` is the solve's ``Margins``; full passes then read X x from it.
-    Without it every full pass makes its own.
+    For one seed, x0 is a vector and ``margins`` the solve's ``Margins``;
+    full passes then read X x from it, and without it every full pass makes
+    its own. For a lockstep solve, x0 is the (m, d) block of starting
+    points, ``seed`` a sequence of m seeds and ``margins`` the m Margins the
+    solve steps, one per seed; ``g`` is then an (m, d) block and
+    ``update(x_new, x_old, k)`` takes blocks.
     """
     return _CLASSES[cfg.kind](cfg, obj, np.asarray(x0, dtype=np.float64), seed, margins)

@@ -10,21 +10,24 @@ Three kernels do that work:
 
 * Batches and single samples (``Objective.batch``) gather the rows of S
   once into a CSR triple; margins and weighted row sums are then one
-  compiled loop each, with no sparse matrix built.
-* Full passes (``margins``, ``mean_rows``) go through scipy's
-  ``Objective.X``, whose compiled matvec is faster over all n rows. It
-  shares all three CSR arrays with the dataset. No other module touches it.
+  compiled loop each, with no sparse matrix built. A lockstep solve
+  gathers one batch per seed into one block-diagonal triple, so each loop
+  serves all of its seeds at once.
+* Full passes (``margins``, ``mean_rows``) run the same compiled loops over
+  the arrays of ``Objective.X``, the scipy matrix that shares all three CSR
+  arrays with the dataset. No other module touches it.
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
   a step toward a one-hot vertex r e_i moves z by one column of X, which
   ``Objective.column`` reads from a column view built on first use.
   ``loss_full``, ``grad_coefs``, ``grad_full`` and ``Batch.coefs`` take
   such a z instead of making a pass of their own.
 
-The batch kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w`` and
-``X[S].T @ c``, from the private ``scipy.sparse._sparsetools``, so it has
-their bits; the bit-for-bit property in ``tests/test_batch_kernel.py`` fails
-if a scipy release changes them. They are bound where an Objective is
-built, so ``import stochfw`` does not load ``scipy.sparse``.
+Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
+``X[S].T @ c``, ``X @ w`` and ``X.T @ c``, from the private
+``scipy.sparse._sparsetools``, so it has their bits; the bit-for-bit
+properties in ``tests/test_batch_kernel.py`` fail if a scipy release
+changes them. They are bound where an Objective is built, so ``import
+stochfw`` does not load ``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -55,59 +58,89 @@ class SmoothnessInfo:
     L_tilde: float
 
 
-def _check_length(a, size, name):
-    # the compiled loops read ``size`` entries of ``a`` with no bounds check
-    if a.shape != (size,):
-        raise ValueError(f"{name} has shape {a.shape}, expected ({size},)")
+def _check_shape(a, shape, name):
+    # the compiled loops read as many entries as the shape says, unchecked
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
 class Batch:
     """The rows of a batch S, gathered once into a CSR triple (``indptr``,
     ``indices``, ``values``) with the dataset's index dtype; its row t is
     sample S[t], duplicates included, and ``y`` holds the labels of S. Built
-    per call and never cached, so one Objective can serve several threads."""
+    per call and never cached, so one Objective can serve several threads.
 
-    __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values")
+    With ``block=True``, S is an (m, b) block holding one batch per seed of a
+    lockstep solve. Row t b + u is then sample S[t, u], and its column
+    indices are shifted by t d, so the triple is block-diagonal: margins
+    read (m, d) iterates as one vector and a scatter fills m d outputs, and
+    every output still sums its own seed's entries in storage order.
+    ``size`` is b, the batch size of each seed.
+    """
 
-    def __init__(self, obj, S):
+    __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values", "_w_shape")
+
+    def __init__(self, obj, S, block=False):
         S = np.asarray(S, dtype=np.int64)
-        if S.ndim != 1:
-            raise ValueError("batch indices must be a vector")
-        if S.size and (S.min() < 0 or S.max() >= obj.n):
+        if S.ndim != 1 + block:
+            raise ValueError("batch indices must be " + ("an (m, b) block" if block else "a vector"))
+        rows = S.reshape(-1)
+        if rows.size and (rows.min() < 0 or rows.max() >= obj.n):
             raise IndexError(f"batch index out of range [0, {obj.n})")
         ds, ptr = obj.dataset, obj.dataset.indptr
         # as scipy's X[S]: a running sum of the row lengths, then one compiled copy
-        self.indptr = np.zeros(len(S) + 1, dtype=ptr.dtype)
-        np.add.accumulate(ptr.take(S + 1) - ptr.take(S), out=self.indptr[1:])
+        self.indptr = np.zeros(len(rows) + 1, dtype=ptr.dtype)
+        np.add.accumulate(obj._row_nnz.take(rows), out=self.indptr[1:])
         self.indices = np.empty(self.indptr[-1], dtype=ptr.dtype)
         self.values = np.empty(self.indptr[-1])
-        obj._loops.csr_row_index(len(S), S.astype(ptr.dtype), ptr, ds.indices, ds.values,
+        obj._loops.csr_row_index(len(rows), rows.astype(ptr.dtype), ptr, ds.indices, ds.values,
                                  self.indices, self.values)
-        self._obj, self.S, self.size, self.y = obj, S, len(S), obj.y.take(S)
+        b = S.shape[-1]
+        if block and len(S) > 1:
+            if len(S) * obj.d >= 2 ** (8 * ptr.itemsize - 1):
+                raise ValueError("block of iterates too wide for the dataset's index dtype")
+            for t in range(1, len(S)):
+                self.indices[self.indptr[t * b]:self.indptr[(t + 1) * b]] += t * obj.d
+        self._obj, self.S, self.size, self.y = obj, S, b, obj.y.take(S)
+        self._w_shape = S.shape[:-1] + (obj.d,)  # the iterates it reads, the sums it makes
 
     def margins(self, w):
-        """<w, x_i> for every i in S, w a float64 array of length d;
-        equals ``X[S] @ w`` bit for bit."""
-        _check_length(w, self._obj.d, "w")
-        out = np.zeros(self.size)
-        self._obj._loops.csr_matvec(self.size, self._obj.d, self.indptr, self.indices,
+        """<w, x_i> for every row, w a float64 array of length d, or (m, d)
+        for a block; equals ``X[S] @ w`` bit for bit, seed by seed."""
+        _check_shape(w, self._w_shape, "w")
+        return self._margins(w)
+
+    def _margins(self, w):
+        out = np.zeros(self.S.shape)
+        self._obj._loops.csr_matvec(out.size, w.size, self.indptr, self.indices,
                                     self.values, w, out)
         return out
 
     def coefs(self, w, z=None):
-        """Gradient multipliers c_i(w) for every i in S; ``z``, if given, is
-        X w over all n samples and supplies the margins."""
-        _check_length(w, self._obj.d, "w")
-        margins = self.margins(w) if z is None else z.take(self.S)
+        """Gradient multipliers c_i(w) for every row. ``z``, if given, is
+        X w over all n samples and supplies the margins; for a block it holds
+        one such array per seed, or None where the kernel computes them."""
+        _check_shape(w, self._w_shape, "w")
+        S = self.S
+        if z is None:
+            margins = self._margins(w)
+        elif S.ndim == 1:
+            margins = z.take(S)
+        else:
+            margins = self._margins(w) if any(zt is None for zt in z) else np.empty(S.shape)
+            for zt, St, out in zip(z, S, margins):
+                if zt is not None:
+                    zt.take(St, out=out)
         return self._obj._coefs(margins, self.y)
 
     def scatter(self, c):
-        """sum_t c[t] x_{S[t]} for a float64 array c of length |S|, as a
-        dense length-d vector; equals ``X[S].T @ c`` bit for bit."""
-        _check_length(c, self.size, "c")
-        out = np.zeros(self._obj.d)
+        """sum_t c[t] x_{S[t]} for a float64 array c shaped like S, as a dense
+        length-d vector, or (m, d) for a block; equals ``X[S].T @ c`` bit for
+        bit, seed by seed."""
+        _check_shape(c, self.S.shape, "c")
+        out = np.zeros(self._w_shape)
         # the triple read in CSC form is X[S].T
-        self._obj._loops.csc_matvec(self._obj.d, self.size, self.indptr, self.indices,
+        self._obj._loops.csc_matvec(out.size, c.size, self.indptr, self.indices,
                                     self.values, c, out)
         return out
 
@@ -130,10 +163,8 @@ class Objective:
         self.X = dataset.to_csr()
         from scipy.sparse import _sparsetools  # Batch's loops; to_csr loaded scipy.sparse
         self._loops = _sparsetools
-        # X.T sharing X's arrays; scipy builds a new matrix object on every
-        # .T, which costs more than the product on small data
-        self._XT = self.X.T
         self.y = dataset.labels
+        self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
         # the column view, built by the first ``column`` call of any thread
         self._columns = None
         self._columns_lock = threading.Lock()
@@ -155,8 +186,12 @@ class Objective:
         return w
 
     def margins(self, w):
-        """X w, one pass over all nnz entries."""
-        return np.asarray(self.X @ w).ravel()
+        """X w for a float64 array w of length d, one pass over all nnz
+        entries; equals ``X @ w`` bit for bit."""
+        _check_shape(w, (self.d,), "w")
+        X, out = self.X, np.zeros(self.n)
+        self._loops.csr_matvec(self.n, self.d, X.indptr, X.indices, X.data, w, out)
+        return out
 
     def column(self, i):
         """Column i of X as ``(rows, values)``, rows increasing."""
@@ -178,7 +213,8 @@ class Objective:
     def _coefs(self, z, y):
         # grad f_i(w) = c_i * x_i with c_i = d f_i / d z_i
         if self.kind == "logistic":
-            return -y * expit(-y * z)
+            ny = -y
+            return ny * expit(ny * z)
         s = expit(-z)
         return 2.0 * (y - s) * s * (1.0 - s)
 
@@ -202,9 +238,10 @@ class Objective:
             z = self.margins(self._check_w(w))
         return self._coefs(z, self.y)
 
-    def batch(self, S):
-        """Gather the rows of the sample indices S (duplicates allowed)."""
-        return Batch(self, S)
+    def batch(self, S, block=False):
+        """Gather the rows of the sample indices S (duplicates allowed); an
+        (m, b) block of them with ``block=True``, as for ``Batch``."""
+        return Batch(self, S, block)
 
     def grad_sample(self, i, w):
         """grad f_i(w) as a dense length-d vector."""
@@ -222,8 +259,13 @@ class Objective:
 
     def mean_rows(self, c):
         """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
-        array c of length n, as a dense length-d vector."""
-        return np.asarray(self._XT @ c).ravel() / self.n
+        array c of length n, as a dense length-d vector; the sum equals
+        ``X.T @ c`` bit for bit."""
+        _check_shape(c, (self.n,), "c")
+        X, out = self.X, np.zeros(self.d)
+        # X's arrays read in CSC form are X.T
+        self._loops.csc_matvec(self.d, self.n, X.indptr, X.indices, X.data, c, out)
+        return out / self.n
 
     def grad_full(self, w, z=None):
         """grad f(w), the average of all n per-sample gradients; ``z`` as for
@@ -263,14 +305,17 @@ class Margins:
     Replayed margins differ from X x by rounding only; each solve replays
     the same steps, so its results stay bit-reproducible.
 
-    Iterates are told apart by identity. The array ``at`` returns is
-    overwritten by the next replay. ``Margins(obj)``, following no solve,
-    answers every ``at`` with a pass over X and every ``held`` with None.
+    Iterates are told apart by identity: ``x`` is the solve's current
+    iterate and ``prev`` the one before it, the arrays it passed to
+    ``step``. The array ``at`` returns is overwritten by the next replay.
+    ``Margins(obj)``, following no solve, answers every ``at`` with a pass
+    over X and every ``held`` with None.
     """
 
     def __init__(self, obj, x=None):
         self._obj = obj
         self.x = x  # the solve's current iterate
+        self.prev = None
         self._point = None  # the iterate z belongs to
         self._z = None
         self._steps = None  # vertex steps from _point to x; None: recompute
@@ -282,7 +327,7 @@ class Margins:
     def step(self, x_new, eta, s, due):
         """The solve moved from ``x`` to x_new = x + eta (s - x); ``due``
         says the next recorded row reads x_new."""
-        self.x, self._due = x_new, due
+        self.prev, self.x, self._due = self.x, x_new, due
         steps = self._steps
         if steps is None:
             return

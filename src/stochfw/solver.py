@@ -15,8 +15,19 @@ With eta_k in (0, 1] and feasible x^0, every iterate is a convex
 combination of feasible points and stays feasible. The update is computed
 in exactly the association x + eta*(s - x) for cross-run reproducibility.
 
+The seeds of one ``SolverConfig`` run in lockstep: the iterates and the
+estimates are (m, d) blocks with one row per seed, and each step makes one
+LMO call, one step size and one estimator update for all of them. Inside
+the update the batch kernel serves every seed with one gather and one
+compiled loop per margin or weighted row sum (``objectives.Batch``). The
+RNGs, SARAH's coins and refreshes, the SAGA tables, the margins, the
+recorded rows, the gaps and the callbacks stay per seed, and every output
+sums its own seed's entries in the order a solve of that seed alone does,
+so each seed's trace is byte-identical to its solve alone. One seed is the
+case m = 1 of the same loop.
+
 Every full-data pass reads the margins z = X x from one ``Margins`` per
-solve: the loss of each recorded row, the gap's full gradient and the
+seed: the loss of each recorded row, the gap's full gradient and the
 estimator's full refreshes. The loop reports each step to it, so on the
 l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one column
 of X instead of a pass over all of X; on the box, whose vertices are
@@ -27,10 +38,12 @@ they are bit-reproducible run to run.
 
 A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
 first iteration k that records it or hands the estimate to the LMO,
-whatever ``record_every`` is; so does a non-finite full gradient at a row
-that evaluates the Frank-Wolfe gap.
+whatever ``record_every`` is, in any seed; so does a non-finite full
+gradient at a row that evaluates the Frank-Wolfe gap. fw's estimate is
+that full gradient already, so its gap rows reuse it.
 
-Oracle accounting: the estimator owns the SFO counter; lmo_total equals K.
+Oracle accounting: the estimator owns the SFO counters, one per seed;
+each seed's lmo_total equals K.
 Frank-Wolfe gap evaluations need one full gradient (n SFO-equivalents) and
 one LMO each; these are metered separately (gap_sfo_total, gap_lmo_total)
 so reported totals reflect only the algorithm's own oracle calls.
@@ -49,7 +62,7 @@ from .metrics import Trace, TraceRow, fw_gap
 from .objectives import Margins
 from .schedules import SCHEDULE_KINDS, eta
 
-__all__ = ["SolverConfig", "SolveResult", "NanAbort", "solve", "default_x0"]
+__all__ = ["SolverConfig", "Run", "SolveResult", "NanAbort", "solve", "default_x0"]
 
 
 class NanAbort(RuntimeError):
@@ -62,19 +75,21 @@ class NanAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """One run: algorithm, horizon, step-size rule, estimator parameters, seed.
+    """One algorithm run from one or more seeds: algorithm, horizon,
+    step-size rule, estimator parameters, seeds.
 
-    ``schedule`` names a rule of ``SCHEDULE_KINDS``.
-    ``gap_every = 0`` disables gap evaluation. ``record_every`` thins the
-    trace. ``timing`` stamps rows with a monotonic clock; it defaults off so
-    reruns with the same seed are byte-identical.
+    ``schedule`` names a rule of ``SCHEDULE_KINDS``. ``seeds`` holds at least
+    one seed; ``solve`` runs them in lockstep. ``gap_every = 0`` disables gap
+    evaluation. ``record_every`` thins the trace. ``timing`` stamps rows with
+    a monotonic clock; it defaults off so reruns with the same seed are
+    byte-identical.
     """
 
     algorithm: str
     K: int
     schedule: str
     estimator_cfg: object
-    seed: int = 0
+    seeds: tuple = (0,)
     gap_every: int = 0
     record_every: int = 1
     timing: bool = False
@@ -91,6 +106,8 @@ class SolverConfig:
             raise ValueError("K must be non-negative")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule!r}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
         if self.gap_every < 0:
             raise ValueError("gap_every must be >= 0")
         if self.record_every < 1:
@@ -98,14 +115,30 @@ class SolverConfig:
 
 
 @dataclass
-class SolveResult:
+class Run:
+    """What one seed of a solve produced."""
+
+    seed: int
     x_final: np.ndarray
     trace: Trace
     sfo_total: int
     lmo_total: int
     gap_sfo_total: int = 0
     gap_lmo_total: int = 0
+
+
+@dataclass
+class SolveResult:
+    """One ``Run`` per seed, in the order of ``SolverConfig.seeds``, and the
+    estimator that served them all."""
+
+    runs: list
     estimator: object = field(default=None, repr=False)
+
+    @property
+    def sfo_total(self):
+        """SFO calls of all seeds together."""
+        return sum(run.sfo_total for run in self.runs)
 
 
 def default_x0(cset):
@@ -119,58 +152,64 @@ def default_x0(cset):
 
 
 def solve(cfg, obj, cset, x0, callback=None):
-    """Run K Frank-Wolfe iterations from feasible x0 and return the result.
+    """Run K Frank-Wolfe iterations from feasible x0, for every seed of
+    ``cfg`` in lockstep, and return the result.
 
-    ``callback(k, x_k)`` fires at every recorded row with the current
-    iterate; useful for feasibility audits and custom instrumentation.
+    ``callback(k, x_k)`` fires at every recorded row with that seed's
+    current iterate, seed by seed; useful for feasibility audits and custom
+    instrumentation.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (obj.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({obj.d},)")
-    if not contains(cset, x, 0.0):
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (obj.d,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({obj.d},)")
+    if not contains(cset, x0, 0.0):
         raise ValueError("x0 is not feasible")
 
-    margins = Margins(obj, x)
-    est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seed, margins)
-    trace = Trace(
-        metadata={
+    x = np.tile(x0, (len(cfg.seeds), 1))
+    xs = list(x)  # the arrays each seed's margins know its iterate by
+    margins = [Margins(obj, x_j) for x_j in xs]
+    est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seeds, margins)
+    runs = [
+        Run(seed, None, Trace(metadata={
             "algorithm": cfg.algorithm,
             "K": cfg.K,
-            "seed": cfg.seed,
+            "seed": seed,
             "schedule": cfg.schedule,
             "dataset": obj.dataset.name,
-        }
-    )
-    gap_sfo = 0
-    gap_lmo = 0
+        }), 0, 0)
+        for seed in cfg.seeds
+    ]
+    # fw's estimate is the full gradient at x_k, from the same margins
+    reuse_grad = cfg.estimator_cfg.kind == "full"
     t0 = time.monotonic_ns() if cfg.timing else None
 
-    def record(k, x_k):
-        nonlocal gap_sfo, gap_lmo
-        f_k = obj.loss_full(x_k, margins.at(x_k))
-        if not np.isfinite(f_k):
-            raise NanAbort(k, "objective")
-        if not np.all(np.isfinite(est.g)):
-            raise NanAbort(k, "gradient estimate")
-        gap_k = None
-        if cfg.gap_every > 0 and k % cfg.gap_every == 0:
-            gap_k = fw_gap(obj, cset, x_k, margins.at(x_k))
-            if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
-                raise NanAbort(k, "full gradient")
-            gap_sfo += obj.n
-            gap_lmo += 1
-        wall = time.monotonic_ns() - t0 if cfg.timing else 0
-        trace.append(
-            TraceRow(k=k, sfo=est.sfo_count, lmo=lmo_total, f=f_k, gap=gap_k, wall_ns=wall)
-        )
-        if callback is not None:
-            callback(k, x_k)
+    def record(k, xs):
+        gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
+        for j, (x_k, run) in enumerate(zip(xs, runs)):
+            f_k = obj.loss_full(x_k, margins[j].at(x_k))
+            if not np.isfinite(f_k):
+                raise NanAbort(k, "objective")
+            g_k = est.g[j]
+            if not np.isfinite(g_k).all():
+                raise NanAbort(k, "gradient estimate")
+            gap_k = None
+            if gap_due:
+                gap_k = fw_gap(obj, cset, x_k, margins[j].at(x_k), g_k if reuse_grad else None)
+                if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
+                    raise NanAbort(k, "full gradient")
+                run.gap_sfo_total += obj.n
+                run.gap_lmo_total += 1
+            wall = time.monotonic_ns() - t0 if cfg.timing else 0
+            run.trace.append(TraceRow(k=k, sfo=est.sfo_counts[j], lmo=lmo_total, f=f_k,
+                                      gap=gap_k, wall_ns=wall))
+            if callback is not None:
+                callback(k, x_k)
 
     p, b, n = cfg.estimator_cfg.p, cfg.estimator_cfg.b, obj.n
     lmo_total = 0
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
-            record(k, x)
+            record(k, xs)
         try:
             s = lmo(cset, est.g)
         except ValueError:
@@ -182,19 +221,16 @@ def solve(cfg, obj, cset, x0, callback=None):
         lmo_total += 1
         step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
-        margins.step(x_new, step, s, due=(k + 1) % cfg.record_every == 0 or k + 1 == cfg.K)
+        xs = list(x_new)
+        due = (k + 1) % cfg.record_every == 0 or k + 1 == cfg.K
+        for mg, x_j, s_j in zip(margins, xs, s):
+            mg.step(x_j, step, s_j, due)
         est.update(x_new, x, k)
         x = x_new
 
     if cfg.K > 0:
-        record(cfg.K, x)
+        record(cfg.K, xs)
 
-    return SolveResult(
-        x_final=x,
-        trace=trace,
-        sfo_total=est.sfo_count,
-        lmo_total=lmo_total,
-        gap_sfo_total=gap_sfo,
-        gap_lmo_total=gap_lmo,
-        estimator=est,
-    )
+    for j, (x_j, run) in enumerate(zip(xs, runs)):
+        run.x_final, run.sfo_total, run.lmo_total = x_j, est.sfo_counts[j], lmo_total
+    return SolveResult(runs=runs, estimator=est)

@@ -57,7 +57,8 @@ def tiny_objective(kind="logistic", n=6, d=4, seed=0):
 
 
 def scripted(est, refresh=None, batch=None):
-    """Replace an estimator's random draws with fixed ones; returns ``est``.
+    """Replace a single-seed estimator's random draws with fixed ones;
+    returns ``est``.
 
     ``refresh`` is the SARAH coin: one bool for every update, or a sequence
     with one bool per update. ``batch`` is the index array every update
@@ -65,10 +66,10 @@ def scripted(est, refresh=None, batch=None):
     """
     if refresh is not None:
         coins = itertools.repeat(refresh) if isinstance(refresh, bool) else iter(refresh)
-        est.draw_refresh = lambda: next(coins)
+        est.draw_refresh = lambda: [next(coins)]
     if batch is not None:
         S = np.asarray(batch, dtype=np.int64)
-        est.draw_batch = lambda: S
+        est.draw_batch = lambda seeds: S[None]
     return est
 
 

@@ -138,11 +138,11 @@ def test_criterion_04_p1_degeneracy(bc_logistic):
     for alg, est in (("fw", EstimatorConfig(kind="full")),
                      ("sarah_fw", EstimatorConfig(kind="sarah", b=7, p=1.0))):
         cfg = SolverConfig(algorithm=alg, K=K, schedule="classic_fw",
-                           estimator_cfg=est, seed=17)
+                           estimator_cfg=est, seeds=(17,))
         runs[alg] = solve(cfg, bc_logistic, cset, x0)
-    same_x = np.array_equal(runs["fw"].x_final, runs["sarah_fw"].x_final)
-    same_f = all(a.f == b.f for a, b in
-                 zip(runs["fw"].trace.rows, runs["sarah_fw"].trace.rows))
+    fw, sarah = runs["fw"].runs[0], runs["sarah_fw"].runs[0]
+    same_x = np.array_equal(fw.x_final, sarah.x_final)
+    same_f = all(a.f == b.f for a, b in zip(fw.trace.rows, sarah.trace.rows))
     same_g = np.array_equal(runs["fw"].estimator.g, runs["sarah_fw"].estimator.g)
     report(4, "p1-degeneracy", same_x and same_f and same_g,
            f"{K} iterations bit-identical")
@@ -168,7 +168,7 @@ def test_criterion_05_feasibility(bc_logistic):
         ("momentum_fw", "classic_fw", EstimatorConfig(kind="momentum", b=b)),
     ]
     for alg, sch, est in grid:
-        cfg = SolverConfig(algorithm=alg, K=K, schedule=sch, estimator_cfg=est, seed=2)
+        cfg = SolverConfig(algorithm=alg, K=K, schedule=sch, estimator_cfg=est, seeds=(2,))
         solve(cfg, bc_logistic, cset, x0, callback=audit)
     report(5, "feasibility", violations == 0 and checked == 4 * (K + 1),
            f"{checked} recorded iterates within the l1 ball")
@@ -179,17 +179,18 @@ def test_criterion_06_sfo_accounting(bc_logistic):
     x0 = np.zeros(bc_logistic.d)
     K = 400
     cfg = SolverConfig(algorithm="sarah_fw", K=K, schedule="theorem1",
-                       estimator_cfg=EstimatorConfig(kind="sarah", b=b, p=p), seed=6)
-    res = solve(cfg, bc_logistic, cset, x0)
-    k_full = res.estimator.refreshes
+                       estimator_cfg=EstimatorConfig(kind="sarah", b=b, p=p), seeds=(6,))
+    result = solve(cfg, bc_logistic, cset, x0)
+    res = result.runs[0]
+    (k_full,) = result.estimator.refreshes
     k_batch = K - k_full
     sarah_ok = (res.lmo_total == K
                 and res.sfo_total == n + k_full * n + 2 * b * k_batch)
 
     cfg2 = SolverConfig(algorithm="saga_sarah_fw", K=K, schedule="theorem3",
                         estimator_cfg=EstimatorConfig(kind="saga_sarah", b=b, lam=lam),
-                        seed=6)
-    res2 = solve(cfg2, bc_logistic, cset, x0)
+                        seeds=(6,))
+    res2 = solve(cfg2, bc_logistic, cset, x0).runs[0]
     saga_ok = res2.sfo_total == n + 2 * b * K
 
     report(6, "sfo-accounting", sarah_ok and saga_ok,
@@ -208,22 +209,22 @@ def test_criterion_07_convex_convergence(bc_logistic):
     K_fw = 100
     runs = {
         "fw": solve(SolverConfig("fw", K_fw, "classic_fw",
-                                 EstimatorConfig(kind="full"), seed=1),
-                    bc_logistic, cset, x0),
+                                 EstimatorConfig(kind="full"), seeds=(1,)),
+                    bc_logistic, cset, x0).runs[0],
         "sarah_fw": solve(SolverConfig("sarah_fw", K_sarah, "theorem1",
-                                       EstimatorConfig(kind="sarah", b=b, p=p), seed=1),
-                          bc_logistic, cset, x0),
+                                       EstimatorConfig(kind="sarah", b=b, p=p), seeds=(1,)),
+                          bc_logistic, cset, x0).runs[0],
         "saga_sarah_fw": solve(SolverConfig("saga_sarah_fw", K_saga, "theorem3",
                                             EstimatorConfig(kind="saga_sarah", b=b, lam=lam),
-                                            seed=1),
-                               bc_logistic, cset, x0),
+                                            seeds=(1,)),
+                               bc_logistic, cset, x0).runs[0],
     }
     # f_min from the best algorithm run 10x longer, as the plots do
     K_ref = 10 * K_sarah
     ref = solve(SolverConfig("sarah_fw", K_ref, "theorem1",
-                             EstimatorConfig(kind="sarah", b=b, p=p), seed=99,
+                             EstimatorConfig(kind="sarah", b=b, p=p), seeds=(99,),
                              record_every=K_ref),
-                bc_logistic, cset, x0)
+                bc_logistic, cset, x0).runs[0]
     f_min = min(bc_logistic.loss_full(ref.x_final),
                 *[r.trace.f_values().min() for r in runs.values()])
 
@@ -260,9 +261,9 @@ def test_criterion_08_nonconvex_gap_trend(bc_nlls):
         mins = {}
         for K in (100, 10_000):
             ge = max(1, ceil(K / 50))
-            cfg = SolverConfig(alg, K, "sqrt_k", est, seed=11,
+            cfg = SolverConfig(alg, K, "sqrt_k", est, seeds=(11,),
                                gap_every=ge, record_every=ge)
-            res = solve(cfg, bc_nlls, cset, x0)
+            res = solve(cfg, bc_nlls, cset, x0).runs[0]
             mins[K] = float(min_gap_so_far(res.trace)[-1])
         ratios[alg] = mins[10_000] / mins[100]
     elapsed = time.perf_counter() - start

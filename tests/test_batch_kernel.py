@@ -2,7 +2,9 @@
 
 ``Objective.batch(S)`` must reproduce scipy's row-slice products bit for bit
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
-b = n, and with int32 or int64 index arrays. The kernel calls the loops
+b = n, and with int32 or int64 index arrays; so must the full passes
+``Objective.margins`` and ``mean_rows`` against ``X @ w`` and ``X.T @ c``,
+and a block of m batches against each of its batches alone. The kernel calls the loops
 behind those products (``scipy.sparse._sparsetools``, a private module), so
 this property is what fails if a scipy release changes them. The loops
 check no bounds, so a ``Batch`` must reject an out-of-range S and a w or c
@@ -79,6 +81,26 @@ def assert_kernel_matches_scipy(obj, data):
     assert B.indices.dtype == obj.dataset.indices.dtype
     assert np.array_equal(B.margins(w), np.asarray(XS @ w).ravel())
     assert np.array_equal(B.scatter(c), np.asarray(XS.T @ c).ravel())
+    assert np.array_equal(B.y, obj.y[S])
+    # the full passes run the same loops over all n rows
+    c_all = data.draw(vectors(obj.n))
+    assert np.array_equal(obj.margins(w), np.asarray(obj.X @ w).ravel())
+    assert np.array_equal(obj.mean_rows(c_all), np.asarray(obj.X.T @ c_all).ravel() / obj.n)
+
+    # a block of m batches, one per seed, is each seed's batch bit for bit
+    m = data.draw(st.integers(1, 4))
+    S = np.array([data.draw(st.lists(st.integers(0, obj.n - 1), min_size=len(S),
+                                      max_size=len(S))) for _ in range(m)])
+    W = np.array([data.draw(vectors(obj.d)) for _ in range(m)])
+    C = np.array([data.draw(vectors(S.shape[1])) for _ in range(m)])
+    B = obj.batch(S, block=True)
+    z = [data.draw(st.sampled_from([None, obj.margins(W[t])])) for t in range(m)]
+    coefs = B.coefs(W, z)
+    for t in range(m):
+        alone = obj.batch(S[t])
+        assert np.array_equal(B.margins(W)[t], alone.margins(W[t]))
+        assert np.array_equal(B.scatter(C)[t], alone.scatter(C[t]))
+        assert np.array_equal(coefs[t], alone.coefs(W[t], z[t]))
     assert np.array_equal(B.y, obj.y[S])
 
 
@@ -162,6 +184,11 @@ def test_batch_rejects_bad_indices(bc_logistic):
                 build(S)
         with pytest.raises(ValueError):
             build([[0, 1]])
+        for S in ([[0], [n]], [[-1, 0]]):
+            with pytest.raises(IndexError):
+                bc_logistic.batch(S, block=True)
+    with pytest.raises(ValueError):
+        bc_logistic.batch([0, 1], block=True)  # a block is (m, b)
 
 
 def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
@@ -176,6 +203,20 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
     for c in (np.ones(2), np.ones(4), np.ones(d), np.ones((3, 1))):
         with pytest.raises(ValueError, match="c has shape"):
             B.scatter(c)
+    # a block of two batches reads (2, d) iterates and (2, |S|) weights
+    B = bc_logistic.batch([[0, 3, 3], [1, 2, 0]], block=True)
+    for w in (np.ones(d), np.ones((1, d)), np.ones((2, d + 1)), np.ones((3, d))):
+        for call in (B.margins, B.coefs):
+            with pytest.raises(ValueError, match="w has shape"):
+                call(w)
+    for c in (np.ones(3), np.ones((1, 3)), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="c has shape"):
+            B.scatter(c)
+    for w in (np.ones(d - 1), np.ones((2, d))):
+        with pytest.raises(ValueError, match="w has shape"):
+            bc_logistic.margins(w)
+    with pytest.raises(ValueError, match="c has shape"):
+        bc_logistic.mean_rows(np.ones(bc_logistic.n - 1))
 
 
 def test_import_does_not_load_scipy_sparse():

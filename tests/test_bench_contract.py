@@ -4,7 +4,9 @@
 points, the four estimator classes and their ``update``, the solver's
 ``lmo``/``fw_gap`` and the estimator constructors. One traced grid at
 smoke-test size touches all of them, so removing or renaming one of them
-fails here. No timing is checked.
+fails here. bc-dense-fw solves one seed at a time; mushrooms-vr solves
+each algorithm's two seeds in lockstep, the path its timed grids take. No
+timing is checked.
 """
 
 import contextlib
@@ -13,15 +15,18 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_traced_tiny_grid_reports_every_per_layer_metric(monkeypatch):
+@pytest.mark.parametrize("workload", ["bc-dense-fw", "mushrooms-vr"])
+def test_traced_tiny_grid_reports_every_per_layer_metric(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setenv("SARAH_FW_THREADS", "1")  # restored after the grid sets it
     run = importlib.import_module("run")
     with contextlib.redirect_stdout(io.StringIO()):
-        result = run.run("bc-dense-fw", 0, 0.5, 1, scale="tiny")
+        result = run.run(workload, 0, 0.5, 1, scale="tiny")
     assert result["correct"], result
     assert result["failed"] == 0
     spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())

@@ -185,6 +185,26 @@ def test_saga_sarah_stationary_update(obj):
     assert np.max(np.abs(est.g - expect)) <= 1e-12
 
 
+def test_saga_write_back_keeps_each_samples_first_position(obj):
+    # each sample's table entry and average delta come from its first
+    # position in S, the positions np.unique(S, return_index=True) names;
+    # later duplicates are zeros in the scatter, so the order of its sums
+    # is pinned too
+    x_new, x_old = random_points(obj)
+    S = np.array([3, 1, 3, 0, 1, 3, 5, 0])
+    est = init_estimator(EstimatorConfig(kind="saga_sarah", b=len(S), lam=0.2), obj, x_old, 0)
+    table, avg = est.table_coefs.copy(), est.saga_avg.copy()
+    scripted(est, batch=S).update(x_new, x_old, 0)
+    B = obj.batch(S)
+    c_new = B.coefs(x_new)
+    uniq, first = np.unique(S, return_index=True)
+    delta = np.zeros(len(S))
+    delta[first] = c_new[first] - table[uniq]
+    table[uniq] = c_new[first]
+    assert np.array_equal(est.table_coefs, table)
+    assert np.array_equal(est.saga_avg, avg + B.scatter(delta) / obj.n)
+
+
 def test_saga_table_consistency_after_random_updates(obj):
     est = init_estimator(
         EstimatorConfig(kind="saga_sarah", b=2, lam=0.2), obj, np.zeros(obj.d), 11

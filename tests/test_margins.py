@@ -112,7 +112,7 @@ def test_no_solve_makes_more_passes_than_the_parent(algorithm, kind, record_ever
     obj = tiny_objective(n=20, d=6, seed=9)
     cset = ConstraintSet(kind, 3.0, dim=obj.d)
     gap_every = 7 if record_every == 1 else 10
-    cfg = SolverConfig(algorithm, 60, "classic_fw", _ESTIMATORS[algorithm], seed=4,
+    cfg = SolverConfig(algorithm, 60, "classic_fw", _ESTIMATORS[algorithm], seeds=(4,),
                        gap_every=gap_every, record_every=record_every)
     passes = []
     margins = Objective.margins
@@ -128,12 +128,12 @@ def test_cached_reads_match_a_pass_per_read(algorithm, kind, monkeypatch):
     # cache against the same solve with a fresh pass over X at every read
     obj = tiny_objective(n=20, d=6, seed=9)
     cset = ConstraintSet(kind, 3.0, dim=obj.d)
-    cfg = SolverConfig(algorithm, 80, "classic_fw", _ESTIMATORS[algorithm], seed=4,
+    cfg = SolverConfig(algorithm, 80, "classic_fw", _ESTIMATORS[algorithm], seeds=(4,),
                        gap_every=3, record_every=2)
-    cached = solve(cfg, obj, cset, default_x0(cset))
+    (cached,) = solve(cfg, obj, cset, default_x0(cset)).runs
     monkeypatch.setattr(Margins, "at", lambda self, x: self._obj.margins(x))
     monkeypatch.setattr(Margins, "held", lambda self, x: None)
-    fresh = solve(cfg, obj, cset, default_x0(cset))
+    (fresh,) = solve(cfg, obj, cset, default_x0(cset)).runs
     assert cached.sfo_total == fresh.sfo_total
     for a, b in zip(cached.trace.rows, fresh.trace.rows, strict=True):
         assert (a.k, a.sfo, a.lmo) == (b.k, b.sfo, b.lmo)
@@ -153,10 +153,10 @@ def test_first_use_from_four_threads_builds_one_view(monkeypatch):
     x0 = default_x0(cset)
     configs = [
         SolverConfig("sarah_fw", 60, "theorem1", EstimatorConfig(kind="sarah", b=4, p=0.1),
-                     seed=seed, gap_every=5)
+                     seeds=(seed,), gap_every=5)
         for seed in range(4)
     ]
-    alone = [solve(cfg, fresh(), cset, x0).trace.rows for cfg in configs]
+    alone = [solve(cfg, fresh(), cset, x0).runs[0].trace.rows for cfg in configs]
 
     builds = []
     build = objectives._column_view
@@ -172,7 +172,7 @@ def test_first_use_from_four_threads_builds_one_view(monkeypatch):
 
     def run(cfg):
         start.wait()
-        return solve(cfg, obj, cset, x0).trace.rows
+        return solve(cfg, obj, cset, x0).runs[0].trace.rows
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         together = list(pool.map(run, configs))

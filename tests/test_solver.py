@@ -4,6 +4,7 @@ import pytest
 from stochfw.constraints import ConstraintSet, contains, lmo
 from stochfw.data import parse_libsvm
 from stochfw.estimators import EstimatorConfig, FullGradEstimator, SagaSarahEstimator
+from stochfw.metrics import fw_gap
 from stochfw.objectives import Objective
 from stochfw.solver import NanAbort, SolverConfig, default_x0, solve
 
@@ -28,7 +29,7 @@ def test_zero_iterations_returns_x0():
     obj = tiny_objective()
     cset = ConstraintSet("l1_ball", 5.0, dim=obj.d)
     x0 = np.zeros(obj.d)
-    res = solve(fw_config(0), obj, cset, x0)
+    res = solve(fw_config(0), obj, cset, x0).runs[0]
     assert np.array_equal(res.x_final, x0)
     assert res.trace.rows == []
     assert res.lmo_total == 0
@@ -38,7 +39,7 @@ def test_classic_fw_descends_on_single_sample_logistic():
     # y=1, x=(1, 2): f decreases monotonically over the first 10 iterations
     obj = Objective("logistic", parse_libsvm("+1 1:1 2:2\n"))
     cset = ConstraintSet("l1_ball", 1.0, dim=2)
-    res = solve(fw_config(10), obj, cset, np.zeros(2))
+    res = solve(fw_config(10), obj, cset, np.zeros(2)).runs[0]
     f = res.trace.f_values()
     assert np.all(np.diff(f) <= 0)
     assert f[-1] < f[0]
@@ -49,8 +50,8 @@ def test_sarah_p1_bit_identical_to_fw():
     obj = tiny_objective(n=12, d=5, seed=2)
     cset = ConstraintSet("l1_ball", 3.0, dim=obj.d)
     x0 = np.zeros(obj.d)
-    r_fw = solve(fw_config(50, seed=3), obj, cset, x0)
-    r_sarah = solve(sarah_config(50, p=1.0, seed=3), obj, cset, x0)
+    r_fw = solve(fw_config(50, seeds=(3,)), obj, cset, x0).runs[0]
+    r_sarah = solve(sarah_config(50, p=1.0, seeds=(3,)), obj, cset, x0).runs[0]
     assert np.array_equal(r_fw.x_final, r_sarah.x_final)
     assert [r.f for r in r_fw.trace.rows] == [r.f for r in r_sarah.trace.rows]
 
@@ -61,7 +62,7 @@ def test_recorded_iterates_stay_feasible(kind):
     cset = ConstraintSet(kind, 2.0, dim=obj.d)
     x0 = default_x0(cset)
     seen = []
-    solve(sarah_config(200, seed=5), obj, cset, x0,
+    solve(sarah_config(200, seeds=(5,)), obj, cset, x0,
           callback=lambda k, x: seen.append(x.copy()))
     assert len(seen) == 201
     for x in seen:
@@ -73,8 +74,8 @@ def test_deterministic_reruns_are_bit_identical():
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
     runs = []
     for _ in range(2):
-        res = solve(sarah_config(100, p=0.2, seed=11, gap_every=10), obj, cset,
-                    np.zeros(obj.d))
+        res = solve(sarah_config(100, p=0.2, seeds=(11,), gap_every=10), obj, cset,
+                    np.zeros(obj.d)).runs[0]
         runs.append(res)
     a, b = runs
     assert np.array_equal(a.x_final, b.x_final)
@@ -85,9 +86,10 @@ def test_deterministic_reruns_are_bit_identical():
 def test_oracle_accounting():
     obj = tiny_objective(n=10, d=4, seed=7)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
-    res = solve(sarah_config(40, seed=1, gap_every=10), obj, cset, np.zeros(obj.d))
+    result = solve(sarah_config(40, seeds=(1,), gap_every=10), obj, cset, np.zeros(obj.d))
+    (res,) = result.runs
     assert res.lmo_total == 40
-    assert res.sfo_total == res.estimator.sfo_count
+    assert res.sfo_total == result.sfo_total == result.estimator.sfo_count
     assert res.trace.rows[-1].sfo == res.sfo_total
     # gap evaluated at k = 0, 10, 20, 30, 40: metered separately
     assert res.gap_lmo_total == 5
@@ -99,7 +101,7 @@ def test_oracle_accounting():
 def test_record_every_thins_trace():
     obj = tiny_objective(n=6, d=4)
     cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
-    res = solve(fw_config(10, record_every=4), obj, cset, np.zeros(obj.d))
+    res = solve(fw_config(10, record_every=4), obj, cset, np.zeros(obj.d)).runs[0]
     assert [r.k for r in res.trace.rows] == [0, 4, 8, 10]
 
 
@@ -189,3 +191,22 @@ def test_step_size_rule_reads_the_run(monkeypatch):
     too_big = EstimatorConfig(kind="saga_sarah", b=obj.n + 1, lam=0.5)
     with pytest.raises(ValueError, match="theorem3 schedule needs 1 <= b <= n"):
         solve(SolverConfig("saga_sarah_fw", 5, "theorem3", too_big), obj, cset, x0)
+
+
+def test_fw_gap_rows_reuse_the_estimate(monkeypatch):
+    # fw's estimate at x_k is grad f(x_k) from the same margins the gap
+    # reads, so gap rows add no gradient pass and keep the bits of one
+    obj = tiny_objective(n=10, d=4, seed=9)
+    cset = ConstraintSet("linf_box", 2.0, dim=obj.d)
+    iterates = []
+    calls = []
+    grad_full = Objective.grad_full
+    monkeypatch.setattr(Objective, "grad_full",
+                        lambda self, w, z=None: calls.append(1) or grad_full(self, w, z))
+    (res,) = solve(fw_config(12, gap_every=1), obj, cset, np.zeros(obj.d),
+                   callback=lambda k, x: iterates.append(x.copy())).runs
+    assert len(calls) == 1 + 12  # the initial estimate and one per update
+    assert (res.gap_sfo_total, res.gap_lmo_total) == (13 * obj.n, 13)
+    # on the box every margin read is a fresh pass, so fw_gap alone agrees
+    monkeypatch.undo()
+    assert [r.gap for r in res.trace.rows] == [fw_gap(obj, cset, x) for x in iterates]
