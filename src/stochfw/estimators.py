@@ -151,6 +151,7 @@ class _Estimator:
         self.margins = list(margins)
         self.sfo_counts = [0] * len(self.rngs)
         self._g = np.empty((len(self.rngs), obj.d))
+        self._every_seed = range(len(self.rngs))
 
     @property
     def sfo_count(self):
@@ -244,9 +245,9 @@ class SarahEstimator(_Estimator):
     def update(self, x_new, x_old, k):
         x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         # Coin first, then batch: the refresh branch consumes one RNG draw.
-        seeds = range(len(self.rngs))
+        seeds = self._every_seed
         coins = self.draw_refresh()
-        if any(coins):
+        if True in coins:
             for j in seeds:
                 if coins[j]:
                     self._full_refresh(j, xs_new[j])
@@ -258,7 +259,7 @@ class SarahEstimator(_Estimator):
         B = self.obj.batch(self.draw_batch(seeds), block=True)
         c_new, c_old = self._batch_coefs(B, x_new, x_old, xs_new, xs_old, seeds)
         step = B.scatter(c_new - c_old) / B.size
-        if len(seeds) == len(self.rngs):
+        if seeds is self._every_seed:
             self._g = self._g + step
         else:
             self._g[seeds] = self._g[seeds] + step
@@ -304,7 +305,7 @@ class SagaSarahEstimator(_Estimator):
     def update(self, x_new, x_old, k):
         x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         obj, lam = self.obj, self.cfg.lam
-        seeds = range(len(self.rngs))
+        seeds = self._every_seed
         S = self.draw_batch(seeds)
         B = obj.batch(S, block=True)
         b = B.size
@@ -354,10 +355,10 @@ class MomentumEstimator(_Estimator):
         if self.single:
             x_new = x_new[None]
         rho = self.rho(k)
-        B = self.obj.batch(self.draw_batch(range(len(self.rngs))), block=True)
+        B = self.obj.batch(self.draw_batch(self._every_seed), block=True)
         # grad_batch's sum, on iterates the solve produced: no check of x_new
         self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(x_new)) / B.size)
-        for j in range(len(self.rngs)):
+        for j in self._every_seed:
             self.sfo_counts[j] += B.size
 
 

@@ -127,10 +127,10 @@ class Batch:
         elif S.ndim == 1:
             margins = z.take(S)
         else:
-            margins = self._margins(w) if any(zt is None for zt in z) else np.empty(S.shape)
-            for zt, St, out in zip(z, S, margins):
+            margins = self._margins(w) if any([zt is None for zt in z]) else np.empty(S.shape)
+            for t, zt in enumerate(z):
                 if zt is not None:
-                    zt.take(St, out=out)
+                    margins[t] = zt.take(S[t])
         return self._obj._coefs(margins, self.y)
 
     def scatter(self, c):

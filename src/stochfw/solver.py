@@ -185,11 +185,10 @@ def solve(cfg, obj, cset, x0, callback=None):
 
     def record(k, xs):
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
-        for j, (x_k, run) in enumerate(zip(xs, runs)):
+        for j, (x_k, g_k, run) in enumerate(zip(xs, est.g, runs)):
             f_k = obj.loss_full(x_k, margins[j].at(x_k))
             if not np.isfinite(f_k):
                 raise NanAbort(k, "objective")
-            g_k = est.g[j]
             if not np.isfinite(g_k).all():
                 raise NanAbort(k, "gradient estimate")
             gap_k = None
