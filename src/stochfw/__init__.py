@@ -20,7 +20,7 @@ from .estimators import (
 from .metrics import Trace, TraceRow, fw_gap, min_gap_so_far, relative_suboptimality
 from .objectives import Objective, SmoothnessInfo
 from .schedules import default_batch, default_params, eta
-from .solver import NanAbort, SolveResult, SolverConfig, default_x0, solve
+from .solver import NanAbort, Run, SolveResult, SolverConfig, default_x0, solve
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,7 @@ __all__ = [
     "NanAbort",
     "Objective",
     "ParseError",
+    "Run",
     "SagaSarahEstimator",
     "SarahEstimator",
     "SmoothnessInfo",

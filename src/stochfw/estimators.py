@@ -147,6 +147,8 @@ class _Estimator:
         self.single = x0.ndim == 1
         if self.single:
             seeds, margins = [seeds], [Margins(obj) if margins is None else margins]
+        elif margins is None:
+            raise ValueError("a block of iterates needs the Margins of its solve, one per seed")
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.margins = list(margins)
         self.sfo_counts = [0] * len(self.rngs)

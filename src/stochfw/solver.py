@@ -106,8 +106,8 @@ class SolverConfig:
             raise ValueError("K must be non-negative")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule!r}")
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
+        if not isinstance(self.seeds, tuple) or not self.seeds:
+            raise ValueError("seeds must be a non-empty tuple")
         if self.gap_every < 0:
             raise ValueError("gap_every must be >= 0")
         if self.record_every < 1:
@@ -169,23 +169,25 @@ def solve(cfg, obj, cset, x0, callback=None):
     xs = list(x)  # the arrays each seed's margins know its iterate by
     margins = [Margins(obj, x_j) for x_j in xs]
     est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seeds, margins)
-    runs = [
-        Run(seed, None, Trace(metadata={
+    traces = [
+        Trace(metadata={
             "algorithm": cfg.algorithm,
             "K": cfg.K,
             "seed": seed,
             "schedule": cfg.schedule,
             "dataset": obj.dataset.name,
-        }), 0, 0)
+        })
         for seed in cfg.seeds
     ]
+    gap_rows = 0  # the seeds record the same rows, so they share this count
     # fw's estimate is the full gradient at x_k, from the same margins
     reuse_grad = cfg.estimator_cfg.kind == "full"
     t0 = time.monotonic_ns() if cfg.timing else None
 
     def record(k, xs):
+        nonlocal gap_rows
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
-        for j, (x_k, g_k, run) in enumerate(zip(xs, est.g, runs)):
+        for j, (x_k, g_k, trace) in enumerate(zip(xs, est.g, traces)):
             f_k = obj.loss_full(x_k, margins[j].at(x_k))
             if not np.isfinite(f_k):
                 raise NanAbort(k, "objective")
@@ -196,13 +198,12 @@ def solve(cfg, obj, cset, x0, callback=None):
                 gap_k = fw_gap(obj, cset, x_k, margins[j].at(x_k), g_k if reuse_grad else None)
                 if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                     raise NanAbort(k, "full gradient")
-                run.gap_sfo_total += obj.n
-                run.gap_lmo_total += 1
             wall = time.monotonic_ns() - t0 if cfg.timing else 0
-            run.trace.append(TraceRow(k=k, sfo=est.sfo_counts[j], lmo=lmo_total, f=f_k,
-                                      gap=gap_k, wall_ns=wall))
+            trace.append(TraceRow(k=k, sfo=est.sfo_counts[j], lmo=lmo_total, f=f_k,
+                                  gap=gap_k, wall_ns=wall))
             if callback is not None:
                 callback(k, x_k)
+        gap_rows += gap_due
 
     p, b, n = cfg.estimator_cfg.p, cfg.estimator_cfg.b, obj.n
     lmo_total = 0
@@ -230,6 +231,6 @@ def solve(cfg, obj, cset, x0, callback=None):
     if cfg.K > 0:
         record(cfg.K, xs)
 
-    for j, (x_j, run) in enumerate(zip(xs, runs)):
-        run.x_final, run.sfo_total, run.lmo_total = x_j, est.sfo_counts[j], lmo_total
+    runs = [Run(seed, x_j, trace, sfo, lmo_total, gap_rows * n, gap_rows)
+            for seed, x_j, trace, sfo in zip(cfg.seeds, xs, traces, est.sfo_counts)]
     return SolveResult(runs=runs, estimator=est)

@@ -163,6 +163,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
                      record_every=0)
+    for seeds in ((), 3, [1, 2]):
+        with pytest.raises(ValueError, match="seeds"):
+            SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
+                         seeds=seeds)
 
 
 def test_step_size_rule_reads_the_run(monkeypatch):
