@@ -126,6 +126,8 @@ class Batch:
             margins = self._margins(w)
         elif S.ndim == 1:
             margins = z.take(S)
+        elif len(S) == 1 and z[0] is not None:
+            margins = z[0].take(S)
         else:
             margins = self._margins(w) if any([zt is None for zt in z]) else np.empty(S.shape)
             for t, zt in enumerate(z):

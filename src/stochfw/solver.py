@@ -51,6 +51,7 @@ so reported totals reflect only the algorithm's own oracle calls.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -189,7 +190,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
         for j, (x_k, g_k, trace) in enumerate(zip(xs, est.g, traces)):
             f_k = obj.loss_full(x_k, margins[j].at(x_k))
-            if not np.isfinite(f_k):
+            if not math.isfinite(f_k):
                 raise NanAbort(k, "objective")
             if not np.isfinite(g_k).all():
                 raise NanAbort(k, "gradient estimate")
