@@ -1,11 +1,13 @@
 """Stochastic gradient estimators: full, SARAH, SAGA-SARAH, and momentum.
 
-Each estimator owns its estimate g, its seeded RNG, and its stochastic
+An estimator serves the m seeds of a lockstep solve, or one seed. Each
+seed has its own estimate (a row of g), seeded RNG and stochastic
 first-order oracle (SFO) counter; the counter increments by exactly the
 number of per-sample gradient evaluations performed. Random choices go
-through ``draw_refresh`` (SARAH's coin) and ``draw_batch``. The coin is drawn
-before any batch so the refresh branch consumes exactly one RNG draw, which
-keeps seeded reruns bit-exact.
+through ``draw_refresh`` (SARAH's coins) and ``draw_batch``, seed by seed. A
+seed's coin is drawn before its batch, so its refresh branch consumes
+exactly one RNG draw, which keeps seeded reruns bit-exact and each seed's
+draws those of its solve alone.
 
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
@@ -24,18 +26,25 @@ weighted sum of the rows of S. An update gathers those rows once
 (``Objective.batch``) and evaluates each term as margins at a point, then
 scalar coefficients, then one scatter of the coefficients back onto the
 rows: O(b * nnz_row) work per term in scipy's compiled sparse loops, with no
-sparse matrix object built per call. Full refreshes, the SAGA initial pass
+sparse matrix object built per call. The m seeds' batches are gathered
+into one block (``Objective.batch(S, block=True)``), so each term is one
+loop for all of them, and all arithmetic on estimates is elementwise on
+(m, d) blocks, so each seed's bits are those of its update alone. A SARAH
+seed that refreshes takes its full gradient alone, and the block holds
+the other seeds' batches only. Full refreshes, the SAGA initial pass
 and the table recomputation cover all n rows and go through the objective's
 full passes (``grad_full``, ``grad_coefs``, ``mean_rows``) instead. The
 batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
 (see ``stochfw.objectives``), so every batch term has their bits.
 
-Inside ``solve`` an estimator reads margins from the solve's ``Margins``:
-full refreshes and the SAGA initial pass take X x from it, and sarah and
-saga_sarah take a batch's margins as ``z.take(S)`` at a point where z
-already is, or where the next recorded row will put it; elsewhere the
-batch kernel computes them. Built without one (``init_estimator(cfg, obj,
-x0, seed)``), an estimator makes every full pass itself.
+Inside ``solve`` an estimator reads each seed's margins from that seed's
+``Margins``, which also names the seed's iterates (``Margins.x`` and
+``prev``): full refreshes and the SAGA initial pass take X x from it, and
+sarah and saga_sarah take a batch's margins as ``z.take(S)`` at a point
+where z already is, or where the next recorded row will put it; elsewhere
+the batch kernel computes them. Built for one seed without one
+(``init_estimator(cfg, obj, x0, seed)``), an estimator makes every full
+pass itself.
 
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
