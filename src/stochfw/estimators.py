@@ -27,7 +27,7 @@ weighted sum of the rows of S. An update gathers those rows once
 scalar coefficients, then one scatter of the coefficients back onto the
 rows: O(b * nnz_row) work per term in scipy's compiled sparse loops, with no
 sparse matrix object built per call. The m seeds' batches are gathered
-into one block (``Objective.batch(S, block=True)``), so each term is one
+into one block (``Objective.batch`` of an (m, b) array), so each term is one
 loop for all of them, and all arithmetic on estimates is elementwise on
 (m, d) blocks, so each seed's bits are those of its update alone. A SARAH
 seed that refreshes takes its full gradient alone, and the block holds
@@ -194,7 +194,7 @@ class _Estimator:
             draws = [self.rngs[j].integers(0, n, size=b) for j in seeds]
         else:
             draws = [self.rngs[j].choice(n, size=b, replace=False) for j in seeds]
-        return draws[0][None] if len(draws) == 1 else np.concatenate(draws).reshape(-1, b)
+        return np.array(draws)
 
     def _full_refresh(self, j, x):
         self._g[j] = self.obj.grad_full(x, self.margins[j].at(x))
@@ -256,25 +256,21 @@ class SarahEstimator(_Estimator):
     def update(self, x_new, x_old, k):
         x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         # Coin first, then batch: the refresh branch consumes one RNG draw.
-        seeds = self._every_seed
-        coins = self.draw_refresh()
-        if True in coins:
-            for j in seeds:
-                if coins[j]:
-                    self._full_refresh(j, xs_new[j])
-                    self._refreshes[j] += 1
-            seeds = [j for j in seeds if not coins[j]]
-            if not seeds:
-                return
-            x_new, x_old = x_new[seeds], x_old[seeds]
-        B = self.obj.batch(self.draw_batch(seeds), block=True)
-        c_new, c_old = self._batch_coefs(B, x_new, x_old, xs_new, xs_old, seeds)
+        seeds = []
+        for j, coin in enumerate(self.draw_refresh()):
+            if coin:
+                self._full_refresh(j, xs_new[j])
+                self._refreshes[j] += 1
+            else:
+                seeds.append(j)
+        if not seeds:
+            return
+        B = self.obj.batch(self.draw_batch(seeds))
+        c_new, c_old = self._batch_coefs(B, x_new.take(seeds, axis=0), x_old.take(seeds, axis=0),
+                                         xs_new, xs_old, seeds)
         step = B.scatter(c_new - c_old) / B.size
-        if seeds is self._every_seed:
-            self._g = self._g + step
-        else:
-            self._g[seeds] = self._g[seeds] + step
-        for j in seeds:
+        for t, j in enumerate(seeds):
+            self._g[j] += step[t]
             self.sfo_counts[j] += 2 * B.size
 
 
@@ -318,7 +314,7 @@ class SagaSarahEstimator(_Estimator):
         obj, lam = self.obj, self.cfg.lam
         seeds = self._every_seed
         S = self.draw_batch(seeds)
-        B = obj.batch(S, block=True)
+        B = obj.batch(S)
         b = B.size
         table = self._table_coefs.reshape(-1)
         entries = S + self._table_start
@@ -366,7 +362,7 @@ class MomentumEstimator(_Estimator):
         if self.single:
             x_new = x_new[None]
         rho = self.rho(k)
-        B = self.obj.batch(self.draw_batch(self._every_seed), block=True)
+        B = self.obj.batch(self.draw_batch(self._every_seed))
         # grad_batch's sum, on iterates the solve produced: no check of x_new
         self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(x_new)) / B.size)
         for j in self._every_seed:

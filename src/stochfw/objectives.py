@@ -70,20 +70,20 @@ class Batch:
     sample S[t], duplicates included, and ``y`` holds the labels of S. Built
     per call and never cached, so one Objective can serve several threads.
 
-    With ``block=True``, S is an (m, b) block holding one batch per seed of a
-    lockstep solve. Row t b + u is then sample S[t, u], and its column
-    indices are shifted by t d, so the triple is block-diagonal: margins
-    read (m, d) iterates as one vector and a scatter fills m d outputs, and
-    every output still sums its own seed's entries in storage order.
-    ``size`` is b, the batch size of each seed.
+    S may also be an (m, b) block holding one batch per seed of a lockstep
+    solve. Row t b + u is then sample S[t, u], and its column indices are
+    shifted by t d, so the triple is block-diagonal: margins read (m, d)
+    iterates as one vector and a scatter fills m d outputs, and every output
+    still sums its own seed's entries in storage order. ``size`` is b, the
+    batch size of each seed.
     """
 
     __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values", "_w_shape")
 
-    def __init__(self, obj, S, block=False):
+    def __init__(self, obj, S):
         S = np.asarray(S, dtype=np.int64)
-        if S.ndim != 1 + block:
-            raise ValueError("batch indices must be " + ("an (m, b) block" if block else "a vector"))
+        if S.ndim not in (1, 2):
+            raise ValueError("batch indices must be a vector or an (m, b) block")
         rows = S.reshape(-1)
         if rows.size and (rows.min() < 0 or rows.max() >= obj.n):
             raise IndexError(f"batch index out of range [0, {obj.n})")
@@ -95,12 +95,11 @@ class Batch:
         self.values = np.empty(self.indptr[-1])
         obj._loops.csr_row_index(len(rows), rows.astype(ptr.dtype), ptr, ds.indices, ds.values,
                                  self.indices, self.values)
-        b = S.shape[-1]
-        if block and len(S) > 1:
-            if len(S) * obj.d >= 2 ** (8 * ptr.itemsize - 1):
-                raise ValueError("block of iterates too wide for the dataset's index dtype")
-            for t in range(1, len(S)):
-                self.indices[self.indptr[t * b]:self.indptr[(t + 1) * b]] += t * obj.d
+        m, b = len(S) if S.ndim == 2 else 1, S.shape[-1]
+        if m * obj.d >= 2 ** (8 * ptr.itemsize - 1):
+            raise ValueError("block of iterates too wide for the dataset's index dtype")
+        for t in range(1, m):
+            self.indices[self.indptr[t * b]:self.indptr[(t + 1) * b]] += t * obj.d
         self._obj, self.S, self.size, self.y = obj, S, b, obj.y.take(S)
         self._w_shape = S.shape[:-1] + (obj.d,)  # the iterates it reads, the sums it makes
 
@@ -126,8 +125,6 @@ class Batch:
             margins = self._margins(w)
         elif S.ndim == 1:
             margins = z.take(S)
-        elif len(S) == 1 and z[0] is not None:
-            margins = z[0].take(S)
         else:
             margins = self._margins(w) if any([zt is None for zt in z]) else np.empty(S.shape)
             for t, zt in enumerate(z):
@@ -231,7 +228,8 @@ class Objective:
         if given, is X w, and no pass over X is made."""
         if z is None:
             z = self.margins(self._check_w(w))
-        return float(np.mean(self._losses(z, self.y)))
+        # np.mean's sum and division, without its per-call argument handling
+        return float(np.add.reduce(self._losses(z, self.y)) / self.n)
 
     def grad_coefs(self, w, z=None):
         """Scalar multipliers c_i with grad f_i(w) = c_i * x_i, every sample
@@ -240,10 +238,10 @@ class Objective:
             z = self.margins(self._check_w(w))
         return self._coefs(z, self.y)
 
-    def batch(self, S, block=False):
-        """Gather the rows of the sample indices S (duplicates allowed); an
-        (m, b) block of them with ``block=True``, as for ``Batch``."""
-        return Batch(self, S, block)
+    def batch(self, S):
+        """Gather the rows of the sample indices S (duplicates allowed), a
+        vector or an (m, b) block of them, as for ``Batch``."""
+        return Batch(self, S)
 
     def grad_sample(self, i, w):
         """grad f_i(w) as a dense length-d vector."""

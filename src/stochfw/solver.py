@@ -188,20 +188,19 @@ def solve(cfg, obj, cset, x0, callback=None):
     def record(k, xs):
         nonlocal gap_rows
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
-        for j, (x_k, g_k, trace) in enumerate(zip(xs, est.g, traces)):
-            f_k = obj.loss_full(x_k, margins[j].at(x_k))
+        for x_k, g_k, mg, sfo, trace in zip(xs, est.g, margins, est.sfo_counts, traces):
+            f_k = obj.loss_full(x_k, mg.at(x_k))
             if not math.isfinite(f_k):
                 raise NanAbort(k, "objective")
             if not np.isfinite(g_k).all():
                 raise NanAbort(k, "gradient estimate")
             gap_k = None
             if gap_due:
-                gap_k = fw_gap(obj, cset, x_k, margins[j].at(x_k), g_k if reuse_grad else None)
+                gap_k = fw_gap(obj, cset, x_k, mg.at(x_k), g_k if reuse_grad else None)
                 if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                     raise NanAbort(k, "full gradient")
             wall = time.monotonic_ns() - t0 if cfg.timing else 0
-            trace.append(TraceRow(k=k, sfo=est.sfo_counts[j], lmo=lmo_total, f=f_k,
-                                  gap=gap_k, wall_ns=wall))
+            trace.append(TraceRow(k=k, sfo=sfo, lmo=lmo_total, f=f_k, gap=gap_k, wall_ns=wall))
             if callback is not None:
                 callback(k, x_k)
         gap_rows += gap_due

@@ -93,7 +93,7 @@ def assert_kernel_matches_scipy(obj, data):
                                       max_size=len(S))) for _ in range(m)])
     W = np.array([data.draw(vectors(obj.d)) for _ in range(m)])
     C = np.array([data.draw(vectors(S.shape[1])) for _ in range(m)])
-    B = obj.batch(S, block=True)
+    B = obj.batch(S)
     z = [data.draw(st.sampled_from([None, obj.margins(W[t])])) for t in range(m)]
     coefs = B.coefs(W, z)
     for t in range(m):
@@ -182,13 +182,14 @@ def test_batch_rejects_bad_indices(bc_logistic):
         for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)]):
             with pytest.raises(IndexError):
                 build(S)
-        with pytest.raises(ValueError):
-            build([[0, 1]])
-        for S in ([[0], [n]], [[-1, 0]]):
+        for S in ([[0], [n]], [[-1, 0]]):  # an (m, b) block, checked as a vector is
             with pytest.raises(IndexError):
-                bc_logistic.batch(S, block=True)
+                build(S)
+        with pytest.raises(ValueError):
+            build([[[0, 1]]])
+    # a block of batches reads a block of iterates, so the vector API rejects it
     with pytest.raises(ValueError):
-        bc_logistic.batch([0, 1], block=True)  # a block is (m, b)
+        bc_logistic.grad_batch([[0, 1]], np.zeros(bc_logistic.d))
 
 
 def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
@@ -204,7 +205,7 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
         with pytest.raises(ValueError, match="c has shape"):
             B.scatter(c)
     # a block of two batches reads (2, d) iterates and (2, |S|) weights
-    B = bc_logistic.batch([[0, 3, 3], [1, 2, 0]], block=True)
+    B = bc_logistic.batch([[0, 3, 3], [1, 2, 0]])
     for w in (np.ones(d), np.ones((1, d)), np.ones((2, d + 1)), np.ones((3, d))):
         for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):
