@@ -37,14 +37,11 @@ full passes (``grad_full``, ``grad_coefs``, ``mean_rows``) instead. The
 batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
 (see ``stochfw.objectives``), so every batch term has their bits.
 
-Inside ``solve`` an estimator reads each seed's margins from that seed's
-``Margins``, which also names the seed's iterates (``Margins.x`` and
-``prev``): full refreshes and the SAGA initial pass take X x from it, and
-sarah and saga_sarah take a batch's margins as ``z.take(S)`` at a point
-where z already is, or where the next recorded row will put it; elsewhere
-the batch kernel computes them. Built for one seed without one
-(``init_estimator(cfg, obj, x0, seed)``), an estimator makes every full
-pass itself.
+A batch's margins always come from the batch kernel. Inside ``solve``,
+full refreshes and the SAGA initial pass read X x at each seed's current
+iterate from that seed's ``Margins``. Built without them
+(``init_estimator(cfg, obj, x0, seed)``), an estimator leaves every full
+pass to the objective.
 
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
@@ -57,8 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .objectives import Margins
 
 __all__ = [
     "Algorithm",
@@ -155,11 +150,9 @@ class _Estimator:
         self.obj = obj
         self.single = x0.ndim == 1
         if self.single:
-            seeds, margins = [seeds], [Margins(obj) if margins is None else margins]
-        elif margins is None:
-            raise ValueError("a block of iterates needs the Margins of its solve, one per seed")
+            seeds = [seeds]
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.margins = list(margins)
+        self.margins = margins
         self.sfo_counts = [0] * len(self.rngs)
         self._g = np.empty((len(self.rngs), obj.d))
         self._every_seed = range(len(self.rngs))
@@ -175,16 +168,13 @@ class _Estimator:
         (rng,) = self.rngs
         return rng
 
-    def _iterates(self, x_new, x_old):
-        """An update's points as (m, d) blocks, and as the per-seed arrays
-        the margins know them by: the arguments for a single seed, else the
-        rows a solve passed to each seed's ``Margins.step``."""
-        if self.single:
-            return x_new[None], x_old[None], [x_new], [x_old]
-        return x_new, x_old, [mg.x for mg in self.margins], [mg.prev for mg in self.margins]
+    def _block(self, x):
+        """x as an (m, d) block: a single seed's vector gains the seed axis."""
+        return x[None] if self.single else x
 
-    def _rows0(self, x0):
-        return [x0] if self.single else [mg.x for mg in self.margins]
+    def _z(self, j):
+        """X x at seed j's current iterate from its margins; None without them."""
+        return None if self.margins is None else self.margins[j].at()
 
     def draw_batch(self, seeds):
         """One batch of b sample indices from each listed seed's RNG, as a
@@ -197,25 +187,8 @@ class _Estimator:
         return np.array(draws)
 
     def _full_refresh(self, j, x):
-        self._g[j] = self.obj.grad_full(x, self.margins[j].at(x))
+        self._g[j] = self.obj.grad_full(x, self._z(j))
         self.sfo_counts[j] += self.obj.n
-
-    def _batch_coefs(self, B, x_new, x_old, xs_new, xs_old, seeds):
-        """Gradient multipliers of block batch B at x_new and at x_old, with
-        margins taken from each seed's z where it holds them."""
-        # x_old first, while z may still be there: reading x_new can replay
-        # z past it, and x_old then costs the batch kernel
-        c_old = B.coefs(x_old, self._held(xs_old, seeds))
-        return B.coefs(x_new, self._held(xs_new, seeds)), c_old
-
-    def _held(self, xs, seeds):
-        """Each listed seed's z at its point in xs, or None where its margins
-        do not hold it; None if no seed's do."""
-        zs = [self.margins[j].held(xs[j]) for j in seeds]
-        for z in zs:
-            if z is not None:
-                return zs
-        return None
 
 
 class FullGradEstimator(_Estimator):
@@ -225,11 +198,11 @@ class FullGradEstimator(_Estimator):
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
         super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._rows0(x0)):
+        for j, x in enumerate(self._block(x0)):
             self._full_refresh(j, x)
 
     def update(self, x_new, x_old, k):
-        for j, x in enumerate(self._iterates(x_new, x_old)[2]):
+        for j, x in enumerate(self._block(x_new)):
             self._full_refresh(j, x)
 
 
@@ -240,7 +213,7 @@ class SarahEstimator(_Estimator):
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
         super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._rows0(x0)):
+        for j, x in enumerate(self._block(x0)):
             self._full_refresh(j, x)
         self._refreshes = [0] * len(self.rngs)
 
@@ -254,21 +227,20 @@ class SarahEstimator(_Estimator):
         return [rng.random() < self.cfg.p for rng in self.rngs]
 
     def update(self, x_new, x_old, k):
-        x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
+        x_new, x_old = self._block(x_new), self._block(x_old)
         # Coin first, then batch: the refresh branch consumes one RNG draw.
         seeds = []
         for j, coin in enumerate(self.draw_refresh()):
             if coin:
-                self._full_refresh(j, xs_new[j])
+                self._full_refresh(j, x_new[j])
                 self._refreshes[j] += 1
             else:
                 seeds.append(j)
         if not seeds:
             return
         B = self.obj.batch(self.draw_batch(seeds))
-        c_new, c_old = self._batch_coefs(B, x_new.take(seeds, axis=0), x_old.take(seeds, axis=0),
-                                         xs_new, xs_old, seeds)
-        step = B.scatter(c_new - c_old) / B.size
+        c_new = B.coefs(x_new.take(seeds, axis=0))
+        step = B.scatter(c_new - B.coefs(x_old.take(seeds, axis=0))) / B.size
         for t, j in enumerate(seeds):
             self._g[j] += step[t]
             self.sfo_counts[j] += 2 * B.size
@@ -286,14 +258,14 @@ class SagaSarahEstimator(_Estimator):
         m, n = len(self.rngs), obj.n
         self._table_coefs = np.zeros((m, n))
         self._saga_avg = np.zeros((m, obj.d))
-        for j, x in enumerate(self._rows0(x0)):
+        for j, x in enumerate(self._block(x0)):
             if cfg.cold_start:
                 i0 = int(self.rngs[j].integers(0, n))
                 self._g[j] = obj.grad_sample(i0, x)
                 self.sfo_counts[j] += 1
             else:
                 # One pass fills the table and the initial estimate together.
-                self._table_coefs[j] = obj.grad_coefs(x, self.margins[j].at(x))
+                self._table_coefs[j] = obj.grad_coefs(x, self._z(j))
                 self._saga_avg[j] = obj.mean_rows(self._table_coefs[j])
                 self._g[j] = self._saga_avg[j]
                 self.sfo_counts[j] += n
@@ -310,7 +282,6 @@ class SagaSarahEstimator(_Estimator):
         return means[0] if self.single else means
 
     def update(self, x_new, x_old, k):
-        x_new, x_old, xs_new, xs_old = self._iterates(x_new, x_old)
         obj, lam = self.obj, self.cfg.lam
         seeds = self._every_seed
         S = self.draw_batch(seeds)
@@ -320,7 +291,7 @@ class SagaSarahEstimator(_Estimator):
         entries = S + self._table_start
         y_S = table.take(entries)
 
-        c_new, c_old = self._batch_coefs(B, x_new, x_old, xs_new, xs_old, seeds)
+        c_new, c_old = B.coefs(self._block(x_new)), B.coefs(self._block(x_old))
         sarah_term = B.scatter(c_new - c_old) / b
         saga_term = B.scatter(c_old - y_S) / b + self._saga_avg
         self._g = sarah_term + (1.0 - lam) * self._g + lam * saga_term
@@ -354,17 +325,15 @@ class MomentumEstimator(_Estimator):
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
         super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._rows0(x0)):
+        for j, x in enumerate(self._block(x0)):
             self._full_refresh(j, x)
         self.rho = cfg.momentum_rho or default_momentum_rho
 
     def update(self, x_new, x_old, k):
-        if self.single:
-            x_new = x_new[None]
         rho = self.rho(k)
         B = self.obj.batch(self.draw_batch(self._every_seed))
         # grad_batch's sum, on iterates the solve produced: no check of x_new
-        self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(x_new)) / B.size)
+        self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(self._block(x_new))) / B.size)
         for j in self._every_seed:
             self.sfo_counts[j] += B.size
 
@@ -395,11 +364,11 @@ ESTIMATOR_KINDS = tuple(_CLASSES)
 def init_estimator(cfg, obj, x0, seed, margins=None):
     """Build the estimator named by ``cfg.kind`` with g initialized at x0.
 
-    For one seed, x0 is a vector and ``margins`` the solve's ``Margins``;
-    full passes then read X x from it, and without it every full pass makes
-    its own. For a lockstep solve, x0 is the (m, d) block of starting
-    points, ``seed`` a sequence of m seeds and ``margins`` the m Margins the
-    solve steps, one per seed; ``g`` is then an (m, d) block and
-    ``update(x_new, x_old, k)`` takes blocks.
+    For one seed, x0 is a vector and ``seed`` an int. For a lockstep solve,
+    x0 is the (m, d) block of starting points and ``seed`` a sequence of m
+    seeds; ``g`` is then an (m, d) block and ``update(x_new, x_old, k)``
+    takes blocks. ``margins``, if given, holds one ``Margins`` per seed,
+    stepped by the solve, and full passes read X x from it; without it the
+    objective makes every full pass.
     """
     return _CLASSES[cfg.kind](cfg, obj, np.asarray(x0, dtype=np.float64), seed, margins)

@@ -19,8 +19,9 @@ Three kernels do that work:
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
   a step toward a one-hot vertex r e_i moves z by one column of X, which
   ``Objective.column`` reads from a column view built on first use.
-  ``loss_full``, ``grad_coefs``, ``grad_full`` and ``Batch.coefs`` take
-  such a z instead of making a pass of their own.
+  ``loss_full``, ``grad_coefs`` and ``grad_full`` take such a z instead
+  of making a pass of their own. A batch's margins always come from the
+  batch kernel.
 
 Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
 ``X[S].T @ c``, ``X @ w`` and ``X.T @ c``, from the private
@@ -115,22 +116,10 @@ class Batch:
                                     self.values, w, out)
         return out
 
-    def coefs(self, w, z=None):
-        """Gradient multipliers c_i(w) for every row. ``z``, if given, is
-        X w over all n samples and supplies the margins; for a block it holds
-        one such array per seed, or None where the kernel computes them."""
+    def coefs(self, w):
+        """Gradient multipliers c_i(w) for every row, from the margins at w."""
         _check_shape(w, self._w_shape, "w")
-        S = self.S
-        if z is None:
-            margins = self._margins(w)
-        elif S.ndim == 1:
-            margins = z.take(S)
-        else:
-            margins = self._margins(w) if any([zt is None for zt in z]) else np.empty(S.shape)
-            for t, zt in enumerate(z):
-                if zt is not None:
-                    margins[t] = zt.take(S[t])
-        return self._obj._coefs(margins, self.y)
+        return self._obj._coefs(self._margins(w), self.y)
 
     def scatter(self, c):
         """sum_t c[t] x_{S[t]} for a float64 array c shaped like S, as a dense
@@ -293,41 +282,32 @@ def _column_view(X):
 
 
 class Margins:
-    """z = X x for one solve, held at the last iterate a reader needed.
+    """z = X x at the current iterate x of one seed of a solve.
 
     The solve reports each step x' = x + eta (s - x) to ``step``. When s is
     a one-hot vertex r e_i (the l1 ball and the simplex), the margins follow
     z' = z + eta (r X[:, i] - z): one column of X and one O(n) pass. ``at``
-    replays the steps taken since z's iterate, in that association, unless
+    replays the steps taken since the last read, in that association, unless
     the replay would touch more entries than a pass over X (n + nnz/d per
     step against nnz); then it recomputes X x. A dense vertex (the box) is
     never replayed, so there z is only shared between reads at one iterate.
     Replayed margins differ from X x by rounding only; each solve replays
-    the same steps, so its results stay bit-reproducible.
-
-    Iterates are told apart by identity: ``x`` is the solve's current
-    iterate and ``prev`` the one before it, the arrays it passed to
-    ``step``. The array ``at`` returns is overwritten by the next replay.
-    ``Margins(obj)``, following no solve, answers every ``at`` with a pass
-    over X and every ``held`` with None.
+    the same steps, so its results stay bit-reproducible. The array ``at``
+    returns is overwritten by the next replay.
     """
 
-    def __init__(self, obj, x=None):
+    def __init__(self, obj, x):
         self._obj = obj
-        self.x = x  # the solve's current iterate
-        self.prev = None
-        self._point = None  # the iterate z belongs to
+        self._x = x
         self._z = None
-        self._steps = None  # vertex steps from _point to x; None: recompute
-        self._due = False
+        self._steps = None  # vertex steps since z was read; None: recompute
         self._scaled = None  # replay buffer
         n, d, nnz = obj.n, obj.d, obj.X.nnz
         self._max_steps = nnz * d // (n * d + nnz)
 
-    def step(self, x_new, eta, s, due):
-        """The solve moved from ``x`` to x_new = x + eta (s - x); ``due``
-        says the next recorded row reads x_new."""
-        self.prev, self.x, self._due = self.x, x_new, due
+    def step(self, x_new, eta, s):
+        """The solve moved to x_new = x + eta (s - x)."""
+        self._x = x_new
         steps = self._steps
         if steps is None:
             return
@@ -338,25 +318,15 @@ class Margins:
                 return
         self._steps = None
 
-    def at(self, x):
-        """X x; shared by every read at the solve's current iterate."""
-        if x is self._point:
-            return self._z
-        if x is not self.x:
-            return self._obj.margins(x)
+    def at(self):
+        """X x at the current iterate."""
         if self._steps is None:
-            self._z = self._obj.margins(x)
+            self._z = self._obj.margins(self._x)
         else:
             for eta, i, r in self._steps:
                 self._replay(eta, i, r)
-        self._point, self._steps = x, []
+        self._steps = []
         return self._z
-
-    def held(self, x):
-        """X x if z is at x, or the next recorded row will read x; else None."""
-        if x is self._point or (self._due and x is self.x):
-            return self.at(x)
-        return None
 
     def _replay(self, eta, i, r):
         z = self._z

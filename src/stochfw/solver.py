@@ -26,15 +26,16 @@ sums its own seed's entries in the order a solve of that seed alone does,
 so each seed's trace is byte-identical to its solve alone. One seed is the
 case m = 1 of the same loop.
 
-Every full-data pass reads the margins z = X x from one ``Margins`` per
-seed: the loss of each recorded row, the gap's full gradient and the
-estimator's full refreshes. The loop reports each step to it, so on the
-l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one column
-of X instead of a pass over all of X; on the box, whose vertices are
-dense, the reads at one iterate (fw's gradient at x^{k+1} and row k+1's
-loss) share one pass. Replayed margins differ from X x by rounding, so
-such traces can differ from a pass-per-read loop's in the last bits, and
-they are bit-reproducible run to run.
+Every full-data pass reads the margins z = X x at its seed's current
+iterate from one ``Margins`` per seed: the loss of each recorded row, the
+gap's full gradient and the estimator's full refreshes. A batch's margins
+come from the batch kernel. The loop reports each step to the margins, so
+on the l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one
+column of X instead of a pass over all of X; on the box, whose vertices
+are dense, the reads at one iterate (fw's gradient at x^{k+1} and row
+k+1's loss) share one pass. Replayed margins differ from X x by rounding,
+so such traces can differ from a pass-per-read loop's in the last bits,
+and they are bit-reproducible run to run.
 
 A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
 first iteration k that records it or hands the estimate to the LMO,
@@ -167,8 +168,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         raise ValueError("x0 is not feasible")
 
     x = np.tile(x0, (len(cfg.seeds), 1))
-    xs = list(x)  # the arrays each seed's margins know its iterate by
-    margins = [Margins(obj, x_j) for x_j in xs]
+    margins = [Margins(obj, x_j) for x_j in x]
     est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seeds, margins)
     traces = [
         Trace(metadata={
@@ -185,18 +185,18 @@ def solve(cfg, obj, cset, x0, callback=None):
     reuse_grad = cfg.estimator_cfg.kind == "full"
     t0 = time.monotonic_ns() if cfg.timing else None
 
-    def record(k, xs):
+    def record(k, x):
         nonlocal gap_rows
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
-        for x_k, g_k, mg, sfo, trace in zip(xs, est.g, margins, est.sfo_counts, traces):
-            f_k = obj.loss_full(x_k, mg.at(x_k))
+        for x_k, g_k, mg, sfo, trace in zip(x, est.g, margins, est.sfo_counts, traces):
+            f_k = obj.loss_full(x_k, mg.at())
             if not math.isfinite(f_k):
                 raise NanAbort(k, "objective")
             if not np.isfinite(g_k).all():
                 raise NanAbort(k, "gradient estimate")
             gap_k = None
             if gap_due:
-                gap_k = fw_gap(obj, cset, x_k, mg.at(x_k), g_k if reuse_grad else None)
+                gap_k = fw_gap(obj, cset, x_k, mg.at(), g_k if reuse_grad else None)
                 if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                     raise NanAbort(k, "full gradient")
             wall = time.monotonic_ns() - t0 if cfg.timing else 0
@@ -209,7 +209,7 @@ def solve(cfg, obj, cset, x0, callback=None):
     lmo_total = 0
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
-            record(k, xs)
+            record(k, x)
         try:
             s = lmo(cset, est.g)
         except ValueError:
@@ -221,16 +221,14 @@ def solve(cfg, obj, cset, x0, callback=None):
         lmo_total += 1
         step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
-        xs = list(x_new)
-        due = (k + 1) % cfg.record_every == 0 or k + 1 == cfg.K
-        for mg, x_j, s_j in zip(margins, xs, s):
-            mg.step(x_j, step, s_j, due)
+        for mg, x_j, s_j in zip(margins, x_new, s):
+            mg.step(x_j, step, s_j)
         est.update(x_new, x, k)
         x = x_new
 
     if cfg.K > 0:
-        record(cfg.K, xs)
+        record(cfg.K, x)
 
     runs = [Run(seed, x_j, trace, sfo, lmo_total, gap_rows * n, gap_rows)
-            for seed, x_j, trace, sfo in zip(cfg.seeds, xs, traces, est.sfo_counts)]
+            for seed, x_j, trace, sfo in zip(cfg.seeds, x, traces, est.sfo_counts)]
     return SolveResult(runs=runs, estimator=est)

@@ -94,13 +94,12 @@ def assert_kernel_matches_scipy(obj, data):
     W = np.array([data.draw(vectors(obj.d)) for _ in range(m)])
     C = np.array([data.draw(vectors(S.shape[1])) for _ in range(m)])
     B = obj.batch(S)
-    z = [data.draw(st.sampled_from([None, obj.margins(W[t])])) for t in range(m)]
-    coefs = B.coefs(W, z)
+    coefs = B.coefs(W)
     for t in range(m):
         alone = obj.batch(S[t])
         assert np.array_equal(B.margins(W)[t], alone.margins(W[t]))
         assert np.array_equal(B.scatter(C)[t], alone.scatter(C[t]))
-        assert np.array_equal(coefs[t], alone.coefs(W[t], z[t]))
+        assert np.array_equal(coefs[t], alone.coefs(W[t]))
     assert np.array_equal(B.y, obj.y[S])
 
 
@@ -196,9 +195,8 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
     # the compiled loops read d entries of w and |S| of c unchecked
     d = bc_logistic.d
     B = bc_logistic.batch([0, 3, 3])
-    z = bc_logistic.margins(np.zeros(d))
     for w in (np.ones(d - 1), np.ones(d + 1), np.ones((d, 1))):
-        for call in (B.margins, B.coefs, lambda w: B.coefs(w, z)):
+        for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):
                 call(w)
     for c in (np.ones(2), np.ones(4), np.ones(d), np.ones((3, 1))):

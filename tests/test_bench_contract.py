@@ -5,8 +5,10 @@ points, the four estimator classes and their ``update``, the solver's
 ``lmo``/``fw_gap`` and the estimator constructors. One traced grid at
 smoke-test size touches all of them, so removing or renaming one of them
 fails here. bc-dense-fw solves one seed at a time; mushrooms-vr solves
-each algorithm's two seeds in lockstep, the path its timed grids take. No
-timing is checked.
+each algorithm's two seeds in lockstep, the path its timed grids take;
+mushrooms-rows runs one-seed groups on two threads and records a row every
+iteration, so every margin read there follows one step. No timing is
+checked.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["bc-dense-fw", "mushrooms-vr"])
+@pytest.mark.parametrize("workload", ["bc-dense-fw", "mushrooms-vr", "mushrooms-rows"])
 def test_traced_tiny_grid_reports_every_per_layer_metric(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setenv("SARAH_FW_THREADS", "1")  # restored after the grid sets it
