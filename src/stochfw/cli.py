@@ -1,7 +1,8 @@
 """Experiment harness: configure runs, execute solves, write CSV traces.
 
 A run grid is the cross product of requested algorithms and seeds over one
-dataset. Each run writes ``<algorithm>_seed<seed>.csv`` with the schema
+dataset, each named once. Each run writes ``<algorithm>_seed<seed>.csv`` with
+the schema
 
     k,sfo,lmo,f,gap,wall_ns
 
@@ -10,7 +11,9 @@ plus a ``summary.csv`` with final objective, minimum recorded gap, and
 oracle totals per run. Runs with the same spec and seeds are byte-identical
 because row timestamps default to 0; pass ``timing = true`` in the config
 to stamp real wall times instead (true/false, 1/0, yes/no, on/off in any
-case; any other value is an invalid spec).
+case; any other value is an invalid spec). Every file is written to a temp
+file in the output directory and renamed into place, so a reader never sees
+a half-written file and a failed write leaves none behind.
 
 Configuration is a declarative ``key = value`` file; command-line flags
 override file values, and both go through the same key table. An
@@ -104,6 +107,8 @@ class ExperimentSpec:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise SpecError(f"unknown algorithm {alg!r}")
+        # a run writes <alg>_seed<seed>.csv: a repeat would write one file twice
+        _reject_repeats("algorithm", self.algorithms)
         if (self.K is None) == (self.epochs is None):
             raise SpecError("exactly one of K or epochs must be given")
         if self.K is not None and self.K < 1:
@@ -114,6 +119,15 @@ class ExperimentSpec:
             raise SpecError(f"unknown schedule {self.schedule!r}")
         if not self.seeds:
             raise SpecError("no seeds requested")
+        _reject_repeats("seed", self.seeds)
+
+
+def _reject_repeats(what, values):
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise SpecError(f"{what} {value} requested more than once")
+        seen.add(value)
 
 
 def build_solver_configs(spec, n):
@@ -181,8 +195,22 @@ def emit_csv(trace, path):
         lines.append(
             f"{row.k},{row.sfo},{row.lmo},{_format_float(row.f)},{gap},{row.wall_ns}"
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temp file in the same directory and
+    a rename, so ``path`` holds either its old bytes or all of ``text``, and
+    a failed write leaves no file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path):
@@ -300,8 +328,7 @@ def run_experiment(spec, log=print):
             f"{cfg.algorithm} seed={result.seed}: K={cfg.K} f={final_f:.6g} "
             f"sfo={result.sfo_total} lmo={result.lmo_total} -> {csv_path}"
         )
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(summary_path, "\n".join(lines) + "\n")
     log(f"summary -> {summary_path}")
     return EXIT_OK
 

@@ -9,6 +9,18 @@ seed's coin is drawn before its batch, so its refresh branch consumes
 exactly one RNG draw, which keeps seeded reruns bit-exact and each seed's
 draws those of its solve alone.
 
+``draw_batch`` serves each seed's batches from a block of that seed's future
+draws, refilled with one ``integers(0, n, size=(C, b))`` call (C calls of
+``choice(n, size=b, replace=False)`` without replacement) of
+C = max(1, 2048 // b) steps. numpy gives that block the bits of C per-step
+calls and leaves the RNG where they would, so every batch is the one a
+per-step draw gives. It holds for momentum and saga_sarah, whose batches
+are the only draws from their RNGs after ``__init__`` (saga_sarah's
+cold-start draw comes first: the first block is drawn at the first
+update). SARAH's coin is drawn from the same RNG between its batches, so
+its blocks hold one step. The one visible effect: after updates, a seed's
+RNG may be up to one block ahead of the last batch it served.
+
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
     full        g = grad f(x_new)                                  [n SFO]
@@ -71,6 +83,8 @@ __all__ = [
 SAMPLING_MODES = ("with_replacement", "without_replacement")
 
 _SAGA_RECOMPUTE_EVERY = 10_000
+# sample indices in a block of a seed's future batches
+_BLOCK_INDICES = 2048
 _NO_POSITION = np.iinfo(np.intp).max
 
 
@@ -140,6 +154,7 @@ class _Estimator:
 
     kind = None
     g = _PerSeed()
+    block_indices = _BLOCK_INDICES
 
     def __init__(self, cfg, obj, x0, seeds, margins):
         if cfg.kind != self.kind:
@@ -156,6 +171,10 @@ class _Estimator:
         self.sfo_counts = [0] * len(self.rngs)
         self._g = np.empty((len(self.rngs), obj.d))
         self._every_seed = range(len(self.rngs))
+        # each seed's drawn batches not yet served; the first block is drawn
+        # at the first update, after any draw of __init__
+        self._ahead = [iter(())] * len(self.rngs)
+        self._block_steps = max(1, self.block_indices // cfg.b)
 
     @property
     def sfo_count(self):
@@ -178,13 +197,23 @@ class _Estimator:
 
     def draw_batch(self, seeds):
         """One batch of b sample indices from each listed seed's RNG, as a
-        (len(seeds), b) block."""
-        n, b = self.obj.n, self.cfg.b
+        (len(seeds), b) block: each seed's next row of its drawn block."""
+        rows = []
+        for j in seeds:
+            row = next(self._ahead[j], None)
+            if row is None:
+                self._ahead[j] = iter(self._draw_block(self.rngs[j]))
+                row = next(self._ahead[j])
+            rows.append(row)
+        return np.array(rows)
+
+    def _draw_block(self, rng):
+        """The next ``_block_steps`` batches of one RNG, one row each: the
+        bits and the RNG state of as many per-step draws."""
+        n, b, steps = self.obj.n, self.cfg.b, self._block_steps
         if self.cfg.sampling == "with_replacement":
-            draws = [self.rngs[j].integers(0, n, size=b) for j in seeds]
-        else:
-            draws = [self.rngs[j].choice(n, size=b, replace=False) for j in seeds]
-        return np.array(draws)
+            return rng.integers(0, n, size=(steps, b))
+        return np.array([rng.choice(n, size=b, replace=False) for _ in range(steps)])
 
     def _full_refresh(self, j, x):
         self._g[j] = self.obj.grad_full(x, self._z(j))
@@ -210,6 +239,8 @@ class SarahEstimator(_Estimator):
     """Loopless SARAH: recursive correction, full refresh with probability p."""
 
     kind = "sarah"
+    # a coin is drawn from the RNG between two batches: blocks of one step
+    block_indices = 1
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
         super().__init__(cfg, obj, x0, seed, margins)

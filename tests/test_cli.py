@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+from stochfw import cli
 from stochfw.cli import (
     ExperimentSpec,
     build_solver_configs,
@@ -57,6 +60,60 @@ def test_csv_round_trip_exact(tmp_path):
     assert back.rows == rows
 
 
+class _FullDisk:
+    """A file whose write stores half of a failing text, then fails as a full
+    disk does."""
+
+    def __init__(self, fh, fails):
+        self.fh, self.fails = fh, fails
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if not self.fails(text):
+            return self.fh.write(text)
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes(monkeypatch, fails=lambda text: True):
+    """Make the CLI's file writes of the texts ``fails`` picks fail midway."""
+    def open_(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return _FullDisk(fh, fails) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", open_, raising=False)
+
+
+@pytest.mark.parametrize("old", [None, "old bytes\n"], ids=["new-file", "replaced-file"])
+def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, old):
+    path = tmp_path / "t.csv"
+    if old is not None:
+        path.write_text(old)
+    fail_writes(monkeypatch)
+    with pytest.raises(OSError):
+        emit_csv(make_trace([TraceRow(0, 10, 0, 0.5, None, 0)]), path)
+    # nothing under the final name but its old bytes, and no temp file
+    assert [f.name for f in tmp_path.iterdir()] == ([] if old is None else ["t.csv"])
+    if old is not None:
+        assert path.read_text() == old
+
+
+def test_failed_summary_write_leaves_no_summary(dataset_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    fail_writes(monkeypatch, lambda text: text.startswith("algorithm,seed,"))
+    spec = ExperimentSpec(dataset_path=str(dataset_file), radius=10.0, algorithms=["fw"],
+                          K=5, seeds=[0], out_dir=str(out))
+    with pytest.raises(OSError):
+        run_experiment(spec, log=lambda m: None)
+    assert sorted(f.name for f in out.iterdir()) == ["fw_seed0.csv"]
+
+
 def test_expected_sfo_per_iteration_formulas():
     n, b, p = 683, 7, 0.02
     cost = {name: alg.sfo_per_iteration(n, b, p) for name, alg in ALGORITHMS.items()}
@@ -88,7 +145,7 @@ def test_run_experiment_grid(dataset_file, tmp_path):
     )
     logs = []
     assert run_experiment(spec, log=logs.append) == 0
-    csvs = sorted(f.name for f in out.glob("*.csv"))
+    csvs = sorted(f.name for f in out.iterdir())  # no temp file left behind
     assert csvs == [
         "fw_seed0.csv", "saga_sarah_fw_seed0.csv", "sarah_fw_seed0.csv",
         "summary.csv",
@@ -282,9 +339,13 @@ def test_main_invalid_spec(tmp_path):
         (["--K", "5"], "abc", None),
         (["--K", "5"], "1", "timing = ture\n"),
         (["--K", "5"], "1", "timing = 2\n"),
+        (["--K", "5", "--alg", "fw,sarah_fw,fw"], "1", None),
+        (["--K", "5", "--seed", "3,4,3"], "2", None),
+        (["--K", "5"], "2", "alg = fw,fw\nseed = 3,3\n"),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag", "bad-threads",
-         "config-timing-typo", "config-timing-2"],
+         "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
+         "config-repeats"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, monkeypatch, capsys,
                                          flags, threads, config):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochfw.estimators import (
+    SAMPLING_MODES,
     EstimatorConfig,
     SagaSarahEstimator,
     SarahEstimator,
     init_estimator,
 )
+from stochfw.objectives import Objective
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
 from conftest import scripted, tiny_objective
@@ -79,6 +82,73 @@ def test_sarah_refresh_consumes_exactly_one_rng_draw(obj):
     twin = np.random.default_rng(seed)
     twin.random()
     assert est.rng.random() == twin.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2**31 - 1), b=st.integers(1, 64), steps=st.integers(1, 40),
+       seed=st.integers(0, 2**64 - 1))
+def test_block_draw_equals_per_step_draws(n, b, steps, seed):
+    # the estimators draw a block of steps at once on this numpy guarantee
+    block_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = block_rng.integers(0, n, size=(steps, b))
+    per_step = np.array([step_rng.integers(0, n, size=b) for _ in range(steps)])
+    assert block.dtype == per_step.dtype
+    assert np.array_equal(block, per_step)
+    assert block_rng.random() == step_rng.random()
+
+
+def per_step_batches(cfg, n, seeds, updates):
+    """The batches an estimator's updates take when every draw comes from its
+    seed's RNG one step at a time, coin first: one (m', b) block per update,
+    after saga_sarah's cold-start sample indices."""
+    twins = [np.random.default_rng(seed) for seed in seeds]
+    if cfg.sampling == "with_replacement":
+        def draw(rng):
+            return rng.integers(0, n, size=cfg.b)
+    else:
+        def draw(rng):
+            return rng.choice(n, size=cfg.b, replace=False)
+    batches = [np.array([rng.integers(0, n)]) for rng in twins] if cfg.cold_start else []
+    for _ in range(updates):
+        if cfg.kind == "sarah":
+            rows = [draw(rng) for rng in twins if not rng.random() < cfg.p]
+        else:
+            rows = [draw(rng) for rng in twins]
+        if rows:
+            batches.append(np.array(rows))
+    return batches
+
+
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+@pytest.mark.parametrize("b", [2, 100])  # a block of 1024 steps, and of 20
+@pytest.mark.parametrize("seeds", [5, (5, 9)], ids=["one-seed", "two-seeds"])
+@pytest.mark.parametrize("params", [
+    {"kind": "momentum"},
+    {"kind": "saga_sarah", "lam": 0.2},
+    {"kind": "saga_sarah", "lam": 0.2, "cold_start": True},
+    {"kind": "sarah", "p": 0.3},
+], ids=["momentum", "saga_sarah", "saga_sarah-cold", "sarah"])
+def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, sampling):
+    obj = tiny_objective(n=120, d=4, seed=0)
+    x_new, x_old = random_points(obj)
+    if not isinstance(seeds, int):
+        x_new, x_old = np.tile(x_new, (len(seeds), 1)), np.tile(x_old, (len(seeds), 1))
+    seen = []
+    batch = Objective.batch
+
+    def recording(self, S):
+        seen.append(np.array(S))
+        return batch(self, S)
+
+    monkeypatch.setattr(Objective, "batch", recording)
+    cfg = EstimatorConfig(b=b, sampling=sampling, **params)
+    est = init_estimator(cfg, obj, x_old, seeds)
+    for k in range(50):
+        est.update(x_new, x_old, k)
+    want = per_step_batches(cfg, obj.n, np.atleast_1d(seeds), 50)
+    assert len(seen) == len(want)
+    for got, expected in zip(seen, want):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
