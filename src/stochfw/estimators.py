@@ -147,14 +147,14 @@ class _PerSeed:
 
 
 class _Estimator:
-    """State shared by every estimator, held per seed: the RNGs, the margins
-    each seed reads, the SFO counters and the estimates ``g``, one row per
-    seed. ``single`` estimators show ``g`` and the other per-seed arrays
+    """State shared by every estimator, held per seed: the RNGs and the
+    batches drawn from them ahead, the margins each seed reads, the SFO
+    counters and the estimates ``g``, one row per seed. ``single`` estimators show ``g`` and the other per-seed arrays
     without the seed axis."""
 
     kind = None
     g = _PerSeed()
-    block_indices = _BLOCK_INDICES
+    _block_indices = _BLOCK_INDICES
 
     def __init__(self, cfg, obj, x0, seeds, margins):
         if cfg.kind != self.kind:
@@ -174,7 +174,7 @@ class _Estimator:
         # each seed's drawn batches not yet served; the first block is drawn
         # at the first update, after any draw of __init__
         self._ahead = [iter(())] * len(self.rngs)
-        self._block_steps = max(1, self.block_indices // cfg.b)
+        self._block_steps = max(1, self._block_indices // cfg.b)
 
     @property
     def sfo_count(self):
@@ -240,7 +240,7 @@ class SarahEstimator(_Estimator):
 
     kind = "sarah"
     # a coin is drawn from the RNG between two batches: blocks of one step
-    block_indices = 1
+    _block_indices = 1
 
     def __init__(self, cfg, obj, x0, seed, margins=None):
         super().__init__(cfg, obj, x0, seed, margins)
