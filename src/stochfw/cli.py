@@ -21,14 +21,13 @@ override file values, and both go through the same key table. An
 through the expected per-iteration SFO cost in its ``ALGORITHMS`` record,
 so a shared budget means a shared x-axis of full-gradient equivalents.
 
-Exit codes: 0 success, 1 invalid spec (bad flags, config values or
-``SARAH_FW_THREADS`` included), 2 unreadable/malformed dataset,
-3 non-finite objective, gradient estimate or full gradient.
-``SARAH_FW_THREADS`` (default 1) sets how many threads run the grid. Each
-algorithm's seeds are dealt into min(threads, seeds) groups of consecutive
-seeds, and ``solve`` runs each group in lockstep, so one thread runs an
-algorithm's seeds together and enough threads run every seed alone; the
-output is the same bytes either way.
+The grid runs on the calling thread, one algorithm after another: ``solve``
+runs all of an algorithm's seeds in lockstep, then each run's CSV, summary
+line and log line are written. No environment variable changes the work.
+
+Exit codes: 0 success, 1 invalid spec (bad flags or config values),
+2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
+or full gradient, 4 an output file or directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil
 from pathlib import Path
 
@@ -62,6 +60,7 @@ EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
 EXIT_PARSE_ERROR = 2
 EXIT_NAN_ABORT = 3
+EXIT_WRITE_ERROR = 4
 
 
 class SpecError(ValueError):
@@ -170,19 +169,6 @@ def build_solver_configs(spec, n):
     return configs
 
 
-def lockstep_groups(configs, threads):
-    """Deal each config's seeds into min(threads, m) configs of consecutive
-    seeds, each solved in lockstep: one thread runs each algorithm's seeds
-    together, and a pool of at least m threads runs every seed alone."""
-    groups = []
-    for cfg in configs:
-        m = len(cfg.seeds)
-        parts = min(threads, m)
-        groups += [replace(cfg, seeds=cfg.seeds[i * m // parts:(i + 1) * m // parts])
-                   for i in range(parts)]
-    return groups
-
-
 def _format_float(x):
     return f"{x:.17g}"
 
@@ -238,20 +224,10 @@ def read_csv(path):
     return trace
 
 
-def _thread_count():
-    """The grid's pool size from ``SARAH_FW_THREADS``, at least 1."""
-    raw = os.environ.get("SARAH_FW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SpecError(f"SARAH_FW_THREADS={raw!r} is not an integer") from None
-
-
 def run_experiment(spec, log=print):
     """Execute the grid described by ``spec``; returns a process exit code."""
     try:
         spec.validate()
-        threads = _thread_count()
     except SpecError as exc:
         log(f"invalid spec: {exc}")
         return EXIT_INVALID_SPEC
@@ -281,54 +257,46 @@ def run_experiment(spec, log=print):
         return EXIT_INVALID_SPEC
 
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one_group(cfg):
-        outcomes = []
-        for run in solve(cfg, obj, cset, x0).runs:
-            csv_path = out_dir / f"{cfg.algorithm}_seed{run.seed}.csv"
-            emit_csv(run.trace, csv_path)
-            outcomes.append((cfg, run, csv_path))
-        return outcomes
-
-    groups = lockstep_groups(configs, threads)
+    summary_path = out_dir / "summary.csv"
+    lines = ["algorithm,seed,K,final_f,min_gap,sfo_total,lmo_total,gap_sfo_total,gap_lmo_total,csv"]
+    target = out_dir  # the path the next write creates, named if it fails
     try:
-        if threads == 1:
-            done = [one_group(cfg) for cfg in groups]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                done = list(pool.map(one_group, groups))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for cfg in configs:
+            for result in solve(cfg, obj, cset, x0).runs:
+                target = csv_path = out_dir / f"{cfg.algorithm}_seed{result.seed}.csv"
+                emit_csv(result.trace, csv_path)
+                gaps = result.trace.gap_values()
+                min_gap = _format_float(min(gaps)) if gaps else ""
+                final_f = result.trace.rows[-1].f  # solve records row K at x_final
+                lines.append(
+                    ",".join(
+                        [
+                            cfg.algorithm,
+                            str(result.seed),
+                            str(cfg.K),
+                            _format_float(final_f),
+                            min_gap,
+                            str(result.sfo_total),
+                            str(result.lmo_total),
+                            str(result.gap_sfo_total),
+                            str(result.gap_lmo_total),
+                            csv_path.name,
+                        ]
+                    )
+                )
+                log(
+                    f"{cfg.algorithm} seed={result.seed}: K={cfg.K} f={final_f:.6g} "
+                    f"sfo={result.sfo_total} lmo={result.lmo_total} -> {csv_path}"
+                )
+        target = summary_path
+        _write_atomic(summary_path, "\n".join(lines) + "\n")
     except NanAbort as exc:
         log(f"aborted: {exc}")
         return EXIT_NAN_ABORT
-
-    summary_path = out_dir / "summary.csv"
-    lines = ["algorithm,seed,K,final_f,min_gap,sfo_total,lmo_total,gap_sfo_total,gap_lmo_total,csv"]
-    for cfg, result, csv_path in [outcome for group in done for outcome in group]:
-        gaps = result.trace.gap_values()
-        min_gap = _format_float(min(gaps)) if gaps else ""
-        final_f = result.trace.rows[-1].f  # solve records row K at x_final
-        lines.append(
-            ",".join(
-                [
-                    cfg.algorithm,
-                    str(result.seed),
-                    str(cfg.K),
-                    _format_float(final_f),
-                    min_gap,
-                    str(result.sfo_total),
-                    str(result.lmo_total),
-                    str(result.gap_sfo_total),
-                    str(result.gap_lmo_total),
-                    csv_path.name,
-                ]
-            )
-        )
-        log(
-            f"{cfg.algorithm} seed={result.seed}: K={cfg.K} f={final_f:.6g} "
-            f"sfo={result.sfo_total} lmo={result.lmo_total} -> {csv_path}"
-        )
-    _write_atomic(summary_path, "\n".join(lines) + "\n")
+    except OSError as exc:
+        log(f"cannot write {target}: {exc}")
+        return EXIT_WRITE_ERROR
     log(f"summary -> {summary_path}")
     return EXIT_OK
 

@@ -194,7 +194,10 @@ class Objective:
 
     def _losses(self, z, y):
         if self.kind == "logistic":
-            return np.logaddexp(0.0, -y * z)
+            # numpy's logaddexp(0, t), term for term, on the vector loops of
+            # exp and log1p instead of its scalar loop: within 2 ulps of it
+            t = -y * z
+            return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
         s = expit(-z)  # 1 / (1 + e^z)
         return (y - s) ** 2
 

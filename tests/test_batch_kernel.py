@@ -234,8 +234,9 @@ def test_import_does_not_load_scipy_sparse():
 
 
 def test_one_objective_serves_many_threads(mushrooms_scale_logistic):
-    # The CLI's pool threads share one Objective; the kernel keeps no scratch
-    # state on it, so interleaved batches must not disturb each other.
+    # Objective is public, and a caller may share one across its own threads;
+    # the kernel keeps no scratch state on it, so interleaved batches must
+    # not disturb each other.
     obj = mushrooms_scale_logistic
     rng = np.random.default_rng(3)
     work = [(rng.integers(0, obj.n, size=82), rng.normal(size=obj.d)) for _ in range(24)]

@@ -4,11 +4,10 @@
 points, the four estimator classes and their ``update``, the solver's
 ``lmo``/``fw_gap`` and the estimator constructors. One traced grid at
 smoke-test size touches all of them, so removing or renaming one of them
-fails here. bc-dense-fw solves one seed at a time; mushrooms-vr solves
-each algorithm's two seeds in lockstep, the path its timed grids take;
-mushrooms-rows runs one-seed groups on two threads and records a row every
-iteration, so every margin read there follows one step. No timing is
-checked.
+fails here. bc-dense-fw solves one seed at a time; mushrooms-vr and
+mushrooms-rows solve each algorithm's two seeds in lockstep, the path their
+timed grids take, and mushrooms-rows records a row every iteration, so
+every margin read there follows one step. No timing is checked.
 """
 
 import contextlib

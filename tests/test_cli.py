@@ -1,4 +1,5 @@
 import errno
+import itertools
 
 import numpy as np
 import pytest
@@ -105,12 +106,25 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, old):
 
 
 def test_failed_summary_write_leaves_no_summary(dataset_file, tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    fail_writes(monkeypatch, lambda text: text.startswith("algorithm,seed,"))
-    spec = ExperimentSpec(dataset_path=str(dataset_file), radius=10.0, algorithms=["fw"],
-                          K=5, seeds=[0], out_dir=str(out))
-    with pytest.raises(OSError):
-        run_experiment(spec, log=lambda m: None)
+    def grid(out, fails):
+        logs = []
+        fail_writes(monkeypatch, fails)
+        spec = ExperimentSpec(dataset_path=str(dataset_file), radius=10.0,
+                              algorithms=["fw", "sarah_fw"], K=5, seeds=[0], out_dir=str(out))
+        assert run_experiment(spec, log=logs.append) == 4
+        return logs[-1]
+
+    # the summary write fails: the runs' CSVs stay, and nothing else
+    out = tmp_path / "summary-fails"
+    msg = grid(out, lambda text: text.startswith("algorithm,seed,"))
+    assert msg.startswith(f"cannot write {out / 'summary.csv'}: ") and "No space" in msg
+    assert sorted(f.name for f in out.iterdir()) == ["fw_seed0.csv", "sarah_fw_seed0.csv"]
+
+    # the second write, sarah_fw's CSV, fails: the grid stops there, with no summary
+    writes = itertools.count(1)
+    out = tmp_path / "csv-fails"
+    msg = grid(out, lambda text: next(writes) == 2)
+    assert msg.startswith(f"cannot write {out / 'sarah_fw_seed0.csv'}: ")
     assert sorted(f.name for f in out.iterdir()) == ["fw_seed0.csv"]
 
 
@@ -173,21 +187,6 @@ def test_rerun_is_byte_identical(dataset_file, tmp_path):
         outs.append(out)
     for f in sorted(outs[0].glob("*.csv")):
         assert f.read_bytes() == (outs[1] / f.name).read_bytes()
-
-
-def test_threaded_grid_matches_sequential(dataset_file, tmp_path, monkeypatch):
-    results = {}
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}"
-        monkeypatch.setenv("SARAH_FW_THREADS", threads)
-        spec = ExperimentSpec(
-            dataset_path=str(dataset_file), radius=10.0,
-            algorithms=["fw", "sarah_fw"], K=25, batch=2, seeds=[0, 1],
-            out_dir=str(out),
-        )
-        assert run_experiment(spec, log=lambda m: None) == 0
-        results[threads] = {f.name: f.read_bytes() for f in out.glob("*.csv")}
-    assert results["1"] == results["3"]
 
 
 def test_missing_dataset_exits_2(tmp_path):
@@ -330,26 +329,23 @@ def test_main_invalid_spec(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, threads, config",
+    "flags, config",
     [
-        (["--K", "abc"], "1", None),
-        (["--K", "5", "--loss", "bad"], "1", None),
-        (["--K", "5", "--epochs", "2"], "1", None),
-        (["--K", "5", "--no-such-flag", "1"], "1", None),
-        (["--K", "5"], "abc", None),
-        (["--K", "5"], "1", "timing = ture\n"),
-        (["--K", "5"], "1", "timing = 2\n"),
-        (["--K", "5", "--alg", "fw,sarah_fw,fw"], "1", None),
-        (["--K", "5", "--seed", "3,4,3"], "2", None),
-        (["--K", "5"], "2", "alg = fw,fw\nseed = 3,3\n"),
+        (["--K", "abc"], None),
+        (["--K", "5", "--loss", "bad"], None),
+        (["--K", "5", "--epochs", "2"], None),
+        (["--K", "5", "--no-such-flag", "1"], None),
+        (["--K", "5"], "timing = ture\n"),
+        (["--K", "5"], "timing = 2\n"),
+        (["--K", "5", "--alg", "fw,sarah_fw,fw"], None),
+        (["--K", "5", "--seed", "3,4,3"], None),
+        (["--K", "5"], "alg = fw,fw\nseed = 3,3\n"),
     ],
-    ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag", "bad-threads",
+    ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
          "config-repeats"],
 )
-def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, monkeypatch, capsys,
-                                         flags, threads, config):
-    monkeypatch.setenv("SARAH_FW_THREADS", threads)
+def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, flags, config):
     out = tmp_path / "out"
     argv = ["run", "--dataset", str(dataset_file), "--out", str(out), *flags]
     if config is not None:

@@ -4,8 +4,7 @@
 and estimates, with one LMO call, one step size and one batch kernel call
 per margin or weighted row sum for all of them. Each seed must still get
 exactly the run it gets alone: the same trace bytes, iterate bits and
-oracle totals. ``cli.lockstep_groups`` decides which seeds share a solve,
-and that choice must not reach the output files.
+oracle totals, also in the files ``stochfw run`` writes.
 """
 
 import struct
@@ -16,13 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochfw.cli import (
-    ExperimentSpec,
-    build_solver_configs,
-    lockstep_groups,
-    main,
-    run_experiment,
-)
+from stochfw.cli import ExperimentSpec, main, run_experiment
 from stochfw.constraints import ConstraintSet
 from stochfw.data import normalize_labels, parse_libsvm
 from stochfw.estimators import EstimatorConfig
@@ -142,7 +135,6 @@ def test_nonfinite_estimate_in_one_seed_aborts_the_group(monkeypatch):
 
 def test_nonfinite_estimate_in_one_seed_exits_3(tmp_path, monkeypatch, capsys):
     poison_second_seed(monkeypatch)
-    monkeypatch.setenv("SARAH_FW_THREADS", "1")
     data = tmp_path / "synth.libsvm"
     data.write_text(separable_libsvm_text(40, 4, seed=2))
     argv = ["run", "--dataset", str(data), "--alg", "momentum_fw", "--K", "10",
@@ -151,39 +143,28 @@ def test_nonfinite_estimate_in_one_seed_exits_3(tmp_path, monkeypatch, capsys):
     assert "aborted: non-finite gradient estimate" in capsys.readouterr().out
 
 
-def test_lockstep_groups_follow_the_thread_count():
-    spec = ExperimentSpec(dataset_path="", algorithms=["fw", "sarah_fw", "momentum_fw"],
-                          K=5, batch=2, seeds=[5, 3, 9, 1])
-    configs = build_solver_configs(spec, 20)
-    by_alg = {cfg.algorithm: cfg for cfg in configs}
-    algorithms = ["fw", "sarah_fw", "momentum_fw"]
-    expected = {
-        1: [(a, (5, 3, 9, 1)) for a in algorithms],
-        # min(T, m) groups of consecutive seeds, sizes one apart
-        3: [(a, seeds) for a in algorithms for seeds in ((5,), (3,), (9, 1))],
-        4: [(a, (s,)) for a in algorithms for s in (5, 3, 9, 1)],
-        7: [(a, (s,)) for a in algorithms for s in (5, 3, 9, 1)],
-    }
-    for threads, want in expected.items():
-        groups = lockstep_groups(configs, threads)
-        assert [(g.algorithm, g.seeds) for g in groups] == want
-        # a group differs from its algorithm's config in the seeds only
-        assert all(g == replace(by_alg[g.algorithm], seeds=g.seeds) for g in groups)
-
-
-def test_summary_rows_keep_their_order_at_any_grouping(tmp_path, monkeypatch):
+def test_summary_rows_keep_their_order_at_any_grouping(tmp_path):
+    # a three-seed grid solves each algorithm's seeds in lockstep; three
+    # one-seed grids solve each seed alone
     data = tmp_path / "synth.libsvm"
     data.write_text(separable_libsvm_text(40, 4, seed=2))
-    outputs = {}
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("SARAH_FW_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        spec = ExperimentSpec(dataset_path=str(data), radius=5.0,
-                              algorithms=["saga_sarah_fw", "fw", "sarah_fw"], K=12, batch=2,
-                              seeds=[7, 2, 4], gap_every=4, out_dir=str(out))
+    algorithms = ("saga_sarah_fw", "fw", "sarah_fw")
+
+    def grid(name, seeds):
+        out = tmp_path / name
+        spec = ExperimentSpec(dataset_path=str(data), radius=5.0, algorithms=list(algorithms),
+                              K=12, batch=2, seeds=seeds, gap_every=4, out_dir=str(out))
         assert run_experiment(spec, log=lambda m: None) == 0
-        outputs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
-    assert outputs["1"] == outputs["2"] == outputs["4"]
-    rows = outputs["1"]["summary.csv"].decode().splitlines()[1:]
-    assert [tuple(r.split(",")[:2]) for r in rows] == [
-        (a, s) for a in ("saga_sarah_fw", "fw", "sarah_fw") for s in ("7", "2", "4")]
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    together = grid("together", [7, 2, 4])
+    alone, rows_alone = {}, {}
+    for seed in (7, 2, 4):
+        files = grid(f"seed{seed}", [seed])
+        for row in files.pop("summary.csv").decode().splitlines()[1:]:
+            rows_alone[tuple(row.split(",")[:2])] = row
+        alone.update(files)
+    rows = together.pop("summary.csv").decode().splitlines()[1:]
+    assert together == alone
+    # algorithm-major, seeds in the order given, each row as its seed's alone
+    assert rows == [rows_alone[a, s] for a in algorithms for s in ("7", "2", "4")]

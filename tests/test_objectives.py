@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochfw.data import normalize_labels, parse_libsvm
 from stochfw.objectives import Objective
@@ -32,6 +34,33 @@ def test_logistic_single_sample_hand_value():
     w = np.array([1.0])
     assert obj.loss_full(w) == pytest.approx(math.log1p(math.exp(-1.0)), rel=1e-14)
     assert obj.loss_full(w) == pytest.approx(0.313262, abs=1e-6)
+
+
+# t = +-m 2^e for every binade e of a float64, subnormals included
+_BINADE_FLOATS = st.builds(lambda sign, m, e: sign * math.ldexp(m, e),
+                           st.sampled_from([-1.0, 1.0]),
+                           st.floats(1.0, 2.0, exclude_max=True),
+                           st.integers(-1074, 1023))
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          _BINADE_FLOATS, _SPECIAL_FLOATS),
+                min_size=1, max_size=64))
+@example([1.0, 30.0, 710.0, -745.2, 1e300])
+def test_logistic_losses_are_logaddexp_within_2_ulps(t):
+    # _losses(z, y) takes t = -y z; y = -1 makes z = t exactly
+    t = np.array(t)
+    obj = tiny_objective("logistic")
+    got = obj._losses(t, -np.ones_like(t))
+    with np.errstate(invalid="ignore"):  # logaddexp flags a nan input
+        want = np.logaddexp(0.0, t)
+    special = ~np.isfinite(t) | (t == 0.0)
+    np.testing.assert_array_equal(got[special], want[special])  # nan matches nan
+    # both are >= 0 and finite here, so their bit patterns order like the floats
+    ulps = np.abs(got[~special].view(np.int64) - want[~special].view(np.int64))
+    assert ulps.max(initial=0) <= 2, (t[~special], got[~special], want[~special])
 
 
 def test_logistic_grad_at_zero():
