@@ -189,6 +189,34 @@ def test_rerun_is_byte_identical(dataset_file, tmp_path):
         assert f.read_bytes() == (outs[1] / f.name).read_bytes()
 
 
+def test_unwritable_out_dir_exits_4(dataset_file, tmp_path, capsys):
+    # a regular file where the output directory's parent should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    argv = ["run", "--dataset", str(dataset_file), "--alg", "fw", "--K", "5", "--out", str(out)]
+    assert main(argv) == 4
+    assert f"cannot write {out}: " in capsys.readouterr().out
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_threads_variable_changes_nothing(dataset_file, tmp_path, monkeypatch):
+    # SARAH_FW_THREADS is not read: an unset, a number and a non-number all
+    # give exit 0 and the same bytes
+    results = {}
+    for threads in (None, "3", "abc"):
+        if threads is None:
+            monkeypatch.delenv("SARAH_FW_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SARAH_FW_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(["run", "--dataset", str(dataset_file), "--alg", "fw,sarah_fw",
+                     "--radius", "10", "--batch", "2", "--K", "25", "--seed", "0,1",
+                     "--out", str(out)]) == 0
+        results[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert results[None] == results["3"] == results["abc"]
+
+
 def test_missing_dataset_exits_2(tmp_path):
     spec = ExperimentSpec(dataset_path=str(tmp_path / "nope.libsvm"), K=5)
     assert run_experiment(spec, log=lambda m: None) == 2

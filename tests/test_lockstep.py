@@ -8,6 +8,7 @@ oracle totals, also in the files ``stochfw run`` writes.
 """
 
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_nonfinite_estimate_in_one_seed_exits_3(tmp_path, monkeypatch, capsys):
             "--seed", "0,1", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert "aborted: non-finite gradient estimate" in capsys.readouterr().out
+
+
+def test_grid_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"the grid started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    data = tmp_path / "synth.libsvm"
+    data.write_text(separable_libsvm_text(40, 4, seed=2))
+    spec = ExperimentSpec(dataset_path=str(data), radius=5.0,
+                          algorithms=["fw", "sarah_fw", "saga_sarah_fw", "momentum_fw"],
+                          K=12, batch=2, seeds=[3, 1, 2], gap_every=4,
+                          out_dir=str(tmp_path / "out"))
+    assert run_experiment(spec, log=lambda m: None) == 0
+    assert len(list((tmp_path / "out").glob("*_seed*.csv"))) == 12
 
 
 def test_summary_rows_keep_their_order_at_any_grouping(tmp_path):
