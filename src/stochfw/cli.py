@@ -25,8 +25,9 @@ The grid runs on the calling thread, one algorithm after another: ``solve``
 runs all of an algorithm's seeds in lockstep, then each run's CSV, summary
 line and log line are written. No environment variable changes the work.
 
-Exit codes: 0 success, 1 invalid spec (bad flags or config values),
-2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
+Exit codes: 0 success, 1 invalid spec (bad flags or config values, such
+as a non-finite radius or epochs or a negative seed, rejected before the
+dataset is read), 2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
 or full gradient, 4 an output file or directory that cannot be written.
 """
 
@@ -36,7 +37,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 
 from .constraints import CONSTRAINT_KINDS, ConstraintSet
@@ -99,8 +100,8 @@ class ExperimentSpec:
             raise SpecError(f"unknown loss {self.loss!r}")
         if self.constraint not in CONSTRAINT_KINDS:
             raise SpecError(f"unknown constraint {self.constraint!r}")
-        if self.radius <= 0:
-            raise SpecError("radius must be positive")
+        if not 0 < self.radius < inf:
+            raise SpecError("radius must be positive and finite")
         if not self.algorithms:
             raise SpecError("no algorithms requested")
         for alg in self.algorithms:
@@ -112,13 +113,15 @@ class ExperimentSpec:
             raise SpecError("exactly one of K or epochs must be given")
         if self.K is not None and self.K < 1:
             raise SpecError("K must be >= 1")
-        if self.epochs is not None and self.epochs <= 0:
-            raise SpecError("epochs must be positive")
+        if self.epochs is not None and not 0 < self.epochs < inf:
+            raise SpecError("epochs must be positive and finite")
         if self.schedule != "auto" and self.schedule not in SCHEDULE_KINDS:
             raise SpecError(f"unknown schedule {self.schedule!r}")
         if not self.seeds:
             raise SpecError("no seeds requested")
         _reject_repeats("seed", self.seeds)
+        if min(self.seeds) < 0:
+            raise SpecError("seeds must be >= 0")
 
 
 def _reject_repeats(what, values):

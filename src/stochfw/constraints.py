@@ -14,7 +14,7 @@ toward the lowest index / positive sign so that runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class ConstraintSet:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < inf:
+            raise ValueError("radius must be positive and finite")
 
 
 def lmo(cset, g):

@@ -1,7 +1,7 @@
 """Stochastic gradient estimators: full, SARAH, SAGA-SARAH, and momentum.
 
-An estimator serves the m seeds of a lockstep solve, or one seed. Each
-seed has its own estimate (a row of g), seeded RNG and stochastic
+An estimator serves the m seeds of a lockstep solve. Each seed has its
+own estimate (a row of the (m, d) block g), seeded RNG and stochastic
 first-order oracle (SFO) counter; the counter increments by exactly the
 number of per-sample gradient evaluations performed. Random choices go
 through ``draw_refresh`` (SARAH's coins) and ``draw_batch``, seed by seed. A
@@ -51,9 +51,14 @@ batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
 
 A batch's margins always come from the batch kernel. Inside ``solve``,
 full refreshes and the SAGA initial pass read X x at each seed's current
-iterate from that seed's ``Margins``. Built without them
-(``init_estimator(cfg, obj, x0, seed)``), an estimator leaves every full
-pass to the objective.
+iterate from that seed's ``Margins``. Built without them, an estimator
+leaves every full pass to the objective.
+
+Every estimator holds its state with a leading seed axis: g, the SAGA
+table and its average are (m, .) arrays and the refresh counts a per-seed
+list. One seed's vector form is only a promotion at the entry points:
+``init_estimator`` turns a vector x0 and an int seed into ``x0[None]`` and
+``(seed,)``, and ``update`` gives a vector iterate the seed axis.
 
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
@@ -86,6 +91,12 @@ _SAGA_RECOMPUTE_EVERY = 10_000
 # sample indices in a block of a seed's future batches
 _BLOCK_INDICES = 2048
 _NO_POSITION = np.iinfo(np.intp).max
+
+
+def _block(x):
+    """x as an (m, d) block: one seed's vector gains the seed axis, and a
+    block passes through."""
+    return x[None] if x.ndim == 1 else x
 
 
 def default_momentum_rho(k):
@@ -128,48 +139,25 @@ class EstimatorConfig:
             raise ValueError("cold_start only applies to saga_sarah")
 
 
-class _PerSeed:
-    """An estimator array kept with a leading seed axis, read and set without
-    it on an estimator built for one seed. Setting copies the value."""
-
-    def __set_name__(self, owner, name):
-        self.attr = "_" + name
-
-    def __get__(self, est, owner=None):
-        if est is None:
-            return self
-        value = getattr(est, self.attr)
-        return value[0] if est.single else value
-
-    def __set__(self, est, value):
-        value = np.array(value, dtype=np.float64)
-        setattr(est, self.attr, value[None] if est.single else value)
-
-
 class _Estimator:
     """State shared by every estimator, held per seed: the RNGs and the
     batches drawn from them ahead, the margins each seed reads, the SFO
-    counters and the estimates ``g``, one row per seed. ``single`` estimators show ``g`` and the other per-seed arrays
-    without the seed axis."""
+    counters and the estimates ``g``, one row per seed."""
 
     kind = None
-    g = _PerSeed()
     _block_indices = _BLOCK_INDICES
 
-    def __init__(self, cfg, obj, x0, seeds, margins):
+    def __init__(self, cfg, obj, seeds, margins):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         if cfg.sampling == "without_replacement" and cfg.b > obj.n:
             raise ValueError("batch size exceeds n for without-replacement sampling")
         self.cfg = cfg
         self.obj = obj
-        self.single = x0.ndim == 1
-        if self.single:
-            seeds = [seeds]
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.margins = margins
         self.sfo_counts = [0] * len(self.rngs)
-        self._g = np.empty((len(self.rngs), obj.d))
+        self.g = np.empty((len(self.rngs), obj.d))
         self._every_seed = range(len(self.rngs))
         # each seed's drawn batches not yet served; the first block is drawn
         # at the first update, after any draw of __init__
@@ -180,16 +168,6 @@ class _Estimator:
     def sfo_count(self):
         """SFO calls of all seeds together."""
         return sum(self.sfo_counts)
-
-    @property
-    def rng(self):
-        """The RNG of a single-seed estimator."""
-        (rng,) = self.rngs
-        return rng
-
-    def _block(self, x):
-        """x as an (m, d) block: a single seed's vector gains the seed axis."""
-        return x[None] if self.single else x
 
     def _z(self, j):
         """X x at seed j's current iterate from its margins; None without them."""
@@ -216,7 +194,7 @@ class _Estimator:
         return np.array([rng.choice(n, size=b, replace=False) for _ in range(steps)])
 
     def _full_refresh(self, j, x):
-        self._g[j] = self.obj.grad_full(x, self._z(j))
+        self.g[j] = self.obj.grad_full(x, self._z(j))
         self.sfo_counts[j] += self.obj.n
 
 
@@ -225,13 +203,13 @@ class FullGradEstimator(_Estimator):
 
     kind = "full"
 
-    def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._block(x0)):
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
+        super().__init__(cfg, obj, seeds, margins)
+        for j, x in enumerate(x0):
             self._full_refresh(j, x)
 
     def update(self, x_new, x_old, k):
-        for j, x in enumerate(self._block(x_new)):
+        for j, x in enumerate(_block(x_new)):
             self._full_refresh(j, x)
 
 
@@ -242,29 +220,24 @@ class SarahEstimator(_Estimator):
     # a coin is drawn from the RNG between two batches: blocks of one step
     _block_indices = 1
 
-    def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._block(x0)):
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
+        super().__init__(cfg, obj, seeds, margins)
+        for j, x in enumerate(x0):
             self._full_refresh(j, x)
-        self._refreshes = [0] * len(self.rngs)
-
-    @property
-    def refreshes(self):
-        """Full refreshes so far, per seed (a count for a single seed)."""
-        return self._refreshes[0] if self.single else list(self._refreshes)
+        self.refreshes = [0] * len(self.rngs)  # full refreshes so far, per seed
 
     def draw_refresh(self):
         """The refresh coins, one per seed: True with probability p."""
         return [rng.random() < self.cfg.p for rng in self.rngs]
 
     def update(self, x_new, x_old, k):
-        x_new, x_old = self._block(x_new), self._block(x_old)
+        x_new, x_old = _block(x_new), _block(x_old)
         # Coin first, then batch: the refresh branch consumes one RNG draw.
         seeds = []
         for j, coin in enumerate(self.draw_refresh()):
             if coin:
                 self._full_refresh(j, x_new[j])
-                self._refreshes[j] += 1
+                self.refreshes[j] += 1
             else:
                 seeds.append(j)
         if not seeds:
@@ -273,7 +246,7 @@ class SarahEstimator(_Estimator):
         c_new = B.coefs(x_new.take(seeds, axis=0))
         step = B.scatter(c_new - B.coefs(x_old.take(seeds, axis=0))) / B.size
         for t, j in enumerate(seeds):
-            self._g[j] += step[t]
+            self.g[j] += step[t]
             self.sfo_counts[j] += 2 * B.size
 
 
@@ -281,24 +254,22 @@ class SagaSarahEstimator(_Estimator):
     """SARAH recursion mixed with a SAGA-table correction; no full gradients."""
 
     kind = "saga_sarah"
-    table_coefs = _PerSeed()
-    saga_avg = _PerSeed()
 
-    def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, x0, seed, margins)
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
+        super().__init__(cfg, obj, seeds, margins)
         m, n = len(self.rngs), obj.n
-        self._table_coefs = np.zeros((m, n))
-        self._saga_avg = np.zeros((m, obj.d))
-        for j, x in enumerate(self._block(x0)):
+        self.table_coefs = np.zeros((m, n))
+        self.saga_avg = np.zeros((m, obj.d))
+        for j, x in enumerate(x0):
             if cfg.cold_start:
                 i0 = int(self.rngs[j].integers(0, n))
-                self._g[j] = obj.grad_sample(i0, x)
+                self.g[j] = obj.grad_sample(i0, x)
                 self.sfo_counts[j] += 1
             else:
                 # One pass fills the table and the initial estimate together.
-                self._table_coefs[j] = obj.grad_coefs(x, self._z(j))
-                self._saga_avg[j] = obj.mean_rows(self._table_coefs[j])
-                self._g[j] = self._saga_avg[j]
+                self.table_coefs[j] = obj.grad_coefs(x, self._z(j))
+                self.saga_avg[j] = obj.mean_rows(self.table_coefs[j])
+                self.g[j] = self.saga_avg[j]
                 self.sfo_counts[j] += n
         # seed j's entries start at j n in the flattened table; ``_first``
         # finds each entry's first position in a batch, and is reset after
@@ -309,8 +280,7 @@ class SagaSarahEstimator(_Estimator):
 
     def table_mean(self):
         """Recompute (1/n) sum_j y_j from the stored table, per seed."""
-        means = np.array([self.obj.mean_rows(coefs) for coefs in self._table_coefs])
-        return means[0] if self.single else means
+        return np.array([self.obj.mean_rows(coefs) for coefs in self.table_coefs])
 
     def update(self, x_new, x_old, k):
         obj, lam = self.obj, self.cfg.lam
@@ -318,14 +288,14 @@ class SagaSarahEstimator(_Estimator):
         S = self.draw_batch(seeds)
         B = obj.batch(S)
         b = B.size
-        table = self._table_coefs.reshape(-1)
+        table = self.table_coefs.reshape(-1)
         entries = S + self._table_start
         y_S = table.take(entries)
 
-        c_new, c_old = B.coefs(self._block(x_new)), B.coefs(self._block(x_old))
+        c_new, c_old = B.coefs(_block(x_new)), B.coefs(_block(x_old))
         sarah_term = B.scatter(c_new - c_old) / b
-        saga_term = B.scatter(c_old - y_S) / b + self._saga_avg
-        self._g = sarah_term + (1.0 - lam) * self._g + lam * saga_term
+        saga_term = B.scatter(c_old - y_S) / b + self.saga_avg
+        self.g = sarah_term + (1.0 - lam) * self.g + lam * saga_term
         for j in seeds:
             self.sfo_counts[j] += 2 * b
 
@@ -340,7 +310,7 @@ class SagaSarahEstimator(_Estimator):
         self._first[flat] = _NO_POSITION
         delta = np.zeros(S.shape)
         np.subtract(c_new, y_S, out=delta, where=first)
-        self._saga_avg = self._saga_avg + B.scatter(delta) / obj.n
+        self.saga_avg = self.saga_avg + B.scatter(delta) / obj.n
         table[entries[first]] = c_new[first]
 
         self._updates_since_recompute += 1
@@ -354,9 +324,9 @@ class MomentumEstimator(_Estimator):
 
     kind = "momentum"
 
-    def __init__(self, cfg, obj, x0, seed, margins=None):
-        super().__init__(cfg, obj, x0, seed, margins)
-        for j, x in enumerate(self._block(x0)):
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
+        super().__init__(cfg, obj, seeds, margins)
+        for j, x in enumerate(x0):
             self._full_refresh(j, x)
         self.rho = cfg.momentum_rho or default_momentum_rho
 
@@ -364,7 +334,7 @@ class MomentumEstimator(_Estimator):
         rho = self.rho(k)
         B = self.obj.batch(self.draw_batch(self._every_seed))
         # grad_batch's sum, on iterates the solve produced: no check of x_new
-        self._g = (1.0 - rho) * self._g + rho * (B.scatter(B.coefs(self._block(x_new))) / B.size)
+        self.g = (1.0 - rho) * self.g + rho * (B.scatter(B.coefs(_block(x_new))) / B.size)
         for j in self._every_seed:
             self.sfo_counts[j] += B.size
 
@@ -395,11 +365,14 @@ ESTIMATOR_KINDS = tuple(_CLASSES)
 def init_estimator(cfg, obj, x0, seed, margins=None):
     """Build the estimator named by ``cfg.kind`` with g initialized at x0.
 
-    For one seed, x0 is a vector and ``seed`` an int. For a lockstep solve,
     x0 is the (m, d) block of starting points and ``seed`` a sequence of m
-    seeds; ``g`` is then an (m, d) block and ``update(x_new, x_old, k)``
-    takes blocks. ``margins``, if given, holds one ``Margins`` per seed,
-    stepped by the solve, and full passes read X x from it; without it the
+    seeds; ``g`` is an (m, d) block and ``update(x_new, x_old, k)`` takes
+    blocks. A vector x0 with an int seed is promoted to ``x0[None]`` and
+    ``(seed,)``: an estimator of one seed, whose ``update`` also takes
+    vectors. ``margins``, if given, holds one ``Margins`` per seed, stepped
+    by the solve, and full passes read X x from it; without it the
     objective makes every full pass.
     """
-    return _CLASSES[cfg.kind](cfg, obj, np.asarray(x0, dtype=np.float64), seed, margins)
+    x0 = np.asarray(x0, dtype=np.float64)
+    seeds = (seed,) if x0.ndim == 1 else seed
+    return _CLASSES[cfg.kind](cfg, obj, _block(x0), seeds, margins)

@@ -10,8 +10,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from stochfw.data import normalize_labels, parse_libsvm
+from stochfw.data import Dataset, normalize_labels, parse_libsvm
 from stochfw.objectives import Margins, Objective
 
 
@@ -56,8 +57,35 @@ def tiny_objective(kind="logistic", n=6, d=4, seed=0):
     return Objective(kind, parse_libsvm("\n".join(lines), name="tiny"))
 
 
+@st.composite
+def sparse_objectives(draw, n=(1, 12), d=(1, 8), bound=1e3):
+    """A random sparse dataset of n rows and d columns in the given ranges,
+    entries in [-bound, bound], bound to either loss. Rows may be empty, and
+    so may columns."""
+    n = draw(st.integers(*n))
+    d = draw(st.integers(*d))
+    kind = draw(st.sampled_from(["logistic", "nlls"]))
+    indptr, indices = [0], []
+    for _ in range(n):
+        cols = draw(st.sets(st.integers(0, d - 1), max_size=d))
+        indices.extend(sorted(cols))
+        indptr.append(len(indices))
+    entries = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(entries, min_size=len(indices), max_size=len(indices)))
+    low = -1.0 if kind == "logistic" else 0.0
+    labels = draw(st.lists(st.sampled_from([low, 1.0]), min_size=n, max_size=n))
+    ds = Dataset(
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int64),
+        values=np.asarray(values, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.float64),
+        d=d,
+    )
+    return Objective(kind, ds)
+
+
 def scripted(est, refresh=None, batch=None):
-    """Replace a single-seed estimator's random draws with fixed ones;
+    """Replace the random draws of an estimator of one seed with fixed ones;
     returns ``est``.
 
     ``refresh`` is the SARAH coin: one bool for every update, or a sequence

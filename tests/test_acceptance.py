@@ -12,7 +12,7 @@ import numpy as np
 
 from stochfw.cli import ExperimentSpec, run_experiment
 from stochfw.constraints import ConstraintSet, lmo
-from stochfw.estimators import EstimatorConfig, SagaSarahEstimator, SarahEstimator, init_estimator
+from stochfw.estimators import EstimatorConfig, init_estimator
 from stochfw.metrics import min_gap_so_far, relative_suboptimality
 from stochfw.reference import (
     enumerate_batches,
@@ -96,34 +96,31 @@ def test_criterion_03_estimator_expectations():
         closed = p * obj.grad_full(x_new) + (1 - p) * (
             g0 + obj.grad_full(x_new) - obj.grad_full(x_old))
         worst = max(worst, float(np.max(np.abs(enum - closed))))
+        cfg = EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling)
         acc = np.zeros(obj.d)
         for S in batches:
-            est = SarahEstimator(
-                EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling),
-                obj, x_old, 0)
-            est.g = g0.copy()
+            est = init_estimator(cfg, obj, x_old, 0)
+            est.g[0] = g0
             scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
-            acc += est.g
-        est = SarahEstimator(
-            EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0)
-        est.g = g0.copy()
+            acc += est.g[0]
+        est = init_estimator(cfg, obj, x_old, 0)
+        est.g[0] = g0
         scripted(est, refresh=True).update(x_new, x_old, 0)
-        impl = p * est.g + (1 - p) * acc / len(batches)
+        impl = p * est.g[0] + (1 - p) * acc / len(batches)
         worst = max(worst, float(np.max(np.abs(impl - enum))))
 
         enum = expected_estimator_update(
             "saga_sarah", obj, {"g": g0, "table": stale_table}, x_new, x_old,
             b=b, sampling=sampling, lam=lam)
+        cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling)
         acc = np.zeros(obj.d)
         for S in batches:
-            est = SagaSarahEstimator(
-                EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling),
-                obj, x_old, 0)
-            est.g = g0.copy()
-            est.table_coefs = stale_coefs.copy()
+            est = init_estimator(cfg, obj, x_old, 0)
+            est.g[0] = g0
+            est.table_coefs[0] = stale_coefs
             est.saga_avg = est.table_mean()
             scripted(est, batch=S).update(x_new, x_old, 0)
-            acc += est.g
+            acc += est.g[0]
         worst = max(worst, float(np.max(np.abs(acc / len(batches) - enum))))
 
     report(3, "estimator-expectations", worst <= 1e-12,

@@ -30,31 +30,9 @@ from stochfw import data as data_module
 from stochfw.data import Dataset
 from stochfw.objectives import Batch, Objective
 
+from conftest import sparse_objectives as objectives
+
 _VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def objectives(draw):
-    """A random sparse dataset (rows may be empty) bound to either loss."""
-    n = draw(st.integers(1, 12))
-    d = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["logistic", "nlls"]))
-    indptr, indices = [0], []
-    for _ in range(n):
-        cols = draw(st.sets(st.integers(0, d - 1), max_size=d))
-        indices.extend(sorted(cols))
-        indptr.append(len(indices))
-    values = draw(st.lists(_VALUES, min_size=len(indices), max_size=len(indices)))
-    low = -1.0 if kind == "logistic" else 0.0
-    labels = draw(st.lists(st.sampled_from([low, 1.0]), min_size=n, max_size=n))
-    ds = Dataset(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.float64),
-        d=d,
-    )
-    return Objective(kind, ds)
 
 
 @st.composite

@@ -368,10 +368,14 @@ def test_main_invalid_spec(tmp_path):
         (["--K", "5", "--alg", "fw,sarah_fw,fw"], None),
         (["--K", "5", "--seed", "3,4,3"], None),
         (["--K", "5"], "alg = fw,fw\nseed = 3,3\n"),
+        (["--K", "5", "--radius", "nan"], None),
+        (["--K", "5", "--radius", "inf"], None),
+        (["--epochs", "inf"], None),
+        (["--K", "5", "--seed", "-1"], None),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
-         "config-repeats"],
+         "config-repeats", "radius-nan", "radius-inf", "epochs-inf", "negative-seed"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, flags, config):
     out = tmp_path / "out"

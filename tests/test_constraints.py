@@ -37,13 +37,17 @@ def test_lmo_matches_enumeration_on_random_gradients(kind):
     rng = np.random.default_rng(77)
     for _ in range(1000):
         d = int(rng.integers(1, 11))
-        g = rng.normal(size=d)
-        s_fast = lmo(cset, g)
-        s_enum = lmo_by_enumeration(cset, g)
-        assert np.array_equal(s_fast, s_enum)
-        # fast solution is at least as good as every enumerated vertex
-        scores = vertex_matrix(cset, d) @ g
-        assert g @ s_fast <= scores.min() + 1e-12
+        # a normal vector, and an (m, d) block of integers in [-2, 2] whose
+        # rows hold ties, zeros and all-zero rows
+        block = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d)).astype(np.float64)
+        for g in (rng.normal(size=d), block):
+            s_fast = lmo(cset, g)
+            assert s_fast.shape == g.shape
+            for g_t, s_t in zip(np.atleast_2d(g), np.atleast_2d(s_fast)):
+                assert np.array_equal(s_t, lmo_by_enumeration(cset, g_t))
+                # fast solution is at least as good as every enumerated vertex
+                scores = vertex_matrix(cset, d) @ g_t
+                assert g_t @ s_t <= scores.min() + 1e-12
 
 
 @pytest.mark.parametrize("kind", ["l1_ball", "simplex", "linf_box"])
@@ -96,8 +100,9 @@ def test_diameter_matches_vertex_enumeration():
 def test_constraint_validation():
     with pytest.raises(ValueError):
         ConstraintSet("l2_ball", 1.0)
-    with pytest.raises(ValueError):
-        ConstraintSet("l1_ball", 0.0)
+    for radius in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ConstraintSet("l1_ball", radius)
     with pytest.raises(ValueError):
         diameter(ConstraintSet("linf_box", 1.0))  # needs dim
     cset = ConstraintSet("l1_ball", 1.0, dim=3)

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stochfw.estimators import (
-    SAMPLING_MODES,
-    EstimatorConfig,
-    SagaSarahEstimator,
-    SarahEstimator,
-    init_estimator,
-)
+from stochfw.estimators import SAMPLING_MODES, EstimatorConfig, init_estimator
 from stochfw.objectives import Objective
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
-from conftest import scripted, tiny_objective
+from conftest import scripted, sparse_objectives, tiny_objective
 
 
 @pytest.fixture
@@ -32,7 +26,7 @@ def test_init_full_and_sarah_start_at_full_gradient(obj):
     for kind in ("full", "sarah", "momentum"):
         cfg = EstimatorConfig(kind=kind, b=1, p=0.5 if kind == "sarah" else None)
         est = init_estimator(cfg, obj, x0, seed=0)
-        assert np.array_equal(est.g, obj.grad_full(x0))
+        assert np.array_equal(est.g[0], obj.grad_full(x0))
         assert est.sfo_count == obj.n
 
 
@@ -50,11 +44,11 @@ def test_init_saga_cold_start(obj):
     cfg = EstimatorConfig(kind="saga_sarah", b=2, lam=0.1, cold_start=True)
     est = init_estimator(cfg, obj, x0, seed=3)
     assert est.sfo_count == 1
-    assert np.array_equal(est.saga_avg, np.zeros(obj.d))
-    assert np.array_equal(est.table_coefs, np.zeros(obj.n))
+    assert np.array_equal(est.saga_avg[0], np.zeros(obj.d))
+    assert np.array_equal(est.table_coefs[0], np.zeros(obj.n))
     # g equals one of the per-sample gradients
     per_sample = [obj.grad_sample(i, x0) for i in range(obj.n)]
-    assert any(np.array_equal(est.g, gi) for gi in per_sample)
+    assert any(np.array_equal(est.g[0], gi) for gi in per_sample)
 
 
 def test_sarah_p1_always_refreshes(obj):
@@ -62,8 +56,8 @@ def test_sarah_p1_always_refreshes(obj):
     est = init_estimator(EstimatorConfig(kind="sarah", b=2, p=1.0), obj, x_old, 0)
     for k in range(10):
         est.update(x_new, x_old, k)
-        assert np.array_equal(est.g, obj.grad_full(x_new))
-    assert est.refreshes == 10
+        assert np.array_equal(est.g[0], obj.grad_full(x_new))
+    assert est.refreshes == [10]
 
 
 def test_sarah_no_move_keeps_estimate_on_batch_branch(obj):
@@ -81,7 +75,7 @@ def test_sarah_refresh_consumes_exactly_one_rng_draw(obj):
     est.update(x_new, x_old, 0)  # refresh branch: one uniform draw
     twin = np.random.default_rng(seed)
     twin.random()
-    assert est.rng.random() == twin.random()
+    assert est.rngs[0].random() == twin.random()
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,12 +145,29 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, sampling)
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
-def test_sarah_expectation_identity(obj, sampling):
-    x_new, x_old = random_points(obj)
-    rng = np.random.default_rng(7)
-    g0 = rng.normal(size=obj.d)
-    p, b = 0.3, 2
+@st.composite
+def small_sparse_cases(draw):
+    """A random sparse dataset (n 2-5, d 1-4; rows and columns may be all
+    zero) bound to either loss, with x_new, x_old and an estimate g0."""
+    obj = draw(sparse_objectives(n=(2, 5), d=(1, 4), bound=2.0))
+    vector = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=obj.d, max_size=obj.d)
+    return (obj, *(np.array(draw(vector)) for _ in range(3)))
+
+
+def fixed_case(g_seed):
+    obj = tiny_objective(n=6, d=4, seed=0)
+    return (obj, *random_points(obj), np.random.default_rng(g_seed).normal(size=obj.d))
+
+
+# b in 1-2 under both sampling modes; with replacement, the enumeration
+# holds every batch with a repeated index
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+@settings(max_examples=40, deadline=None)
+@given(case=small_sparse_cases(), b=st.integers(1, 2))
+@example(case=fixed_case(7), b=2)
+def test_sarah_expectation_identity(case, b, sampling):
+    obj, x_new, x_old, g0 = case
+    p = 0.3
 
     enum = expected_estimator_update(
         "sarah", obj, {"g": g0}, x_new, x_old, b=b, sampling=sampling, p=p
@@ -167,30 +178,28 @@ def test_sarah_expectation_identity(obj, sampling):
     assert np.max(np.abs(enum - closed)) <= 1e-12
 
     # the estimator's own update path, averaged over every forced outcome
+    cfg = EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling)
     batches = enumerate_batches(obj.n, b, sampling)
     acc = np.zeros(obj.d)
     for S in batches:
-        est = SarahEstimator(
-            EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0
-        )
-        est.g = g0.copy()
+        est = init_estimator(cfg, obj, x_old, 0)
+        est.g[0] = g0
         scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
-        acc += est.g
-    est = SarahEstimator(
-        EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling), obj, x_old, 0
-    )
-    est.g = g0.copy()
+        acc += est.g[0]
+    est = init_estimator(cfg, obj, x_old, 0)
+    est.g[0] = g0
     scripted(est, refresh=True).update(x_new, x_old, 0)
-    impl = p * est.g + (1 - p) * acc / len(batches)
+    impl = p * est.g[0] + (1 - p) * acc / len(batches)
     assert np.max(np.abs(impl - enum)) <= 1e-12
 
 
-@pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
-def test_saga_sarah_expectation_identity(obj, sampling):
-    x_new, x_old = random_points(obj)
-    rng = np.random.default_rng(8)
-    g0 = rng.normal(size=obj.d)
-    lam, b = 0.25, 2
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+@settings(max_examples=40, deadline=None)
+@given(case=small_sparse_cases(), b=st.integers(1, 2))
+@example(case=fixed_case(8), b=2)
+def test_saga_sarah_expectation_identity(case, b, sampling):
+    obj, x_new, x_old, g0 = case
+    lam = 0.25
     # stale table: y_i = 0.7 * grad f_i(x_old)
     table_coefs = 0.7 * obj.grad_coefs(x_old)
     table = 0.7 * np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
@@ -199,18 +208,16 @@ def test_saga_sarah_expectation_identity(obj, sampling):
         "saga_sarah", obj, {"g": g0, "table": table}, x_new, x_old,
         b=b, sampling=sampling, lam=lam,
     )
+    cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling)
     batches = enumerate_batches(obj.n, b, sampling)
     acc = np.zeros(obj.d)
     for S in batches:
-        est = SagaSarahEstimator(
-            EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling),
-            obj, x_old, 0,
-        )
-        est.g = g0.copy()
-        est.table_coefs = table_coefs.copy()
+        est = init_estimator(cfg, obj, x_old, 0)
+        est.g[0] = g0
+        est.table_coefs[0] = table_coefs
         est.saga_avg = est.table_mean()
         scripted(est, batch=S).update(x_new, x_old, 0)
-        acc += est.g
+        acc += est.g[0]
     assert np.max(np.abs(acc / len(batches) - enum)) <= 1e-12
 
 
@@ -263,7 +270,7 @@ def test_saga_write_back_keeps_each_samples_first_position(obj):
     x_new, x_old = random_points(obj)
     S = np.array([3, 1, 3, 0, 1, 3, 5, 0])
     est = init_estimator(EstimatorConfig(kind="saga_sarah", b=len(S), lam=0.2), obj, x_old, 0)
-    table, avg = est.table_coefs.copy(), est.saga_avg.copy()
+    table, avg = est.table_coefs[0].copy(), est.saga_avg[0].copy()
     scripted(est, batch=S).update(x_new, x_old, 0)
     B = obj.batch(S)
     c_new = B.coefs(x_new)
@@ -271,8 +278,8 @@ def test_saga_write_back_keeps_each_samples_first_position(obj):
     delta = np.zeros(len(S))
     delta[first] = c_new[first] - table[uniq]
     table[uniq] = c_new[first]
-    assert np.array_equal(est.table_coefs, table)
-    assert np.array_equal(est.saga_avg, avg + B.scatter(delta) / obj.n)
+    assert np.array_equal(est.table_coefs[0], table)
+    assert np.array_equal(est.saga_avg[0], avg + B.scatter(delta) / obj.n)
 
 
 def test_saga_table_consistency_after_random_updates(obj):
@@ -306,7 +313,7 @@ def test_momentum_rho_one_takes_batch_gradient(obj):
     cfg = EstimatorConfig(kind="momentum", b=2, momentum_rho=lambda k: 1.0)
     est = init_estimator(cfg, obj, x_old, 0)
     scripted(est, batch=[1, 3]).update(x_new, x_old, 0)
-    assert np.array_equal(est.g, obj.grad_batch([1, 3], x_new))
+    assert np.array_equal(est.g[0], obj.grad_batch([1, 3], x_new))
 
 
 def test_momentum_full_batch_rho_one_is_full_gradient(obj):
@@ -335,7 +342,7 @@ def test_sfo_accounting_with_forced_branches(obj):
     k_batch = len(pattern) - k_full
     assert est.sfo_count == obj.n + k_full * obj.n + 2 * b * k_batch
     assert deltas == [obj.n if refresh else 2 * b for refresh in pattern]
-    assert est.refreshes == k_full
+    assert est.refreshes == [k_full]
 
 
 def test_saga_sfo_accounting(obj):
