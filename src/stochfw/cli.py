@@ -27,8 +27,9 @@ line and log line are written. No environment variable changes the work.
 
 Exit codes: 0 success, 1 invalid spec (bad flags or config values, such
 as a non-finite radius or epochs or a negative seed, rejected before the
-dataset is read), 2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
-or full gradient, 4 an output file or directory that cannot be written.
+dataset is read), 2 unreadable/malformed dataset, 3 non-finite objective,
+gradient estimate or full gradient, 4 an output file or directory that
+cannot be written.
 """
 
 from __future__ import annotations
