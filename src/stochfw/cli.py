@@ -26,10 +26,12 @@ runs all of an algorithm's seeds in lockstep, then each run's CSV, summary
 line and log line are written. No environment variable changes the work.
 
 Exit codes: 0 success, 1 invalid spec (bad flags or config values, such
-as a non-finite radius or epochs or a negative seed, rejected before the
-dataset is read), 2 unreadable/malformed dataset, 3 non-finite objective,
-gradient estimate or full gradient, 4 an output file or directory that
-cannot be written.
+as a non-finite radius or epochs, a negative seed, a K above 2^53, or a
+batch, p, lambda, gap or record period or d out of range, all rejected
+before the dataset is read; a batch above n or a K above 2^53 resolved
+from epochs is rejected once n is known, before any output is written),
+2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
+or full gradient, 4 an output file or directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import ceil, inf
 from pathlib import Path
 
 from .constraints import CONSTRAINT_KINDS, ConstraintSet
-from .data import ParseError, normalize_labels, parse_libsvm
+from .data import INDEX_LIMIT, ParseError, normalize_labels, parse_libsvm
 from .estimators import ALGORITHMS, EstimatorConfig
 from .metrics import Trace, TraceRow
 from .objectives import LOSS_KINDS, Objective
@@ -63,6 +65,10 @@ EXIT_INVALID_SPEC = 1
 EXIT_PARSE_ERROR = 2
 EXIT_NAN_ABORT = 3
 EXIT_WRITE_ERROR = 4
+
+# The largest horizon whose iteration counts are exact as floats: the
+# step-size rules compute k + 2.0 and ceil(K / 2).
+MAX_K = 2**53
 
 
 class SpecError(ValueError):
@@ -112,10 +118,22 @@ class ExperimentSpec:
         _reject_repeats("algorithm", self.algorithms)
         if (self.K is None) == (self.epochs is None):
             raise SpecError("exactly one of K or epochs must be given")
-        if self.K is not None and self.K < 1:
-            raise SpecError("K must be >= 1")
+        if self.K is not None and not 1 <= self.K <= MAX_K:
+            raise SpecError("K must be in [1, 2^53]")
         if self.epochs is not None and not 0 < self.epochs < inf:
             raise SpecError("epochs must be positive and finite")
+        if self.batch is not None and self.batch < 1:
+            raise SpecError(f"batch size {self.batch} is not >= 1")
+        if self.p is not None and (not 0 < self.p <= 1 or self.p / 2.0 == 0.0):
+            raise SpecError(f"p={self.p} outside (0, 1] or halves to 0")
+        if self.lam is not None and not 0 < self.lam <= 1:
+            raise SpecError(f"lambda={self.lam} outside (0, 1]")
+        if self.gap_every is not None and self.gap_every < 0:
+            raise SpecError("gap_every must be >= 0")
+        if self.record_every < 1:
+            raise SpecError("record_every must be >= 1")
+        if self.d_override is not None and not 1 <= self.d_override < INDEX_LIMIT:
+            raise SpecError(f"d={self.d_override} outside [1, 2^31)")
         if self.schedule != "auto" and self.schedule not in SCHEDULE_KINDS:
             raise SpecError(f"unknown schedule {self.schedule!r}")
         if not self.seeds:
@@ -142,10 +160,6 @@ def build_solver_configs(spec, n):
         raise SpecError(f"batch size {b} outside [1, n={n}]")
     p = spec.p if spec.p is not None else default_params("sarah", n, b)[0]
     lam = spec.lam if spec.lam is not None else default_params("saga_sarah", n, b)[1]
-    if not 0 < p <= 1 or p / 2.0 == 0.0:
-        raise SpecError(f"p={p} outside (0, 1] or halves to 0")
-    if not 0 < lam <= 1:
-        raise SpecError(f"lambda={lam} outside (0, 1]")
 
     configs = []
     for name in spec.algorithms:
@@ -153,7 +167,10 @@ def build_solver_configs(spec, n):
         if spec.K is not None:
             K = spec.K
         else:
-            K = max(1, ceil(spec.epochs * n / alg.sfo_per_iteration(n, b, p)))
+            K = spec.epochs * n / alg.sfo_per_iteration(n, b, p)
+            if not K <= MAX_K:
+                raise SpecError(f"epochs={spec.epochs} gives {name} a K above 2^53")
+            K = max(1, ceil(K))
         gap_every = spec.gap_every
         if gap_every is None:
             gap_every = max(1, ceil(K / 50))

@@ -51,15 +51,18 @@ class ParseError(ValueError):
 # Feature indices and CSR positions are int32, so d and nnz stay below this.
 INDEX_LIMIT = 2**31
 
+# The two label values each loss expects, smaller first; the losses are its keys.
+LABEL_TARGETS = {"logistic": (-1.0, 1.0), "nlls": (0.0, 1.0)}
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A parsed dataset: CSR-stored rows plus one label per row.
 
-    ``indptr`` and ``indices`` are int32, so scipy's ``to_csr`` shares all
-    three CSR arrays; only a d or nnz of 2^31 or more, which ``parse_libsvm``
-    rejects, keeps them int64. All arrays are read-only; a Dataset can be
-    shared freely across threads.
+    ``indptr`` and ``indices`` are int32; only a d or nnz of 2^31 or more,
+    which ``parse_libsvm`` rejects, keeps them int64. ``Objective`` runs every
+    kernel on these three arrays, and ``to_csr`` wraps them without a copy.
+    All arrays are read-only; a Dataset can be shared freely across threads.
     """
 
     indptr: np.ndarray
@@ -502,15 +505,14 @@ def normalize_labels(ds, loss_kind):
     value maps to the smaller target. Raises ``ValueError`` unless exactly
     two distinct label values are present.
     """
-    targets = {"logistic": (-1.0, 1.0), "nlls": (0.0, 1.0)}
-    if loss_kind not in targets:
+    if loss_kind not in LABEL_TARGETS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     distinct = np.unique(ds.labels)
     if len(distinct) != 2:
         raise ValueError(
             f"expected exactly 2 distinct label values, found {len(distinct)}"
         )
-    lo, hi = targets[loss_kind]
+    lo, hi = LABEL_TARGETS[loss_kind]
     new_labels = np.where(ds.labels == distinct[0], lo, hi)
     return Dataset(
         indptr=ds.indptr,

@@ -99,16 +99,11 @@ def _block(x):
     return x[None] if x.ndim == 1 else x
 
 
-def default_momentum_rho(k):
-    return (k + 1.0) ** (-2.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Which estimator to run and its parameters.
 
-    ``p`` is required for sarah, ``lam`` for saga_sarah; ``momentum_rho``
-    overrides the default (k+1)^(-2/3) rule. ``cold_start`` starts
+    ``p`` is required for sarah, ``lam`` for saga_sarah. ``cold_start`` starts
     saga_sarah from a single sampled gradient and an all-zero table instead
     of a full-gradient pass.
     """
@@ -117,7 +112,6 @@ class EstimatorConfig:
     b: int = 1
     p: float | None = None
     lam: float | None = None
-    momentum_rho: object = None
     sampling: str = "with_replacement"
     cold_start: bool = False
 
@@ -320,7 +314,8 @@ class SagaSarahEstimator(_Estimator):
 
 
 class MomentumEstimator(_Estimator):
-    """Exponential-average baseline: g = (1 - rho_k) g + rho_k batch gradient."""
+    """Exponential-average baseline: g = (1 - rho_k) g + rho_k batch gradient,
+    with rho_k = (k+1)^(-2/3), so the first update takes the batch gradient."""
 
     kind = "momentum"
 
@@ -328,10 +323,9 @@ class MomentumEstimator(_Estimator):
         super().__init__(cfg, obj, seeds, margins)
         for j, x in enumerate(x0):
             self._full_refresh(j, x)
-        self.rho = cfg.momentum_rho or default_momentum_rho
 
     def update(self, x_new, x_old, k):
-        rho = self.rho(k)
+        rho = (k + 1.0) ** (-2.0 / 3.0)
         B = self.obj.batch(self.draw_batch(self._every_seed))
         # grad_batch's sum, on iterates the solve produced: no check of x_new
         self.g = (1.0 - rho) * self.g + rho * (B.scatter(B.coefs(_block(x_new))) / B.size)

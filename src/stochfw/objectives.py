@@ -14,8 +14,8 @@ Three kernels do that work:
   gathers one batch per seed into one block-diagonal triple, so each loop
   serves all of its seeds at once.
 * Full passes (``margins``, ``mean_rows``) run the same compiled loops over
-  the arrays of ``Objective.X``, the scipy matrix that shares all three CSR
-  arrays with the dataset. No other module touches it.
+  the dataset's own CSR arrays, ``indptr``, ``indices`` and ``values``. No
+  scipy matrix is built; only the ``smoothness`` diagnostic makes one.
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
   a step toward a one-hot vertex r e_i moves z by one column of X, which
   ``Objective.column`` reads from a column view built on first use.
@@ -42,9 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .data import LABEL_TARGETS
+
 __all__ = ["Objective", "Batch", "Margins", "SmoothnessInfo", "LOSS_KINDS"]
 
-LOSS_KINDS = ("logistic", "nlls")
+LOSS_KINDS = tuple(LABEL_TARGETS)
 
 # Uniform bound on |d^2/dt^2 (y - 1/(1+e^t))^2| over y in [0, 1]; the true
 # supremum is ~0.26, so 0.3 is safe but not tight.
@@ -139,7 +141,7 @@ class Objective:
     def __init__(self, kind, dataset):
         if kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {kind!r}")
-        expected = {-1.0, 1.0} if kind == "logistic" else {0.0, 1.0}
+        expected = set(LABEL_TARGETS[kind])
         seen = set(np.unique(dataset.labels))
         if not seen <= expected:
             raise ValueError(
@@ -148,8 +150,7 @@ class Objective:
             )
         self.kind = kind
         self.dataset = dataset
-        self.X = dataset.to_csr()
-        from scipy.sparse import _sparsetools  # Batch's loops; to_csr loaded scipy.sparse
+        from scipy.sparse import _sparsetools  # the compiled loops of every kernel
         self._loops = _sparsetools
         self.y = dataset.labels
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
@@ -177,20 +178,18 @@ class Objective:
         """X w for a float64 array w of length d, one pass over all nnz
         entries; equals ``X @ w`` bit for bit."""
         _check_shape(w, (self.d,), "w")
-        X, out = self.X, np.zeros(self.n)
-        self._loops.csr_matvec(self.n, self.d, X.indptr, X.indices, X.data, w, out)
+        ds, out = self.dataset, np.zeros(self.n)
+        self._loops.csr_matvec(self.n, self.d, ds.indptr, ds.indices, ds.values, w, out)
         return out
 
     def column(self, i):
         """Column i of X as ``(rows, values)``, rows increasing."""
-        view = self._columns
-        if view is None:
-            with self._columns_lock:
-                if self._columns is None:
-                    self._columns = _column_view(self.X)
-                view = self._columns
-        lo, hi = view.indptr[i], view.indptr[i + 1]
-        return view.indices[lo:hi], self.X.data.take(view.data[lo:hi])
+        with self._columns_lock:
+            if self._columns is None:
+                self._columns = _column_view(self.dataset, self._loops)
+        starts, rows, positions = self._columns
+        lo, hi = starts[i], starts[i + 1]
+        return rows[lo:hi], self.dataset.values.take(positions[lo:hi])
 
     def _losses(self, z, y):
         if self.kind == "logistic":
@@ -254,9 +253,9 @@ class Objective:
         array c of length n, as a dense length-d vector; the sum equals
         ``X.T @ c`` bit for bit."""
         _check_shape(c, (self.n,), "c")
-        X, out = self.X, np.zeros(self.d)
-        # X's arrays read in CSC form are X.T
-        self._loops.csc_matvec(self.d, self.n, X.indptr, X.indices, X.data, c, out)
+        ds, out = self.dataset, np.zeros(self.d)
+        # the CSR arrays read in CSC form are X.T
+        self._loops.csc_matvec(self.d, self.n, ds.indptr, ds.indices, ds.values, c, out)
         return out / self.n
 
     def grad_full(self, w, z=None):
@@ -266,7 +265,8 @@ class Objective:
 
     def smoothness(self):
         """Per-sample curvature bounds L_i and their root-mean-square L_tilde."""
-        sq_norms = np.asarray(self.X.power(2).sum(axis=1)).ravel()
+        # scipy's row sums: a csr_matvec of the squares rounds differently on some inputs
+        sq_norms = np.asarray(self.dataset.to_csr().power(2).sum(axis=1)).ravel()
         if self.kind == "logistic":
             L_i = sq_norms / 4.0
         else:
@@ -275,13 +275,13 @@ class Objective:
         return SmoothnessInfo(L_i=L_i, L_tilde=L_tilde)
 
 
-def _column_view(X):
-    """X in CSC form holding, in place of each value, the entry's int32
-    position in X's CSR arrays: 8 bytes per nonzero, the values stay shared."""
-    from scipy.sparse import csr_matrix
-
-    positions = np.arange(X.nnz, dtype=np.int32)
-    return csr_matrix((positions, X.indices, X.indptr), shape=X.shape).tocsc()
+def _column_view(ds, loops):
+    """X in CSC form as ``(indptr, rows, positions)``, by the loop of scipy's ``tocsc``:
+    each entry's position in the CSR arrays in place of its value, so the values stay shared."""
+    nnz, index = len(ds.values), ds.indptr.dtype
+    view = np.empty(ds.d + 1, index), np.empty(nnz, index), np.empty(nnz, index)
+    loops.csr_tocsc(ds.n, ds.d, ds.indptr, ds.indices, np.arange(nnz, dtype=index), *view)
+    return view
 
 
 class Margins:
@@ -305,7 +305,7 @@ class Margins:
         self._z = None
         self._steps = None  # vertex steps since z was read; None: recompute
         self._scaled = None  # replay buffer
-        n, d, nnz = obj.n, obj.d, obj.X.nnz
+        n, d, nnz = obj.n, obj.d, len(obj.dataset.values)
         self._max_steps = nnz * d // (n * d + nnz)
 
     def step(self, x_new, eta, s):

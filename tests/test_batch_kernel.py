@@ -55,15 +55,16 @@ def assert_kernel_matches_scipy(obj, data):
     w = data.draw(vectors(obj.d))
     c = data.draw(vectors(len(S)))
     B = obj.batch(S)
-    XS = obj.X[S]
+    X = obj.dataset.to_csr()
+    XS = X[S]
     assert B.indices.dtype == obj.dataset.indices.dtype
     assert np.array_equal(B.margins(w), np.asarray(XS @ w).ravel())
     assert np.array_equal(B.scatter(c), np.asarray(XS.T @ c).ravel())
     assert np.array_equal(B.y, obj.y[S])
     # the full passes run the same loops over all n rows
     c_all = data.draw(vectors(obj.n))
-    assert np.array_equal(obj.margins(w), np.asarray(obj.X @ w).ravel())
-    assert np.array_equal(obj.mean_rows(c_all), np.asarray(obj.X.T @ c_all).ravel() / obj.n)
+    assert np.array_equal(obj.margins(w), np.asarray(X @ w).ravel())
+    assert np.array_equal(obj.mean_rows(c_all), np.asarray(X.T @ c_all).ravel() / obj.n)
 
     # a block of m batches, one per seed, is each seed's batch bit for bit
     m = data.draw(st.integers(1, 4))

@@ -356,6 +356,11 @@ def test_main_invalid_spec(tmp_path):
     assert main(["run", "--K", "5"]) == 1  # no dataset anywhere
 
 
+# a dataset path that names no file in the test's working directory: a
+# value checked before the dataset is read exits 1, not 2
+MISSING = ["--dataset", "missing.libsvm"]
+
+
 @pytest.mark.parametrize(
     "flags, config",
     [
@@ -372,12 +377,28 @@ def test_main_invalid_spec(tmp_path):
         (["--K", "5", "--radius", "inf"], None),
         (["--epochs", "inf"], None),
         (["--K", "5", "--seed", "-1"], None),
+        (["--epochs", "1e300"], None),
+        (["--K", str(2**53 + 1)], None),
+        (["--K", "5", *MISSING], "record_every = 0\n"),
+        (["--K", "5", "--gap-every", "-1", *MISSING], None),
+        (["--K", "5", "--batch", "0", *MISSING], None),
+        (["--K", "5", *MISSING], "p = 2\n"),
+        (["--K", "5", *MISSING], "lambda = 0\n"),
+        (["--K", "5", *MISSING], "d = 0\n"),
+        (["--K", "5"], "d = 0\n"),
+        (["--K", "5"], "d = -3\n"),
+        (["--K", "5"], f"d = {2**31}\n"),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
-         "config-repeats", "radius-nan", "radius-inf", "epochs-inf", "negative-seed"],
+         "config-repeats", "radius-nan", "radius-inf", "epochs-inf", "negative-seed",
+         "epochs-1e300", "K-above-2^53", "record-every-0", "gap-every-negative",
+         "batch-0", "p-2", "lambda-0", "d-0-missing-dataset", "d-0", "d-negative",
+         "d-2^31"],
 )
-def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, flags, config):
+def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeypatch,
+                                         flags, config):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     argv = ["run", "--dataset", str(dataset_file), "--out", str(out), *flags]
     if config is not None:

@@ -171,7 +171,7 @@ def test_parsed_arrays_own_contiguous_memory_that_scipy_shares():
         assert arr.flags.c_contiguous
         assert arr.base is None
     obj = Objective("logistic", normalize_labels(ds, "logistic"))
-    assert np.shares_memory(obj.X.data, ds.values)
+    assert np.shares_memory(obj.dataset.to_csr().data, ds.values)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +231,7 @@ def test_long_digit_runs_count_only_their_significant_digits():
 def test_index_arrays_are_int32_and_shared_with_scipy():
     ds = normalize_labels(parse_libsvm(binary_sparse_libsvm_text(300, 40, seed=2)), "logistic")
     assert ds.indptr.dtype == ds.indices.dtype == np.int32
-    X = Objective("logistic", ds).X
+    X = Objective("logistic", ds).dataset.to_csr()
     for mine, scipys in ((ds.indptr, X.indptr), (ds.indices, X.indices), (ds.values, X.data)):
         assert np.shares_memory(mine, scipys)
 

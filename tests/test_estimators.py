@@ -310,7 +310,7 @@ def test_momentum_expectation_identity(obj, sampling):
 
 def test_momentum_rho_one_takes_batch_gradient(obj):
     x_new, x_old = random_points(obj)
-    cfg = EstimatorConfig(kind="momentum", b=2, momentum_rho=lambda k: 1.0)
+    cfg = EstimatorConfig(kind="momentum", b=2)
     est = init_estimator(cfg, obj, x_old, 0)
     scripted(est, batch=[1, 3]).update(x_new, x_old, 0)
     assert np.array_equal(est.g[0], obj.grad_batch([1, 3], x_new))
@@ -318,10 +318,7 @@ def test_momentum_rho_one_takes_batch_gradient(obj):
 
 def test_momentum_full_batch_rho_one_is_full_gradient(obj):
     x_new, x_old = random_points(obj)
-    cfg = EstimatorConfig(
-        kind="momentum", b=obj.n, momentum_rho=lambda k: 1.0,
-        sampling="without_replacement",
-    )
+    cfg = EstimatorConfig(kind="momentum", b=obj.n, sampling="without_replacement")
     est = init_estimator(cfg, obj, x_old, 0)
     est.update(x_new, x_old, 0)
     assert np.max(np.abs(est.g - obj.grad_full(x_new))) <= 1e-12

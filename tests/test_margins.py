@@ -45,7 +45,7 @@ def sparse_objectives(draw):
 @given(sparse_objectives())
 def test_column_view_columns_equal_scipy_columns(obj):
     for i in range(obj.d):
-        col = obj.X[:, [i]].tocsc()
+        col = obj.dataset.to_csr()[:, [i]].tocsc()
         rows, vals = obj.column(i)
         assert np.array_equal(rows, col.indices)
         assert np.array_equal(vals.view(np.uint64), col.data.view(np.uint64))
@@ -184,10 +184,10 @@ def test_first_use_from_four_threads_builds_one_view(monkeypatch):
     builds = []
     build = objectives._column_view
 
-    def slow_build(X):
+    def slow_build(*args):
         builds.append(threading.get_ident())
         time.sleep(0.05)  # every thread reaches the view while it is built
-        return build(X)
+        return build(*args)
 
     monkeypatch.setattr(objectives, "_column_view", slow_build)
     obj = fresh()

@@ -136,7 +136,7 @@ def test_single_sample_grad_full():
 
 def test_logistic_grad_full_at_zero_closed_form(bc_logistic):
     # grad f(0) = -(1/2n) sum y_i x_i
-    X = bc_logistic.X
+    X = bc_logistic.dataset.to_csr()
     expect = -np.asarray(X.T @ bc_logistic.y).ravel() / (2.0 * bc_logistic.n)
     got = bc_logistic.grad_full(np.zeros(bc_logistic.d))
     assert np.max(np.abs(got - expect)) <= 1e-15
