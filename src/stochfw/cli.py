@@ -26,10 +26,12 @@ runs all of an algorithm's seeds in lockstep, then each run's CSV, summary
 line and log line are written. No environment variable changes the work.
 
 Exit codes: 0 success, 1 invalid spec (bad flags or config values, such
-as a non-finite radius or epochs, a negative seed, a K above 2^53, or a
-batch, p, lambda, gap or record period or d out of range, all rejected
-before the dataset is read; a batch above n or a K above 2^53 resolved
-from epochs is rejected once n is known, before any output is written),
+as a non-finite radius or epochs, a negative seed, a K above 2^53, a K
+that records more than 2^22 trace rows (``MAX_ROWS``, counted over the
+seeds at the given record_every), or a batch, p, lambda, gap or record
+period or d out of range, all rejected before the dataset is read; a batch
+above n or a K resolved from epochs above 2^53 or past the row bound is
+rejected once n is known, before any output is written),
 2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
 or full gradient, 4 an output file or directory that cannot be written.
 """
@@ -69,6 +71,9 @@ EXIT_WRITE_ERROR = 4
 # The largest horizon whose iteration counts are exact as floats: the
 # step-size rules compute k + 2.0 and ceil(K / 2).
 MAX_K = 2**53
+# The most trace rows one solve holds in memory until its CSVs are written,
+# at about 225 B a row: under 1 GB.
+MAX_ROWS = 2**22
 
 
 class SpecError(ValueError):
@@ -141,6 +146,17 @@ class ExperimentSpec:
         _reject_repeats("seed", self.seeds)
         if min(self.seeds) < 0:
             raise SpecError("seeds must be >= 0")
+        if self.K is not None:
+            _check_rows(self, self.K, f"K={self.K}")
+
+
+def _check_rows(spec, K, what):
+    """Reject a horizon K whose solve would hold more than MAX_ROWS rows:
+    rows 0, r, 2r, ... below K and row K, r = record_every, for every seed."""
+    rows = ((K - 1) // spec.record_every + 2) * len(spec.seeds)
+    if rows > MAX_ROWS:
+        raise SpecError(f"{what} records {rows} trace rows, above 2^22; "
+                        f"raise record_every={spec.record_every}")
 
 
 def _reject_repeats(what, values):
@@ -171,6 +187,7 @@ def build_solver_configs(spec, n):
             if not K <= MAX_K:
                 raise SpecError(f"epochs={spec.epochs} gives {name} a K above 2^53")
             K = max(1, ceil(K))
+            _check_rows(spec, K, f"epochs={spec.epochs} gives {name} K={K}, which")
         gap_every = spec.gap_every
         if gap_every is None:
             gap_every = max(1, ceil(K / 50))
@@ -221,7 +238,7 @@ def _write_atomic(path, text):
 
 
 def read_csv(path):
-    """Parse an emitted CSV back into a Trace (rows only, no metadata)."""
+    """Parse an emitted CSV back into a Trace."""
     trace = Trace()
     with open(path, "r") as fh:
         header = fh.readline().strip()
@@ -397,10 +414,7 @@ def build_spec(config_values, args):
     """
     flags = {name.lower(): getattr(args, name) for name in _FLAGS}
     flags = {key: raw for key, raw in flags.items() if raw is not None}
-    horizon = {"k", "epochs"} & flags.keys()
-    if len(horizon) == 2:
-        raise SpecError("give --K or --epochs, not both")
-    if horizon:
+    if {"k", "epochs"} & flags.keys():
         config_values = {
             key: raw for key, raw in config_values.items() if key not in ("k", "epochs")
         }
@@ -417,8 +431,6 @@ def build_spec(config_values, args):
 
     if "dataset_path" not in fields:
         raise SpecError("no dataset given (config 'dataset' or --dataset)")
-    if "K" not in fields and "epochs" not in fields:
-        raise SpecError("either K or epochs is required")
     return ExperimentSpec(**fields)
 
 

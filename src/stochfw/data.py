@@ -150,16 +150,6 @@ _MESSAGES = {
 }
 
 
-def _as_bytes(text):
-    if hasattr(text, "read"):
-        text = text.read()
-    if isinstance(text, str):
-        # surrogatepass turns lone surrogates into non-ASCII bytes, which
-        # are then reported like any other non-ASCII character
-        return text.encode("utf-8", "surrogatepass")
-    return text
-
-
 def _chunks(raw):
     """(start, stop) of consecutive line-aligned pieces of ``raw``."""
     start, size = 0, len(raw)
@@ -428,7 +418,7 @@ def parse_libsvm(text, d=None, name=""):
 
     Parameters
     ----------
-    text : str, bytes, or file-like
+    text : str or bytes
         LibSVM content, ASCII only (see the module docstring for the
         grammar). Blank lines and lines starting with ``#`` are skipped;
         both ``\\n`` and ``\\r\\n`` line endings are accepted.
@@ -446,7 +436,9 @@ def parse_libsvm(text, d=None, name=""):
         row, indices beyond an explicit ``d``, or when no data lines are
         present.
     """
-    raw = _as_bytes(text)
+    # surrogatepass turns lone surrogates into non-ASCII bytes, which are
+    # then reported like any other non-ASCII character
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     rows = raw.count(b"\n") + 1
     labels = np.empty(rows, dtype=np.float64)
     indptr = np.empty(rows + 1, dtype=np.int32)

@@ -141,7 +141,7 @@ class _Estimator:
     kind = None
     _block_indices = _BLOCK_INDICES
 
-    def __init__(self, cfg, obj, seeds, margins):
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         if cfg.sampling == "without_replacement" and cfg.b > obj.n:
@@ -157,6 +157,8 @@ class _Estimator:
         # at the first update, after any draw of __init__
         self._ahead = [iter(())] * len(self.rngs)
         self._block_steps = max(1, self._block_indices // cfg.b)
+        for j, x in enumerate(x0):
+            self._start(j, x)
 
     @property
     def sfo_count(self):
@@ -191,16 +193,14 @@ class _Estimator:
         self.g[j] = self.obj.grad_full(x, self._z(j))
         self.sfo_counts[j] += self.obj.n
 
+    # g's first value at seed j's x0; saga_sarah starts without a full gradient
+    _start = _full_refresh
+
 
 class FullGradEstimator(_Estimator):
     """Deterministic baseline: g is always the exact full gradient."""
 
     kind = "full"
-
-    def __init__(self, cfg, obj, x0, seeds, margins=None):
-        super().__init__(cfg, obj, seeds, margins)
-        for j, x in enumerate(x0):
-            self._full_refresh(j, x)
 
     def update(self, x_new, x_old, k):
         for j, x in enumerate(_block(x_new)):
@@ -215,9 +215,7 @@ class SarahEstimator(_Estimator):
     _block_indices = 1
 
     def __init__(self, cfg, obj, x0, seeds, margins=None):
-        super().__init__(cfg, obj, seeds, margins)
-        for j, x in enumerate(x0):
-            self._full_refresh(j, x)
+        super().__init__(cfg, obj, x0, seeds, margins)
         self.refreshes = [0] * len(self.rngs)  # full refreshes so far, per seed
 
     def draw_refresh(self):
@@ -250,27 +248,29 @@ class SagaSarahEstimator(_Estimator):
     kind = "saga_sarah"
 
     def __init__(self, cfg, obj, x0, seeds, margins=None):
-        super().__init__(cfg, obj, seeds, margins)
-        m, n = len(self.rngs), obj.n
+        m, n = len(seeds), obj.n
         self.table_coefs = np.zeros((m, n))
         self.saga_avg = np.zeros((m, obj.d))
-        for j, x in enumerate(x0):
-            if cfg.cold_start:
-                i0 = int(self.rngs[j].integers(0, n))
-                self.g[j] = obj.grad_sample(i0, x)
-                self.sfo_counts[j] += 1
-            else:
-                # One pass fills the table and the initial estimate together.
-                self.table_coefs[j] = obj.grad_coefs(x, self._z(j))
-                self.saga_avg[j] = obj.mean_rows(self.table_coefs[j])
-                self.g[j] = self.saga_avg[j]
-                self.sfo_counts[j] += n
+        super().__init__(cfg, obj, x0, seeds, margins)
         # seed j's entries start at j n in the flattened table; ``_first``
         # finds each entry's first position in a batch, and is reset after
         self._table_start = np.arange(0, m * n, n)[:, None]
         self._positions = np.arange(m * cfg.b)
         self._first = np.full(m * n, _NO_POSITION)
         self._updates_since_recompute = 0
+
+    def _start(self, j, x):
+        obj = self.obj
+        if self.cfg.cold_start:
+            i0 = int(self.rngs[j].integers(0, obj.n))
+            self.g[j] = obj.grad_sample(i0, x)
+            self.sfo_counts[j] += 1
+        else:
+            # One pass fills the table and the initial estimate together.
+            self.table_coefs[j] = obj.grad_coefs(x, self._z(j))
+            self.saga_avg[j] = obj.mean_rows(self.table_coefs[j])
+            self.g[j] = self.saga_avg[j]
+            self.sfo_counts[j] += obj.n
 
     def table_mean(self):
         """Recompute (1/n) sum_j y_j from the stored table, per seed."""
@@ -318,11 +318,6 @@ class MomentumEstimator(_Estimator):
     with rho_k = (k+1)^(-2/3), so the first update takes the batch gradient."""
 
     kind = "momentum"
-
-    def __init__(self, cfg, obj, x0, seeds, margins=None):
-        super().__init__(cfg, obj, seeds, margins)
-        for j, x in enumerate(x0):
-            self._full_refresh(j, x)
 
     def update(self, x_new, x_old, k):
         rho = (k + 1.0) ** (-2.0 / 3.0)

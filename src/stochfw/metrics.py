@@ -38,10 +38,9 @@ class TraceRow:
 
 @dataclass
 class Trace:
-    """Recorded rows plus run metadata (config echo, seed, dataset name)."""
+    """The rows one seed of a solve recorded, in iteration order."""
 
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def append(self, row):
         if self.rows:

@@ -110,9 +110,6 @@ class Batch:
         """<w, x_i> for every row, w a float64 array of length d, or (m, d)
         for a block; equals ``X[S] @ w`` bit for bit, seed by seed."""
         _check_shape(w, self._w_shape, "w")
-        return self._margins(w)
-
-    def _margins(self, w):
         out = np.zeros(self.S.shape)
         self._obj._loops.csr_matvec(out.size, w.size, self.indptr, self.indices,
                                     self.values, w, out)
@@ -120,8 +117,7 @@ class Batch:
 
     def coefs(self, w):
         """Gradient multipliers c_i(w) for every row, from the margins at w."""
-        _check_shape(w, self._w_shape, "w")
-        return self._obj._coefs(self._margins(w), self.y)
+        return self._obj._coefs(self.margins(w), self.y)
 
     def scatter(self, c):
         """sum_t c[t] x_{S[t]} for a float64 array c shaped like S, as a dense

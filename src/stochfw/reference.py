@@ -12,14 +12,12 @@ any reimplementation can be checked against the same fixtures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, ParseError
 
 __all__ = [
-    "EnumerationBudget",
     "parse_libsvm_by_tokens",
     "lmo_by_enumeration",
     "finite_diff_grad",
@@ -28,14 +26,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_n: int = 8
-    max_b: int = 4
-    max_d: int = 10
-
-
-_BUDGET = EnumerationBudget()
+# the largest n, b and d the enumerations take
+_MAX_N, _MAX_B, _MAX_D = 8, 4, 10
 
 
 def vertex_matrix(cset, d):
@@ -58,8 +50,8 @@ def lmo_by_enumeration(cset, g):
     """Score every vertex and return the first minimizer."""
     g = np.asarray(g, dtype=np.float64)
     d = g.shape[0]
-    if d > _BUDGET.max_d:
-        raise ValueError(f"enumeration budget exceeded: d={d} > {_BUDGET.max_d}")
+    if d > _MAX_D:
+        raise ValueError(f"enumeration budget exceeded: d={d} > {_MAX_D}")
     V = vertex_matrix(cset, d)
     scores = V @ g
     return V[int(np.argmin(scores))].copy()
@@ -86,11 +78,8 @@ def enumerate_batches(n, b, sampling):
     with_replacement: all n^b ordered tuples; without_replacement: all
     C(n, b) combinations. Matches the estimator's configured sampling mode.
     """
-    if n > _BUDGET.max_n or b > _BUDGET.max_b:
-        raise ValueError(
-            f"enumeration budget exceeded: n={n}, b={b} "
-            f"(max {_BUDGET.max_n}, {_BUDGET.max_b})"
-        )
+    if n > _MAX_N or b > _MAX_B:
+        raise ValueError(f"enumeration budget exceeded: n={n}, b={b} (max {_MAX_N}, {_MAX_B})")
     if sampling == "with_replacement":
         return [list(t) for t in itertools.product(range(n), repeat=b)]
     if sampling == "without_replacement":
@@ -174,8 +163,6 @@ def parse_libsvm_by_tokens(text, d=None, name=""):
     spells as numbers beyond that grammar (``1_0``, non-ASCII digits and
     spaces) and decodes ``text`` as UTF-8.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     content = text.decode("utf-8") if isinstance(text, bytes) else text
 
     indptr = [0]

@@ -170,16 +170,7 @@ def solve(cfg, obj, cset, x0, callback=None):
     x = np.tile(x0, (len(cfg.seeds), 1))
     margins = [Margins(obj, x_j) for x_j in x]
     est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seeds, margins)
-    traces = [
-        Trace(metadata={
-            "algorithm": cfg.algorithm,
-            "K": cfg.K,
-            "seed": seed,
-            "schedule": cfg.schedule,
-            "dataset": obj.dataset.name,
-        })
-        for seed in cfg.seeds
-    ]
+    traces = [Trace() for _ in cfg.seeds]
     gap_rows = 0  # the seeds record the same rows, so they share this count
     # fw's estimate is the full gradient at x_k, from the same margins
     reuse_grad = cfg.estimator_cfg.kind == "full"

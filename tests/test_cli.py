@@ -150,6 +150,27 @@ def test_epochs_to_horizon_conversion(dataset_file):
     assert cfgs[0].K == expect_K
 
 
+def test_row_bound_accepts_exactly_max_rows(dataset_file):
+    # two seeds at record_every 4 record rows 0, 4, ... below K and row K
+    K = 4 * (cli.MAX_ROWS // 2 - 2) + 1
+    spec = ExperimentSpec(dataset_path=str(dataset_file), K=K, record_every=4, seeds=[0, 1])
+    spec.validate()  # exactly MAX_ROWS rows
+    spec.K = K + 4
+    with pytest.raises(cli.SpecError, match="record_every=4"):
+        spec.validate()
+
+
+def test_row_bound_checks_a_horizon_resolved_from_epochs(dataset_file):
+    # fw costs n SFO an iteration, so epochs is K: K - 1 + 2 rows
+    spec = ExperimentSpec(dataset_path=str(dataset_file), algorithms=["fw"],
+                          epochs=float(cli.MAX_ROWS - 1))
+    spec.validate()
+    assert build_solver_configs(spec, 60)[0].K == cli.MAX_ROWS - 1
+    spec.epochs = float(cli.MAX_ROWS)
+    with pytest.raises(cli.SpecError, match="record_every=1"):
+        build_solver_configs(spec, 60)
+
+
 def test_run_experiment_grid(dataset_file, tmp_path):
     out = tmp_path / "out"
     spec = ExperimentSpec(
@@ -379,6 +400,9 @@ MISSING = ["--dataset", "missing.libsvm"]
         (["--K", "5", "--seed", "-1"], None),
         (["--epochs", "1e300"], None),
         (["--K", str(2**53 + 1)], None),
+        (["--K", str(2**53)], None),
+        (["--epochs", str(2**22), "--alg", "fw"], None),
+        ([], None),
         (["--K", "5", *MISSING], "record_every = 0\n"),
         (["--K", "5", "--gap-every", "-1", *MISSING], None),
         (["--K", "5", "--batch", "0", *MISSING], None),
@@ -392,7 +416,8 @@ MISSING = ["--dataset", "missing.libsvm"]
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
          "config-repeats", "radius-nan", "radius-inf", "epochs-inf", "negative-seed",
-         "epochs-1e300", "K-above-2^53", "record-every-0", "gap-every-negative",
+         "epochs-1e300", "K-above-2^53", "K-2^53-rows", "epochs-past-row-bound",
+         "no-horizon", "record-every-0", "gap-every-negative",
          "batch-0", "p-2", "lambda-0", "d-0-missing-dataset", "d-0", "d-negative",
          "d-2^31"],
 )

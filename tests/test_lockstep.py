@@ -44,7 +44,7 @@ def _fingerprint(run):
     """Everything a run reports, floats as their bytes."""
     rows = [(r.k, r.sfo, r.lmo, _bits(r.f), _bits(r.gap), r.wall_ns) for r in run.trace.rows]
     return (run.seed, rows, run.x_final.tobytes(), run.sfo_total, run.lmo_total,
-            run.gap_sfo_total, run.gap_lmo_total, run.trace.metadata)
+            run.gap_sfo_total, run.gap_lmo_total)
 
 
 def _estimator_cfg(algorithm, b, p, sampling, cold_start):
