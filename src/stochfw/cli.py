@@ -15,8 +15,9 @@ case; any other value is an invalid spec). Every file is written to a temp
 file in the output directory and renamed into place, so a reader never sees
 a half-written file and a failed write leaves none behind.
 
-Configuration is a declarative ``key = value`` file; command-line flags
-override file values, and both go through the same key table. An
+Configuration is a declarative file of ``key = value`` lines, each split at
+its first ``=``; a line of any other form is an invalid spec. Command-line
+flags override file values, and both go through one table, ``_SETTINGS``. An
 ``epochs`` request is converted to an iteration horizon K per algorithm
 through the expected per-iteration SFO cost in its ``ALGORITHMS`` record,
 so a shared budget means a shared x-axis of full-gradient equivalents.
@@ -358,53 +359,42 @@ def load_config_file(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, value = line.partition(sep)
-                break
-        else:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise SpecError(f"config line {lineno}: expected 'key = value'")
         values[key.strip().lower()] = value.strip()
     return values
 
 
-_CONFIG_KEYS = {
-    "dataset": ("dataset_path", str),
-    "loss": ("loss", str),
-    "constraint": ("constraint", str),
-    "radius": ("radius", float),
-    "alg": ("algorithms", lambda s: [a.strip() for a in s.split(",") if a.strip()]),
-    "algorithms": ("algorithms", lambda s: [a.strip() for a in s.split(",") if a.strip()]),
-    "k": ("K", int),
-    "epochs": ("epochs", float),
-    "batch": ("batch", int),
-    "p": ("p", float),
-    "lambda": ("lam", float),
-    "schedule": ("schedule", str),
-    "seed": ("seeds", lambda s: [int(x) for x in s.split(",") if x.strip()]),
-    "seeds": ("seeds", lambda s: [int(x) for x in s.split(",") if x.strip()]),
-    "gap_every": ("gap_every", int),
-    "record_every": ("record_every", int),
-    "out": ("out_dir", str),
-    "timing": ("timing", _parse_bool),
-    "d": ("d_override", int),
-}
+def _list_of(conv):
+    return lambda s: [conv(x) for x in map(str.strip, s.split(",")) if x]
 
 
-# ``stochfw run`` flag -> help; a flag's value goes through the converter
-# of the config key spelled as its lower-cased name
-_FLAGS = {
-    "dataset": "LibSVM dataset path",
-    "loss": "logistic or nlls",
-    "alg": "comma-separated algorithm list",
-    "radius": "constraint radius",
-    "batch": "mini-batch size b",
-    "K": "iteration horizon",
-    "epochs": "SFO budget in epochs (n SFO each)",
-    "seed": "comma-separated seed list",
-    "gap_every": "Frank-Wolfe gap period; 0 disables",
-    "out": "output directory",
+# setting -> (ExperimentSpec field, converter, help of its ``stochfw run`` flag or None):
+# the config key is the lower-cased name, the flags are the rows with help, in order
+_SETTINGS = {
+    "dataset": ("dataset_path", str, "LibSVM dataset path"),
+    "loss": ("loss", str, "logistic or nlls"),
+    "constraint": ("constraint", str, None),
+    "alg": ("algorithms", _list_of(str), "comma-separated algorithm list"),
+    "algorithms": ("algorithms", _list_of(str), None),
+    "radius": ("radius", float, "constraint radius"),
+    "batch": ("batch", int, "mini-batch size b"),
+    "K": ("K", int, "iteration horizon"),
+    "epochs": ("epochs", float, "SFO budget in epochs (n SFO each)"),
+    "p": ("p", float, None),
+    "lambda": ("lam", float, None),
+    "schedule": ("schedule", str, None),
+    "seed": ("seeds", _list_of(int), "comma-separated seed list"),
+    "seeds": ("seeds", _list_of(int), None),
+    "gap_every": ("gap_every", int, "Frank-Wolfe gap period; 0 disables"),
+    "record_every": ("record_every", int, None),
+    "out": ("out_dir", str, "output directory"),
+    "timing": ("timing", _parse_bool, None),
+    "d": ("d_override", int, None),
 }
+_KEYS = {name.lower(): setting for name, setting in _SETTINGS.items()}
+_FLAGS = {name: help_text for name, (*_, help_text) in _SETTINGS.items() if help_text}
 
 
 def build_spec(config_values, args):
@@ -421,9 +411,9 @@ def build_spec(config_values, args):
 
     fields = {}
     for key, raw in [*config_values.items(), *flags.items()]:
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise SpecError(f"unknown config key {key!r}")
-        name, conv = _CONFIG_KEYS[key]
+        name, conv, _ = _KEYS[key]
         try:
             fields[name] = conv(raw)
         except ValueError as exc:

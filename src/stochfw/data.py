@@ -73,17 +73,26 @@ class Dataset:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        index = np.int32 if max(self.d, len(self.indices)) < INDEX_LIMIT else np.int64
-        for name in ("indptr", "indices"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=index))
-        for arr in (self.indptr, self.indices, self.values, self.labels):
-            arr.setflags(write=False)
         if self.n < 1:
             raise ValueError("dataset must contain at least one sample")
         if self.d < 1:
             raise ValueError("dataset must have at least one feature")
         if len(self.labels) != self.n:
             raise ValueError("labels length does not match row count")
+        # the kernels hand these arrays to scipy's unchecked compiled loops;
+        # they are checked as given, since the cast below wraps 2^32 + 1 to 1
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must start at 0 and never decrease")
+        if not indptr[-1] == len(indices) == len(self.values):
+            raise ValueError("indptr must end at len(indices) == len(values)")
+        if len(indices) and not (indices.min() >= 0 and indices.max() < self.d):
+            raise ValueError(f"feature indices must lie in [0, d={self.d})")
+        index = np.int32 if max(self.d, len(indices)) < INDEX_LIMIT else np.int64
+        object.__setattr__(self, "indptr", indptr.astype(index, copy=False))
+        object.__setattr__(self, "indices", indices.astype(index, copy=False))
+        for arr in (self.indptr, self.indices, self.values, self.labels):
+            arr.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):

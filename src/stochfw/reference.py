@@ -88,7 +88,7 @@ def enumerate_batches(n, b, sampling):
 
 
 def expected_estimator_update(kind, obj, state, x_new, x_old, *, b, sampling,
-                              p=None, lam=None, k=None, rho=None):
+                              p=None, lam=None, k=None):
     """Exact E[g^{k+1}] by enumerating every batch (and both SARAH branches).
 
     ``state`` is a snapshot dict: ``g`` (current estimate) and, for
@@ -139,10 +139,9 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b, sampling,
         return acc / len(batches)
 
     if kind == "momentum":
-        if rho is None:
-            if k is None:
-                raise ValueError("momentum expectation needs k or rho")
-            rho = (k + 1.0) ** (-2.0 / 3.0)
+        if k is None:
+            raise ValueError("momentum expectation needs k")
+        rho = (k + 1.0) ** (-2.0 / 3.0)
         acc = np.zeros(obj.d)
         for S in batches:
             acc += (1.0 - rho) * g + rho * batch_mean(

@@ -197,6 +197,19 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
         bc_logistic.mean_rows(np.ones(bc_logistic.n - 1))
 
 
+def test_batch_rejects_block_too_wide_for_index_dtype():
+    # seed t's column indices are shifted by t d in the dataset's index
+    # dtype, so m d must stay below 2^31 for int32; one row keeps it small
+    d = 2**30
+    ds = Dataset(indptr=np.array([0, 1]), indices=np.array([d - 1]),
+                 values=np.array([1.0]), labels=np.array([1.0]), d=d)
+    obj = Objective("logistic", ds)
+    assert ds.indices.dtype == np.int32
+    with pytest.raises(ValueError, match="too wide"):
+        Batch(obj, [[0], [0]])
+    assert Batch(obj, [[0]]).indices.tolist() == [d - 1]
+
+
 def test_import_does_not_load_scipy_sparse():
     # the kernel binds scipy.sparse where an Objective is built; loading it
     # at import raised the peak RSS of a small dense run by about 0.7 MB

@@ -412,6 +412,7 @@ MISSING = ["--dataset", "missing.libsvm"]
         (["--K", "5"], "d = 0\n"),
         (["--K", "5"], "d = -3\n"),
         (["--K", "5"], f"d = {2**31}\n"),
+        ([], "k: 5\n"),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
@@ -419,7 +420,7 @@ MISSING = ["--dataset", "missing.libsvm"]
          "epochs-1e300", "K-above-2^53", "K-2^53-rows", "epochs-past-row-bound",
          "no-horizon", "record-every-0", "gap-every-negative",
          "batch-0", "p-2", "lambda-0", "d-0-missing-dataset", "d-0", "d-negative",
-         "d-2^31"],
+         "d-2^31", "config-colon"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeypatch,
                                          flags, config):

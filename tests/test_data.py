@@ -114,6 +114,15 @@ def test_dataset_invariant_checks():
             labels=np.array([1.0, -1.0]),  # length mismatch
             d=1,
         )
+    # CSR arrays that scipy's unchecked loops would read or write out of bounds
+    for indptr, indices in [([0, 3], [0]),            # indptr past the nonzeros
+                            ([0, 1], [5]),            # index >= d
+                            ([0, 1], [-1]),           # negative index
+                            ([1, 1], [0]),            # indptr not starting at 0
+                            ([0, 1], [2**32 + 1])]:   # wraps to 1 in int32
+        with pytest.raises(ValueError):
+            Dataset(indptr=np.array(indptr), indices=np.array(indices),
+                    values=np.array([1.0]), labels=np.array([1.0]), d=2)
 
 
 def test_normalize_labels_remaps_two_values():
