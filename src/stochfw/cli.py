@@ -35,6 +35,8 @@ above n or a K resolved from epochs above 2^53 or past the row bound is
 rejected once n is known, before any output is written),
 2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
 or full gradient, 4 an output file or directory that cannot be written.
+The output directory is made at the first write, so a run that stops
+before its first file leaves no output directory.
 """
 
 from __future__ import annotations
@@ -300,9 +302,10 @@ def run_experiment(spec, log=print):
     lines = ["algorithm,seed,K,final_f,min_gap,sfo_total,lmo_total,gap_sfo_total,gap_lmo_total,csv"]
     target = out_dir  # the path the next write creates, named if it fails
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for cfg in configs:
             for result in solve(cfg, obj, cset, x0).runs:
+                if target is out_dir:  # made at the first write, not before a solve
+                    out_dir.mkdir(parents=True, exist_ok=True)
                 target = csv_path = out_dir / f"{cfg.algorithm}_seed{result.seed}.csv"
                 emit_csv(result.trace, csv_path)
                 gaps = result.trace.gap_values()

@@ -80,8 +80,10 @@ class Dataset:
         if len(self.labels) != self.n:
             raise ValueError("labels length does not match row count")
         # the kernels hand these arrays to scipy's unchecked compiled loops;
-        # they are checked as given, since the cast below wraps 2^32 + 1 to 1
+        # they are checked as given: the cast below wraps 2^32 + 1 and truncates 1.7 to 1
         indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if any(len(a) and not np.issubdtype(a.dtype, np.integer) for a in (indptr, indices)):
+            raise ValueError("indptr and indices must be integer arrays")
         if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
             raise ValueError("indptr must start at 0 and never decrease")
         if not indptr[-1] == len(indices) == len(self.values):

@@ -9,17 +9,16 @@ seed's coin is drawn before its batch, so its refresh branch consumes
 exactly one RNG draw, which keeps seeded reruns bit-exact and each seed's
 draws those of its solve alone.
 
-``draw_batch`` serves each seed's batches from a block of that seed's future
-draws, refilled with one ``integers(0, n, size=(C, b))`` call (C calls of
-``choice(n, size=b, replace=False)`` without replacement) of
-C = max(1, 2048 // b) steps. numpy gives that block the bits of C per-step
-calls and leaves the RNG where they would, so every batch is the one a
-per-step draw gives. It holds for momentum and saga_sarah, whose batches
-are the only draws from their RNGs after ``__init__`` (saga_sarah's
-cold-start draw comes first: the first block is drawn at the first
-update). SARAH's coin is drawn from the same RNG between its batches, so
-its blocks hold one step. The one visible effect: after updates, a seed's
-RNG may be up to one block ahead of the last batch it served.
+``draw_batch`` serves each seed's batches, drawn uniformly with replacement,
+from a block of that seed's future draws, refilled with one
+``integers(0, n, size=(C, b))`` call of C = max(1, 2048 // b) steps. numpy
+gives that block the bits of C per-step calls and leaves the RNG where they
+would, so every batch is the one a per-step draw gives. It holds for momentum
+and saga_sarah, whose batches are the only draws from their RNGs after
+``__init__`` (saga_sarah's cold-start draw comes first: the first block is
+drawn at the first update). SARAH's coin is drawn from the same RNG between its
+batches, so its blocks hold one step. The one visible effect: after updates, a
+seed's RNG may be up to one block ahead of the last batch it served.
 
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
@@ -82,10 +81,7 @@ __all__ = [
     "MomentumEstimator",
     "init_estimator",
     "ESTIMATOR_KINDS",
-    "SAMPLING_MODES",
 ]
-
-SAMPLING_MODES = ("with_replacement", "without_replacement")
 
 _SAGA_RECOMPUTE_EVERY = 10_000
 # sample indices in a block of a seed's future batches
@@ -112,14 +108,11 @@ class EstimatorConfig:
     b: int = 1
     p: float | None = None
     lam: float | None = None
-    sampling: str = "with_replacement"
     cold_start: bool = False
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if self.b < 1:
             raise ValueError("batch size must be >= 1")
         if self.kind == "sarah" and (
@@ -144,8 +137,6 @@ class _Estimator:
     def __init__(self, cfg, obj, x0, seeds, margins=None):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
-        if cfg.sampling == "without_replacement" and cfg.b > obj.n:
-            raise ValueError("batch size exceeds n for without-replacement sampling")
         self.cfg = cfg
         self.obj = obj
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -184,10 +175,7 @@ class _Estimator:
     def _draw_block(self, rng):
         """The next ``_block_steps`` batches of one RNG, one row each: the
         bits and the RNG state of as many per-step draws."""
-        n, b, steps = self.obj.n, self.cfg.b, self._block_steps
-        if self.cfg.sampling == "with_replacement":
-            return rng.integers(0, n, size=(steps, b))
-        return np.array([rng.choice(n, size=b, replace=False) for _ in range(steps)])
+        return rng.integers(0, self.obj.n, size=(self._block_steps, self.cfg.b))
 
     def _full_refresh(self, j, x):
         self.g[j] = self.obj.grad_full(x, self._z(j))

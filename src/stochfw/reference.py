@@ -72,22 +72,15 @@ def finite_diff_grad(fn, w, h=1e-5):
     return grad
 
 
-def enumerate_batches(n, b, sampling):
-    """All batches the estimator could draw, as equally likely outcomes.
-
-    with_replacement: all n^b ordered tuples; without_replacement: all
-    C(n, b) combinations. Matches the estimator's configured sampling mode.
-    """
+def enumerate_batches(n, b):
+    """All batches the estimator could draw, as equally likely outcomes: the
+    n^b ordered tuples of b indices drawn uniformly with replacement."""
     if n > _MAX_N or b > _MAX_B:
         raise ValueError(f"enumeration budget exceeded: n={n}, b={b} (max {_MAX_N}, {_MAX_B})")
-    if sampling == "with_replacement":
-        return [list(t) for t in itertools.product(range(n), repeat=b)]
-    if sampling == "without_replacement":
-        return [list(t) for t in itertools.combinations(range(n), b)]
-    raise ValueError(f"unknown sampling mode {sampling!r}")
+    return [list(t) for t in itertools.product(range(n), repeat=b)]
 
 
-def expected_estimator_update(kind, obj, state, x_new, x_old, *, b, sampling,
+def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
                               p=None, lam=None, k=None):
     """Exact E[g^{k+1}] by enumerating every batch (and both SARAH branches).
 
@@ -100,7 +93,7 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b, sampling,
     x_old = np.asarray(x_old, dtype=np.float64)
     g = np.asarray(state["g"], dtype=np.float64)
     n = obj.n
-    batches = enumerate_batches(n, b, sampling)
+    batches = enumerate_batches(n, b)
 
     def batch_mean(fn, S):
         total = np.zeros(obj.d)

@@ -104,8 +104,8 @@ class SolverConfig:
             raise ValueError(
                 f"{self.algorithm} needs a {kind!r} estimator, got {self.estimator_cfg.kind!r}"
             )
-        if self.K < 0:
-            raise ValueError("K must be non-negative")
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule!r}")
         if not isinstance(self.seeds, tuple) or not self.seeds:
@@ -217,8 +217,7 @@ def solve(cfg, obj, cset, x0, callback=None):
         est.update(x_new, x, k)
         x = x_new
 
-    if cfg.K > 0:
-        record(cfg.K, x)
+    record(cfg.K, x)
 
     runs = [Run(seed, x_j, trace, sfo, lmo_total, gap_rows * n, gap_rows)
             for seed, x_j, trace, sfo in zip(cfg.seeds, x, traces, est.sfo_counts)]

@@ -88,40 +88,39 @@ def test_criterion_03_estimator_expectations():
     stale_table = 0.7 * np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
     worst = 0.0
 
-    for sampling in ("with_replacement", "without_replacement"):
-        batches = enumerate_batches(obj.n, b, sampling)
+    batches = enumerate_batches(obj.n, b)
 
-        enum = expected_estimator_update(
-            "sarah", obj, {"g": g0}, x_new, x_old, b=b, sampling=sampling, p=p)
-        closed = p * obj.grad_full(x_new) + (1 - p) * (
-            g0 + obj.grad_full(x_new) - obj.grad_full(x_old))
-        worst = max(worst, float(np.max(np.abs(enum - closed))))
-        cfg = EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling)
-        acc = np.zeros(obj.d)
-        for S in batches:
-            est = init_estimator(cfg, obj, x_old, 0)
-            est.g[0] = g0
-            scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
-            acc += est.g[0]
+    enum = expected_estimator_update(
+        "sarah", obj, {"g": g0}, x_new, x_old, b=b, p=p)
+    closed = p * obj.grad_full(x_new) + (1 - p) * (
+        g0 + obj.grad_full(x_new) - obj.grad_full(x_old))
+    worst = max(worst, float(np.max(np.abs(enum - closed))))
+    cfg = EstimatorConfig(kind="sarah", b=b, p=p)
+    acc = np.zeros(obj.d)
+    for S in batches:
         est = init_estimator(cfg, obj, x_old, 0)
         est.g[0] = g0
-        scripted(est, refresh=True).update(x_new, x_old, 0)
-        impl = p * est.g[0] + (1 - p) * acc / len(batches)
-        worst = max(worst, float(np.max(np.abs(impl - enum))))
+        scripted(est, refresh=False, batch=S).update(x_new, x_old, 0)
+        acc += est.g[0]
+    est = init_estimator(cfg, obj, x_old, 0)
+    est.g[0] = g0
+    scripted(est, refresh=True).update(x_new, x_old, 0)
+    impl = p * est.g[0] + (1 - p) * acc / len(batches)
+    worst = max(worst, float(np.max(np.abs(impl - enum))))
 
-        enum = expected_estimator_update(
-            "saga_sarah", obj, {"g": g0, "table": stale_table}, x_new, x_old,
-            b=b, sampling=sampling, lam=lam)
-        cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling)
-        acc = np.zeros(obj.d)
-        for S in batches:
-            est = init_estimator(cfg, obj, x_old, 0)
-            est.g[0] = g0
-            est.table_coefs[0] = stale_coefs
-            est.saga_avg = est.table_mean()
-            scripted(est, batch=S).update(x_new, x_old, 0)
-            acc += est.g[0]
-        worst = max(worst, float(np.max(np.abs(acc / len(batches) - enum))))
+    enum = expected_estimator_update(
+        "saga_sarah", obj, {"g": g0, "table": stale_table}, x_new, x_old,
+        b=b, lam=lam)
+    cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam)
+    acc = np.zeros(obj.d)
+    for S in batches:
+        est = init_estimator(cfg, obj, x_old, 0)
+        est.g[0] = g0
+        est.table_coefs[0] = stale_coefs
+        est.saga_avg = est.table_mean()
+        scripted(est, batch=S).update(x_new, x_old, 0)
+        acc += est.g[0]
+    worst = max(worst, float(np.max(np.abs(acc / len(batches) - enum))))
 
     report(3, "estimator-expectations", worst <= 1e-12,
            f"max per-coordinate err {worst:.2e}")

@@ -276,6 +276,16 @@ def test_nan_abort_exits_3(tmp_path):
     assert run_experiment(spec, log=lambda m: None) == 3
 
 
+def test_abort_in_first_solve_leaves_no_out_dir(tmp_path, capsys):
+    # fw's first gradient overflows, so the run stops before its first file
+    ds = tmp_path / "overflow.libsvm"
+    ds.write_text("+1 1:1.7e308\n-1 1:-1.7e308\n+1 1:1.7e308\n")
+    out = tmp_path / "nan_out"
+    assert main(["run", "--dataset", str(ds), "--alg", "fw", "--K", "5", "--out", str(out)]) == 3
+    assert "non-finite gradient estimate at iteration 0" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
                                                    monkeypatch, capsys):
     # margins turn NaN after fw's init pass and row 0; with record_every = 5

@@ -119,7 +119,9 @@ def test_dataset_invariant_checks():
                             ([0, 1], [5]),            # index >= d
                             ([0, 1], [-1]),           # negative index
                             ([1, 1], [0]),            # indptr not starting at 0
-                            ([0, 1], [2**32 + 1])]:   # wraps to 1 in int32
+                            ([0, 1], [2**32 + 1]),    # wraps to 1 in int32
+                            ([0, 1], [1.7]),          # truncates to 1
+                            ([0.0, 1.0], [0])]:       # float indptr
         with pytest.raises(ValueError):
             Dataset(indptr=np.array(indptr), indices=np.array(indices),
                     values=np.array([1.0]), labels=np.array([1.0]), d=2)

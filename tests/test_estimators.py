@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochfw.estimators import SAMPLING_MODES, EstimatorConfig, init_estimator
+from stochfw.estimators import EstimatorConfig, init_estimator
 from stochfw.objectives import Objective
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
@@ -96,12 +96,10 @@ def per_step_batches(cfg, n, seeds, updates):
     seed's RNG one step at a time, coin first: one (m', b) block per update,
     after saga_sarah's cold-start sample indices."""
     twins = [np.random.default_rng(seed) for seed in seeds]
-    if cfg.sampling == "with_replacement":
-        def draw(rng):
-            return rng.integers(0, n, size=cfg.b)
-    else:
-        def draw(rng):
-            return rng.choice(n, size=cfg.b, replace=False)
+
+    def draw(rng):
+        return rng.integers(0, n, size=cfg.b)
+
     batches = [np.array([rng.integers(0, n)]) for rng in twins] if cfg.cold_start else []
     for _ in range(updates):
         if cfg.kind == "sarah":
@@ -113,7 +111,6 @@ def per_step_batches(cfg, n, seeds, updates):
     return batches
 
 
-@pytest.mark.parametrize("sampling", SAMPLING_MODES)
 @pytest.mark.parametrize("b", [2, 100])  # a block of 1024 steps, and of 20
 @pytest.mark.parametrize("seeds", [5, (5, 9)], ids=["one-seed", "two-seeds"])
 @pytest.mark.parametrize("params", [
@@ -122,7 +119,7 @@ def per_step_batches(cfg, n, seeds, updates):
     {"kind": "saga_sarah", "lam": 0.2, "cold_start": True},
     {"kind": "sarah", "p": 0.3},
 ], ids=["momentum", "saga_sarah", "saga_sarah-cold", "sarah"])
-def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, sampling):
+def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b):
     obj = tiny_objective(n=120, d=4, seed=0)
     x_new, x_old = random_points(obj)
     if not isinstance(seeds, int):
@@ -135,7 +132,7 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, sampling)
         return batch(self, S)
 
     monkeypatch.setattr(Objective, "batch", recording)
-    cfg = EstimatorConfig(b=b, sampling=sampling, **params)
+    cfg = EstimatorConfig(b=b, **params)
     est = init_estimator(cfg, obj, x_old, seeds)
     for k in range(50):
         est.update(x_new, x_old, k)
@@ -159,18 +156,16 @@ def fixed_case(g_seed):
     return (obj, *random_points(obj), np.random.default_rng(g_seed).normal(size=obj.d))
 
 
-# b in 1-2 under both sampling modes; with replacement, the enumeration
-# holds every batch with a repeated index
-@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+# b in 1-2; the enumeration holds every batch with a repeated index
 @settings(max_examples=40, deadline=None)
 @given(case=small_sparse_cases(), b=st.integers(1, 2))
 @example(case=fixed_case(7), b=2)
-def test_sarah_expectation_identity(case, b, sampling):
+def test_sarah_expectation_identity(case, b):
     obj, x_new, x_old, g0 = case
     p = 0.3
 
     enum = expected_estimator_update(
-        "sarah", obj, {"g": g0}, x_new, x_old, b=b, sampling=sampling, p=p
+        "sarah", obj, {"g": g0}, x_new, x_old, b=b, p=p
     )
     closed = p * obj.grad_full(x_new) + (1 - p) * (
         g0 + obj.grad_full(x_new) - obj.grad_full(x_old)
@@ -178,8 +173,8 @@ def test_sarah_expectation_identity(case, b, sampling):
     assert np.max(np.abs(enum - closed)) <= 1e-12
 
     # the estimator's own update path, averaged over every forced outcome
-    cfg = EstimatorConfig(kind="sarah", b=b, p=p, sampling=sampling)
-    batches = enumerate_batches(obj.n, b, sampling)
+    cfg = EstimatorConfig(kind="sarah", b=b, p=p)
+    batches = enumerate_batches(obj.n, b)
     acc = np.zeros(obj.d)
     for S in batches:
         est = init_estimator(cfg, obj, x_old, 0)
@@ -193,11 +188,10 @@ def test_sarah_expectation_identity(case, b, sampling):
     assert np.max(np.abs(impl - enum)) <= 1e-12
 
 
-@pytest.mark.parametrize("sampling", SAMPLING_MODES)
 @settings(max_examples=40, deadline=None)
 @given(case=small_sparse_cases(), b=st.integers(1, 2))
 @example(case=fixed_case(8), b=2)
-def test_saga_sarah_expectation_identity(case, b, sampling):
+def test_saga_sarah_expectation_identity(case, b):
     obj, x_new, x_old, g0 = case
     lam = 0.25
     # stale table: y_i = 0.7 * grad f_i(x_old)
@@ -206,10 +200,10 @@ def test_saga_sarah_expectation_identity(case, b, sampling):
 
     enum = expected_estimator_update(
         "saga_sarah", obj, {"g": g0, "table": table}, x_new, x_old,
-        b=b, sampling=sampling, lam=lam,
+        b=b, lam=lam,
     )
-    cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam, sampling=sampling)
-    batches = enumerate_batches(obj.n, b, sampling)
+    cfg = EstimatorConfig(kind="saga_sarah", b=b, lam=lam)
+    batches = enumerate_batches(obj.n, b)
     acc = np.zeros(obj.d)
     for S in batches:
         est = init_estimator(cfg, obj, x_old, 0)
@@ -230,7 +224,7 @@ def test_saga_sarah_fresh_table_closed_form(obj):
     table = np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
     enum = expected_estimator_update(
         "saga_sarah", obj, {"g": g0, "table": table}, x_new, x_old,
-        b=2, sampling="without_replacement", lam=lam,
+        b=2, lam=lam,
     )
     closed = (
         obj.grad_full(x_new) - obj.grad_full(x_old) + (1 - lam) * g0
@@ -295,14 +289,13 @@ def test_saga_table_consistency_after_random_updates(obj):
     assert np.max(np.abs(est.saga_avg - est.table_mean())) <= 1e-10
 
 
-@pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
-def test_momentum_expectation_identity(obj, sampling):
+def test_momentum_expectation_identity(obj):
     x_new, x_old = random_points(obj)
     g0 = np.random.default_rng(13).normal(size=obj.d)
     k = 3
     rho = (k + 1.0) ** (-2.0 / 3.0)
     enum = expected_estimator_update(
-        "momentum", obj, {"g": g0}, x_new, x_old, b=2, sampling=sampling, k=k
+        "momentum", obj, {"g": g0}, x_new, x_old, b=2, k=k
     )
     closed = (1 - rho) * g0 + rho * obj.grad_full(x_new)
     assert np.max(np.abs(enum - closed)) <= 1e-12
@@ -318,9 +311,9 @@ def test_momentum_rho_one_takes_batch_gradient(obj):
 
 def test_momentum_full_batch_rho_one_is_full_gradient(obj):
     x_new, x_old = random_points(obj)
-    cfg = EstimatorConfig(kind="momentum", b=obj.n, sampling="without_replacement")
+    cfg = EstimatorConfig(kind="momentum", b=obj.n)
     est = init_estimator(cfg, obj, x_old, 0)
-    est.update(x_new, x_old, 0)
+    scripted(est, batch=np.arange(obj.n)).update(x_new, x_old, 0)
     assert np.max(np.abs(est.g - obj.grad_full(x_new))) <= 1e-12
 
 
@@ -384,9 +377,3 @@ def test_config_validation(obj):
         EstimatorConfig(kind="full", cold_start=True)
     with pytest.raises(ValueError):
         EstimatorConfig(kind="nope")
-    with pytest.raises(ValueError):
-        init_estimator(
-            EstimatorConfig(kind="sarah", b=obj.n + 1, p=0.5,
-                            sampling="without_replacement"),
-            obj, np.zeros(obj.d), 0,
-        )

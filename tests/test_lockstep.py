@@ -47,22 +47,22 @@ def _fingerprint(run):
             run.gap_sfo_total, run.gap_lmo_total)
 
 
-def _estimator_cfg(algorithm, b, p, sampling, cold_start):
+def _estimator_cfg(algorithm, b, p, cold_start):
     kind = {"fw": "full", "sarah_fw": "sarah", "saga_sarah_fw": "saga_sarah",
             "momentum_fw": "momentum"}[algorithm]
     return EstimatorConfig(
         kind=kind, b=b, p=p if kind == "sarah" else None,
-        lam=0.3 if kind == "saga_sarah" else None, sampling=sampling,
+        lam=0.3 if kind == "saga_sarah" else None,
         cold_start=cold_start and kind == "saga_sarah",
     )
 
 
 def _assert_lockstep_matches_alone(data, algorithm, kind, seeds, K, record_every, gap_every,
-                                   b, p, sampling, cold_start):
+                                   b, p, cold_start):
     obj = _OBJECTIVES[data]
     cset = ConstraintSet(kind, 3.0, dim=obj.d)
     cfg = SolverConfig(algorithm, K, _SCHEDULES[algorithm],
-                       _estimator_cfg(algorithm, b, p, sampling, cold_start),
+                       _estimator_cfg(algorithm, b, p, cold_start),
                        seeds=tuple(seeds), gap_every=gap_every, record_every=record_every)
     together = solve(cfg, obj, cset, default_x0(cset))
     alone = [solve(SolverConfig(cfg.algorithm, K, cfg.schedule, cfg.estimator_cfg, seeds=(s,),
@@ -80,28 +80,26 @@ def _assert_lockstep_matches_alone(data, algorithm, kind, seeds, K, record_every
     algorithm=st.sampled_from(sorted(_SCHEDULES)),
     kind=st.sampled_from(["l1_ball", "simplex", "linf_box"]),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
-    K=st.integers(0, 25),
+    K=st.integers(1, 25),
     record_every=st.sampled_from([1, 2, 5]),
     gap_every=st.sampled_from([0, 1, 3]),
     b=st.integers(1, 4),
     p=st.sampled_from([0.3, 0.7, 1.0]),
-    sampling=st.sampled_from(["with_replacement", "without_replacement"]),
     cold_start=st.booleans(),
 )
 @example(data="logistic", algorithm="sarah_fw", kind="l1_ball", seeds=[0, 1, 2, 3], K=25,
-         record_every=2, gap_every=3, b=2, p=0.3, sampling="with_replacement",
-         cold_start=False)
+         record_every=2, gap_every=3, b=2, p=0.3, cold_start=False)
 def test_lockstep_runs_are_the_runs_alone(data, algorithm, kind, seeds, K, record_every,
-                                          gap_every, b, p, sampling, cold_start):
+                                          gap_every, b, p, cold_start):
     _assert_lockstep_matches_alone(data, algorithm, kind, seeds, K, record_every, gap_every,
-                                   b, p, sampling, cold_start)
+                                   b, p, cold_start)
 
 
 def test_sarah_seeds_refresh_apart_and_still_match():
     # p = 0.3 over 25 steps: steps where one seed refreshes and another
     # takes a batch, so the batch kernel serves a subset of the seeds
     result = _assert_lockstep_matches_alone("logistic", "sarah_fw", "l1_ball", [0, 1, 2, 3],
-                                            25, 1, 3, 2, 0.3, "with_replacement", False)
+                                            25, 1, 3, 2, 0.3, False)
     n = _OBJECTIVES["logistic"].n
     steps = [np.diff([r.sfo for r in run.trace.rows]) for run in result.runs]
     refreshed = np.array(steps) == n

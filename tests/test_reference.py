@@ -35,15 +35,13 @@ def test_enumeration_budget():
     with pytest.raises(ValueError):
         lmo_by_enumeration(cset, np.zeros(11))
     with pytest.raises(ValueError):
-        enumerate_batches(9, 2, "with_replacement")
+        enumerate_batches(9, 2)
     with pytest.raises(ValueError):
-        enumerate_batches(6, 5, "with_replacement")
+        enumerate_batches(6, 5)
 
 
 def test_enumerate_batches_counts():
-    assert len(enumerate_batches(6, 2, "with_replacement")) == 36
-    assert len(enumerate_batches(6, 2, "without_replacement")) == 15
-    assert len(enumerate_batches(4, 4, "without_replacement")) == 1
+    assert len(enumerate_batches(6, 2)) == 36
 
 
 def test_finite_diff_exact_on_linear_function():
@@ -68,16 +66,16 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_grad(lambda w: 0.0, np.zeros(2), h=0.0)
 
 
-def test_full_batch_without_replacement_is_deterministic():
+def test_full_size_batch_expectation_is_deterministic():
     obj = tiny_objective(n=4, d=3, seed=1)
     rng = np.random.default_rng(2)
     x_old = rng.normal(size=3)
     x_new = x_old + 0.1 * rng.normal(size=3)
     g0 = rng.normal(size=3)
-    # single possible batch, batch branch only: equals the deterministic update
+    # b = n over all 4^4 batches, batch branch only: the mean of the batch
+    # means is the full mean, so it equals the deterministic update
     expect = expected_estimator_update(
-        "sarah", obj, {"g": g0}, x_new, x_old,
-        b=4, sampling="without_replacement", p=0.0,
+        "sarah", obj, {"g": g0}, x_new, x_old, b=4, p=0.0,
     )
     det = g0 + obj.grad_full(x_new) - obj.grad_full(x_old)
     assert np.max(np.abs(expect - det)) <= 1e-12
@@ -90,7 +88,7 @@ def test_oracle_is_deterministic():
     x_new = x_old + 0.05
     g0 = rng.normal(size=3)
     a = expected_estimator_update("sarah", obj, {"g": g0}, x_new, x_old,
-                                  b=2, sampling="with_replacement", p=0.4)
+                                  b=2, p=0.4)
     b = expected_estimator_update("sarah", obj, {"g": g0}, x_new, x_old,
-                                  b=2, sampling="with_replacement", p=0.4)
+                                  b=2, p=0.4)
     assert np.array_equal(a, b)

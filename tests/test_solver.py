@@ -25,16 +25,6 @@ def sarah_config(K, p=0.5, b=2, **kwargs):
     )
 
 
-def test_zero_iterations_returns_x0():
-    obj = tiny_objective()
-    cset = ConstraintSet("l1_ball", 5.0, dim=obj.d)
-    x0 = np.zeros(obj.d)
-    res = solve(fw_config(0), obj, cset, x0).runs[0]
-    assert np.array_equal(res.x_final, x0)
-    assert res.trace.rows == []
-    assert res.lmo_total == 0
-
-
 def test_classic_fw_descends_on_single_sample_logistic():
     # y=1, x=(1, 2): f decreases monotonically over the first 10 iterations
     obj = Objective("logistic", parse_libsvm("+1 1:1 2:2\n"))
@@ -158,6 +148,8 @@ def test_config_validation():
         SolverConfig(algorithm="bogus", K=5, schedule="classic_fw", estimator_cfg=est)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="sarah_fw", K=5, schedule="classic_fw", estimator_cfg=est)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        fw_config(0)
     with pytest.raises(ValueError, match="unknown schedule"):
         SolverConfig(algorithm="fw", K=5, schedule="bogus", estimator_cfg=est)
     with pytest.raises(ValueError):
@@ -167,6 +159,35 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seeds"):
             SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
                          seeds=seeds)
+
+
+def test_cold_start_saga_sarah_makes_no_full_pass(monkeypatch):
+    # the paper's SAGA-SARAH-FW start: one sampled gradient and an empty
+    # table, then 2b SFO a step and no pass over all n rows
+    obj = tiny_objective(n=300, d=40, seed=5)
+    cset = ConstraintSet("l1_ball", 2.0, dim=obj.d)
+    b, K = 3, 200
+    passes = []
+    mean_rows = Objective.mean_rows
+
+    def counted(self, c):
+        passes.append(len(c))
+        return mean_rows(self, c)
+
+    def saga_solve(cold_start):
+        est = EstimatorConfig(kind="saga_sarah", b=b, lam=0.01, cold_start=cold_start)
+        cfg = SolverConfig("saga_sarah_fw", K, "theorem3", est, seeds=(4, 9),
+                           gap_every=0, record_every=7)
+        return solve(cfg, obj, cset, default_x0(cset)).runs
+
+    monkeypatch.setattr(Objective, "mean_rows", counted)
+    for run in saga_solve(cold_start=True):
+        assert [r.k for r in run.trace.rows] == [*range(0, K, 7), K]
+        assert [r.sfo for r in run.trace.rows] == [1 + 2 * b * r.k for r in run.trace.rows]
+    assert passes == []
+    # the table start, for contrast: one full pass per seed at x0
+    assert [run.trace.rows[0].sfo for run in saga_solve(cold_start=False)] == [obj.n, obj.n]
+    assert passes == [obj.n, obj.n]
 
 
 def test_step_size_rule_reads_the_run(monkeypatch):
