@@ -111,6 +111,8 @@ def per_step_batches(cfg, n, seeds, updates):
     return batches
 
 
+# n = 3: batches repeat indices, and b = 100 exceeds n
+@pytest.mark.parametrize("n", [120, 3], ids=["n120", "n3"])
 @pytest.mark.parametrize("b", [2, 100])  # a block of 1024 steps, and of 20
 @pytest.mark.parametrize("seeds", [5, (5, 9)], ids=["one-seed", "two-seeds"])
 @pytest.mark.parametrize("params", [
@@ -119,8 +121,8 @@ def per_step_batches(cfg, n, seeds, updates):
     {"kind": "saga_sarah", "lam": 0.2, "cold_start": True},
     {"kind": "sarah", "p": 0.3},
 ], ids=["momentum", "saga_sarah", "saga_sarah-cold", "sarah"])
-def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b):
-    obj = tiny_objective(n=120, d=4, seed=0)
+def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, n):
+    obj = tiny_objective(n=n, d=4, seed=0)
     x_new, x_old = random_points(obj)
     if not isinstance(seeds, int):
         x_new, x_old = np.tile(x_new, (len(seeds), 1)), np.tile(x_old, (len(seeds), 1))
@@ -289,10 +291,10 @@ def test_saga_table_consistency_after_random_updates(obj):
     assert np.max(np.abs(est.saga_avg - est.table_mean())) <= 1e-10
 
 
-def test_momentum_expectation_identity(obj):
+@pytest.mark.parametrize("k", [0, 3])  # rho = 1 at k = 0: the batch gradient alone
+def test_momentum_expectation_identity(obj, k):
     x_new, x_old = random_points(obj)
     g0 = np.random.default_rng(13).normal(size=obj.d)
-    k = 3
     rho = (k + 1.0) ** (-2.0 / 3.0)
     enum = expected_estimator_update(
         "momentum", obj, {"g": g0}, x_new, x_old, b=2, k=k

@@ -25,6 +25,18 @@ def sarah_config(K, p=0.5, b=2, **kwargs):
     )
 
 
+def test_one_iteration_records_x0_and_row_K():
+    # K = 1 is the least run: row 0 at x0, then row K whatever record_every
+    obj = tiny_objective()
+    cset = ConstraintSet("l1_ball", 5.0, dim=obj.d)
+    x0 = np.zeros(obj.d)
+    res = solve(fw_config(1, record_every=5), obj, cset, x0).runs[0]
+    assert [(r.k, r.sfo, r.lmo) for r in res.trace.rows] == [(0, obj.n, 0), (1, 2 * obj.n, 1)]
+    assert res.trace.rows[0].f == obj.loss_full(x0)
+    assert res.lmo_total == 1
+    assert not np.array_equal(res.x_final, x0)
+
+
 def test_classic_fw_descends_on_single_sample_logistic():
     # y=1, x=(1, 2): f decreases monotonically over the first 10 iterations
     obj = Objective("logistic", parse_libsvm("+1 1:1 2:2\n"))
