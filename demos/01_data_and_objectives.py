@@ -34,7 +34,7 @@ print(f"\nlogistic f(0) = {obj.loss_full(w0):.6f} (log 2 = {np.log(2):.6f})")
 # gradients: full = mean of per-sample, checked against central differences
 w = np.array([0.3, -0.2, 0.6])
 g_full = obj.grad_full(w)
-g_mean = np.mean([obj.grad_sample(i, w) for i in range(ds.n)], axis=0)
+g_mean = np.mean([obj.grad_batch([i], w) for i in range(ds.n)], axis=0)
 fd = finite_diff_grad(obj.loss_full, w, h=1e-5)
 print("grad_full       ", g_full)
 print("mean of samples ", g_mean)

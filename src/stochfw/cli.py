@@ -15,12 +15,13 @@ case; any other value is an invalid spec). Every file is written to a temp
 file in the output directory and renamed into place, so a reader never sees
 a half-written file and a failed write leaves none behind.
 
-Configuration is a declarative file of ``key = value`` lines, each split at
-its first ``=``; a line of any other form is an invalid spec. Command-line
-flags override file values, and both go through one table, ``_SETTINGS``. An
+Configuration is a declarative UTF-8 file of ``key = value`` lines, each split
+at its first ``=``, at most one per setting; a line of any other form, a
+repeat or a byte that is not UTF-8 is an invalid spec. Command-line flags
+override file values, and both go through one table, ``_SETTINGS``. An
 ``epochs`` request is converted to an iteration horizon K per algorithm
-through the expected per-iteration SFO cost in its ``ALGORITHMS`` record,
-so a shared budget means a shared x-axis of full-gradient equivalents.
+through the expected per-iteration SFO cost in its ``ALGORITHMS`` record, so a
+shared budget means a shared x-axis of full-gradient equivalents.
 
 The grid runs on the calling thread, one algorithm after another: ``solve``
 runs all of an algorithm's seeds in lockstep, then each run's CSV, summary
@@ -355,9 +356,14 @@ def _parse_bool(value):
 
 
 def load_config_file(path):
-    """Read a ``key = value`` config file into a dict of strings."""
-    values = {}
-    text = Path(path).read_text()
+    """Read a UTF-8 ``key = value`` config file into a dict of strings."""
+    values, first_line = {}, {}
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the line of the first bad byte
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise SpecError(f"config line {lineno}: not UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -365,7 +371,12 @@ def load_config_file(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise SpecError(f"config line {lineno}: expected 'key = value'")
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        # alg and algorithms name one setting, as do seed and seeds
+        first = first_line.setdefault(_KEYS.get(key, (key,))[0], lineno)
+        if first != lineno:
+            raise SpecError(f"config line {lineno}: {key!r} repeats the setting of line {first}")
+        values[key] = value.strip()
     return values
 
 

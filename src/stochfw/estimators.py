@@ -33,20 +33,20 @@ Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
     momentum    g = (1-rho_k) g + rho_k mean_S[grad f_i(x_new)]    [b SFO]
 
 Both losses have grad f_i = c_i * x_i, so every batch term above is a
-weighted sum of the rows of S. An update gathers those rows once
-(``Objective.batch``) and evaluates each term as margins at a point, then
-scalar coefficients, then one scatter of the coefficients back onto the
-rows: O(b * nnz_row) work per term in scipy's compiled sparse loops, with no
-sparse matrix object built per call. The m seeds' batches are gathered
-into one block (``Objective.batch`` of an (m, b) array), so each term is one
-loop for all of them, and all arithmetic on estimates is elementwise on
-(m, d) blocks, so each seed's bits are those of its update alone. A SARAH
-seed that refreshes takes its full gradient alone, and the block holds
-the other seeds' batches only. Full refreshes, the SAGA initial pass
-and the table recomputation cover all n rows and go through the objective's
-full passes (``grad_full``, ``grad_coefs``, ``mean_rows``) instead. The
-batch kernel runs the loops behind scipy's ``X[S] @ w`` and ``X[S].T @ c``
-(see ``stochfw.objectives``), so every batch term has their bits.
+weighted sum of the rows of S. An update gathers those rows once into an
+``objectives.Batch``, as ``Objective.grad_batch`` does, and evaluates each
+term as margins at a point, then scalar coefficients, then one scatter of
+the coefficients back onto the rows: O(b * nnz_row) work per term in
+scipy's compiled sparse loops, with no sparse matrix object built per call.
+The m seeds' batches are gathered into one block (a ``Batch`` of an (m, b)
+array), so each term is one loop for all of them, and all arithmetic on
+estimates is elementwise on (m, d) blocks, so each seed's bits are those of
+its update alone. A SARAH seed that refreshes takes its full gradient
+alone, and the block holds the other seeds' batches only. Full refreshes,
+the SAGA initial pass and the table recomputation cover all n rows and go
+through the objective's full passes (``grad_full``, ``grad_coefs``,
+``mean_rows``) instead. ``Batch`` runs the loops behind scipy's ``X[S] @ w``
+and ``X[S].T @ c``, so every batch term has their bits.
 
 A batch's margins always come from the batch kernel. Inside ``solve``,
 full refreshes and the SAGA initial pass read X x at each seed's current
@@ -70,6 +70,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .objectives import Batch
 
 __all__ = [
     "Algorithm",
@@ -222,7 +224,7 @@ class SarahEstimator(_Estimator):
                 seeds.append(j)
         if not seeds:
             return
-        B = self.obj.batch(self.draw_batch(seeds))
+        B = Batch(self.obj, self.draw_batch(seeds))
         c_new = B.coefs(x_new.take(seeds, axis=0))
         step = B.scatter(c_new - B.coefs(x_old.take(seeds, axis=0))) / B.size
         for t, j in enumerate(seeds):
@@ -251,7 +253,7 @@ class SagaSarahEstimator(_Estimator):
         obj = self.obj
         if self.cfg.cold_start:
             i0 = int(self.rngs[j].integers(0, obj.n))
-            self.g[j] = obj.grad_sample(i0, x)
+            self.g[j] = obj.grad_batch([i0], x)
             self.sfo_counts[j] += 1
         else:
             # One pass fills the table and the initial estimate together.
@@ -268,7 +270,7 @@ class SagaSarahEstimator(_Estimator):
         obj, lam = self.obj, self.cfg.lam
         seeds = self._every_seed
         S = self.draw_batch(seeds)
-        B = obj.batch(S)
+        B = Batch(obj, S)
         b = B.size
         table = self.table_coefs.reshape(-1)
         entries = S + self._table_start
@@ -309,7 +311,7 @@ class MomentumEstimator(_Estimator):
 
     def update(self, x_new, x_old, k):
         rho = (k + 1.0) ** (-2.0 / 3.0)
-        B = self.obj.batch(self.draw_batch(self._every_seed))
+        B = Batch(self.obj, self.draw_batch(self._every_seed))
         # grad_batch's sum, on iterates the solve produced: no check of x_new
         self.g = (1.0 - rho) * self.g + rho * (B.scatter(B.coefs(_block(x_new))) / B.size)
         for j in self._every_seed:

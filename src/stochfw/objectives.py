@@ -8,11 +8,11 @@ float per sample.
 
 Three kernels do that work:
 
-* Batches and single samples (``Objective.batch``) gather the rows of S
-  once into a CSR triple; margins and weighted row sums are then one
-  compiled loop each, with no sparse matrix built. A lockstep solve
-  gathers one batch per seed into one block-diagonal triple, so each loop
-  serves all of its seeds at once.
+* Batches (``Batch``, which ``Objective.grad_batch`` builds; a sample is
+  a batch of one) gather their rows once into a CSR triple; margins and
+  weighted row sums are then one compiled loop each, with no sparse matrix
+  built. A lockstep solve gathers one batch per seed into one
+  block-diagonal triple, so each loop serves all of its seeds at once.
 * Full passes (``margins``, ``mean_rows``) run the same compiled loops over
   the dataset's own CSR arrays, ``indptr``, ``indices`` and ``values``. No
   scipy matrix is built; only the ``smoothness`` diagnostic makes one.
@@ -84,12 +84,16 @@ class Batch:
     __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values", "_w_shape")
 
     def __init__(self, obj, S):
-        S = np.asarray(S, dtype=np.int64)
+        S = np.asarray(S)
+        if S.size and S.dtype.kind not in "iu":  # signed or unsigned integers only
+            raise ValueError("batch indices must be integers")
         if S.ndim not in (1, 2):
             raise ValueError("batch indices must be a vector or an (m, b) block")
-        rows = S.reshape(-1)
-        if rows.size and (rows.min() < 0 or rows.max() >= obj.n):
+        # range-checked before the cast, so no index wraps around
+        if S.size and (S.min() < 0 or S.max() >= obj.n):
             raise IndexError(f"batch index out of range [0, {obj.n})")
+        S = S.astype(np.int64, copy=False)
+        rows = S.reshape(-1)
         ds, ptr = obj.dataset, obj.dataset.indptr
         # as scipy's X[S]: a running sum of the row lengths, then one compiled copy
         self.indptr = np.zeros(len(rows) + 1, dtype=ptr.dtype)
@@ -148,19 +152,11 @@ class Objective:
         self.dataset = dataset
         from scipy.sparse import _sparsetools  # the compiled loops of every kernel
         self._loops = _sparsetools
-        self.y = dataset.labels
+        self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
         # the column view, built by the first ``column`` call of any thread
         self._columns = None
         self._columns_lock = threading.Lock()
-
-    @property
-    def n(self):
-        return self.dataset.n
-
-    @property
-    def d(self):
-        return self.dataset.d
 
     def _check_w(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -207,7 +203,7 @@ class Objective:
     def loss_sample(self, i, w):
         """f_i(w) for one sample."""
         w = self._check_w(w)
-        B = self.batch([i])
+        B = Batch(self, [i])
         return float(self._losses(B.margins(w), B.y)[0])
 
     def loss_full(self, w, z=None):
@@ -225,21 +221,10 @@ class Objective:
             z = self.margins(self._check_w(w))
         return self._coefs(z, self.y)
 
-    def batch(self, S):
-        """Gather the rows of the sample indices S (duplicates allowed), a
-        vector or an (m, b) block of them, as for ``Batch``."""
-        return Batch(self, S)
-
-    def grad_sample(self, i, w):
-        """grad f_i(w) as a dense length-d vector."""
-        w = self._check_w(w)
-        B = self.batch([i])
-        return B.scatter(B.coefs(w))
-
     def grad_batch(self, S, w):
-        """(1/|S|) sum_{i in S} grad f_i(w); duplicates count with multiplicity."""
+        """(1/|S|) sum_{i in S} grad f_i(w), duplicates with multiplicity; [i] gives grad f_i(w)."""
         w = self._check_w(w)
-        B = self.batch(S)
+        B = Batch(self, S)
         if B.size == 0:
             raise ValueError("empty batch")
         return B.scatter(B.coefs(w)) / B.size

@@ -86,8 +86,8 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
 
     ``state`` is a snapshot dict: ``g`` (current estimate) and, for
     saga_sarah, ``table`` as an (n, d) array of stored per-sample gradients
-    y_i. The update formulas are recomputed here per-sample from
-    ``obj.grad_sample``, independently of the estimator's vectorized path.
+    y_i. The update formulas are recomputed here per-sample, each grad f_i(x)
+    a ``Batch`` of one (``obj.grad_batch([i], x)``), not by block updates.
     """
     x_new = np.asarray(x_new, dtype=np.float64)
     x_old = np.asarray(x_old, dtype=np.float64)
@@ -104,11 +104,11 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
     if kind == "sarah":
         if p is None:
             raise ValueError("sarah expectation needs p")
-        full_new = batch_mean(lambda i: obj.grad_sample(i, x_new), range(n))
+        full_new = batch_mean(lambda i: obj.grad_batch([i], x_new), range(n))
         batch_avg = np.zeros(obj.d)
         for S in batches:
             diff = batch_mean(
-                lambda i: obj.grad_sample(i, x_new) - obj.grad_sample(i, x_old), S
+                lambda i: obj.grad_batch([i], x_new) - obj.grad_batch([i], x_old), S
             )
             batch_avg += g + diff
         batch_avg /= len(batches)
@@ -122,10 +122,10 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
         acc = np.zeros(obj.d)
         for S in batches:
             sarah_term = batch_mean(
-                lambda i: obj.grad_sample(i, x_new) - obj.grad_sample(i, x_old), S
+                lambda i: obj.grad_batch([i], x_new) - obj.grad_batch([i], x_old), S
             )
             saga_term = (
-                batch_mean(lambda i: obj.grad_sample(i, x_old) - table[i], S)
+                batch_mean(lambda i: obj.grad_batch([i], x_old) - table[i], S)
                 + table_avg
             )
             acc += sarah_term + (1.0 - lam) * g + lam * saga_term
@@ -138,7 +138,7 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
         acc = np.zeros(obj.d)
         for S in batches:
             acc += (1.0 - rho) * g + rho * batch_mean(
-                lambda i: obj.grad_sample(i, x_new), S
+                lambda i: obj.grad_batch([i], x_new), S
             )
         return acc / len(batches)
 

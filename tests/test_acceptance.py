@@ -70,7 +70,7 @@ def test_criterion_02_gradient_correctness(bc_logistic, bc_nlls):
         for _ in range(100):
             i = int(rng.integers(0, obj.n))
             w = rng.uniform(-1.0, 1.0, size=obj.d) * scale
-            g = obj.grad_sample(i, w)
+            g = obj.grad_batch([i], w)
             fd = finite_diff_grad(lambda v: obj.loss_sample(i, v), w, h=1e-5)
             rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)
             worst = max(worst, rel)
@@ -85,7 +85,7 @@ def test_criterion_03_estimator_expectations():
     g0 = rng.normal(size=obj.d)
     p, lam, b = 0.3, 0.25, 2
     stale_coefs = 0.7 * obj.grad_coefs(x_old)
-    stale_table = 0.7 * np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
+    stale_table = 0.7 * np.array([obj.grad_batch([i], x_old) for i in range(obj.n)])
     worst = 0.0
 
     batches = enumerate_batches(obj.n, b)

@@ -1,14 +1,14 @@
 """Property tests: the batch kernel on scipy's compiled CSR loops against X[S].
 
-``Objective.batch(S)`` must reproduce scipy's row-slice products bit for bit
+``Batch(obj, S)`` must reproduce scipy's row-slice products bit for bit
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
 b = n, and with int32 or int64 index arrays; so must the full passes
 ``Objective.margins`` and ``mean_rows`` against ``X @ w`` and ``X.T @ c``,
 and a block of m batches against each of its batches alone. The kernel calls the loops
 behind those products (``scipy.sparse._sparsetools``, a private module), so
 this property is what fails if a scipy release changes them. The loops
-check no bounds, so a ``Batch`` must reject an out-of-range S and a w or c
-of the wrong length itself. ``grad_batch`` must be the mean of the
+check no bounds, so a ``Batch`` must reject a non-integer or out-of-range
+S and a w or c of the wrong length itself. ``grad_batch`` must be the mean of the
 per-sample gradients up to the rounding of the two summation orders; one
 Objective must serve batches from several threads at once; and
 ``import stochfw.cli`` must not load ``scipy.sparse``, which the kernel
@@ -54,7 +54,7 @@ def assert_kernel_matches_scipy(obj, data):
     S = data.draw(batches(obj.n))
     w = data.draw(vectors(obj.d))
     c = data.draw(vectors(len(S)))
-    B = obj.batch(S)
+    B = Batch(obj, S)
     X = obj.dataset.to_csr()
     XS = X[S]
     assert B.indices.dtype == obj.dataset.indices.dtype
@@ -72,10 +72,10 @@ def assert_kernel_matches_scipy(obj, data):
                                       max_size=len(S))) for _ in range(m)])
     W = np.array([data.draw(vectors(obj.d)) for _ in range(m)])
     C = np.array([data.draw(vectors(S.shape[1])) for _ in range(m)])
-    B = obj.batch(S)
+    B = Batch(obj, S)
     coefs = B.coefs(W)
     for t in range(m):
-        alone = obj.batch(S[t])
+        alone = Batch(obj, S[t])
         assert np.array_equal(B.margins(W)[t], alone.margins(W[t]))
         assert np.array_equal(B.scatter(C)[t], alone.scatter(C[t]))
         assert np.array_equal(coefs[t], alone.coefs(W[t]))
@@ -106,14 +106,14 @@ def assert_grad_batch_is_mean(obj, S, w):
     # sums differs (np.mean sums pairwise from |S| = 8 on, the kernel in
     # storage order). Each mean of m terms is within m * eps/2 * mean|t| of
     # the exact one, so the two are within m * eps * mean|t| per coordinate.
-    terms = np.array([obj.grad_sample(int(i), w) for i in S])
+    terms = np.array([obj.grad_batch([int(i)], w) for i in S])
     bound = len(S) * np.finfo(np.float64).eps * np.mean(np.abs(terms), axis=0)
     assert np.all(np.abs(obj.grad_batch(S, w) - terms.mean(axis=0)) <= bound)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_grad_batch_is_mean_of_grad_sample(data):
+def test_grad_batch_is_mean_of_sample_gradients(data):
     obj = data.draw(objectives())
     S = data.draw(batches(obj.n))
     w = data.draw(vectors(obj.d))
@@ -133,7 +133,7 @@ def test_grad_batch_mean_differs_by_summation_order():
     )
     obj = Objective("logistic", ds)
     S, w = np.arange(10), np.zeros(1)
-    expect = np.mean([obj.grad_sample(i, w) for i in S], axis=0)
+    expect = np.mean([obj.grad_batch([i], w) for i in S], axis=0)
     assert np.max(np.abs(obj.grad_batch(S, w) - expect)) > 1e-15
     assert_grad_batch_is_mean(obj, S, w)
 
@@ -146,34 +146,44 @@ def test_all_empty_rows_give_float_zeros():
         labels=np.array([-1.0, 1.0, 1.0]),
         d=2,
     )
-    B = Objective("logistic", ds).batch([2, 0, 2])
+    B = Batch(Objective("logistic", ds), [2, 0, 2])
     for out, size in ((B.margins(np.ones(2)), 3), (B.scatter(np.ones(3)), 2)):
         assert out.dtype == np.float64
         assert np.array_equal(out, np.zeros(size))
 
 
 def test_batch_rejects_bad_indices(bc_logistic):
-    # the compiled gather reads any index it is given, so a Batch built
-    # directly must check S as Objective.batch does
-    n = bc_logistic.n
-    for build in (bc_logistic.batch, lambda S: Batch(bc_logistic, S)):
-        for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)]):
-            with pytest.raises(IndexError):
-                build(S)
-        for S in ([[0], [n]], [[-1, 0]]):  # an (m, b) block, checked as a vector is
-            with pytest.raises(IndexError):
-                build(S)
+    # the compiled gather reads any index it is given, so a Batch must check S
+    n, w = bc_logistic.n, np.zeros(bc_logistic.d)
+    # 2**63 is a uint64 array, range-checked before any cast could wrap it
+    for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)], [2**63]):
+        with pytest.raises(IndexError):
+            Batch(bc_logistic, S)
+    for S in ([[0], [n]], [[-1, 0]]):  # an (m, b) block, checked as a vector is
+        with pytest.raises(IndexError):
+            Batch(bc_logistic, S)
+    # no index is truncated from a float or read from a bool, and 2**70
+    # (an object array) is rejected, not left to overflow the int64 cast
+    for S in ([[[0, 1]]], [1.7], [0.0], [True], [True, False], [[0.5]], [2**70]):
         with pytest.raises(ValueError):
-            build([[[0, 1]]])
+            Batch(bc_logistic, S)
+        with pytest.raises(ValueError):
+            bc_logistic.grad_batch(S, w)
+    with pytest.raises(ValueError):
+        bc_logistic.loss_sample(1.9, w)
+    # an empty S is a batch of size 0, which grad_batch alone refuses
+    assert Batch(bc_logistic, []).size == 0
+    with pytest.raises(ValueError, match="empty batch"):
+        bc_logistic.grad_batch([], w)
     # a block of batches reads a block of iterates, so the vector API rejects it
     with pytest.raises(ValueError):
-        bc_logistic.grad_batch([[0, 1]], np.zeros(bc_logistic.d))
+        bc_logistic.grad_batch([[0, 1]], w)
 
 
 def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
     # the compiled loops read d entries of w and |S| of c unchecked
     d = bc_logistic.d
-    B = bc_logistic.batch([0, 3, 3])
+    B = Batch(bc_logistic, [0, 3, 3])
     for w in (np.ones(d - 1), np.ones(d + 1), np.ones((d, 1))):
         for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):
@@ -182,7 +192,7 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
         with pytest.raises(ValueError, match="c has shape"):
             B.scatter(c)
     # a block of two batches reads (2, d) iterates and (2, |S|) weights
-    B = bc_logistic.batch([[0, 3, 3], [1, 2, 0]])
+    B = Batch(bc_logistic, [[0, 3, 3], [1, 2, 0]])
     for w in (np.ones(d), np.ones((1, d)), np.ones((2, d + 1)), np.ones((3, d))):
         for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):

@@ -7,6 +7,7 @@ import pytest
 from stochfw import cli
 from stochfw.cli import (
     ExperimentSpec,
+    SpecError,
     build_solver_configs,
     build_spec,
     emit_csv,
@@ -423,6 +424,10 @@ MISSING = ["--dataset", "missing.libsvm"]
         (["--K", "5"], "d = -3\n"),
         (["--K", "5"], f"d = {2**31}\n"),
         ([], "k: 5\n"),
+        ([], b"K = 5\n# caf\xe9\n"),
+        ([], "K = 5\nk = 3\n"),
+        (["--K", "5"], "alg = fw\nalgorithms = sarah_fw\n"),
+        (["--K", "5"], "Seeds = 1\nseed = 2\n"),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
@@ -430,7 +435,8 @@ MISSING = ["--dataset", "missing.libsvm"]
          "epochs-1e300", "K-above-2^53", "K-2^53-rows", "epochs-past-row-bound",
          "no-horizon", "record-every-0", "gap-every-negative",
          "batch-0", "p-2", "lambda-0", "d-0-missing-dataset", "d-0", "d-negative",
-         "d-2^31", "config-colon"],
+         "d-2^31", "config-colon", "config-not-utf8", "config-K-twice",
+         "config-alg-and-algorithms", "config-seeds-and-seed"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeypatch,
                                          flags, config):
@@ -439,12 +445,29 @@ def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeyp
     argv = ["run", "--dataset", str(dataset_file), "--out", str(out), *flags]
     if config is not None:
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(config)
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "invalid spec:" in captured.out + captured.err
     assert not out.exists()  # rejected before any run wrote output
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (b"K = 5\n\n# comment\nalg = fw # caf\xe9\n", "config line 4: not UTF-8"),
+        (b"K = 5\r\n\xff", "config line 2: not UTF-8"),
+        (b"K = 5\nalg = fw\nepochs = 1\nk = 3\n", "config line 4: 'k' repeats the setting of line 1"),
+        (b"algorithms = fw\nALG = sarah_fw\n", "config line 2: 'alg' repeats the setting of line 1"),
+    ],
+    ids=["not-utf8", "not-utf8-after-crlf", "K-twice", "alg-and-algorithms"],
+)
+def test_config_file_errors_name_the_line(tmp_path, config, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(config)
+    with pytest.raises(SpecError, match=message):
+        load_config_file(cfg)
 
 
 def test_run_help_exits_0(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stochfw.estimators import EstimatorConfig, init_estimator
-from stochfw.objectives import Objective
+from stochfw.objectives import Batch
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
 from conftest import scripted, sparse_objectives, tiny_objective
@@ -47,7 +47,7 @@ def test_init_saga_cold_start(obj):
     assert np.array_equal(est.saga_avg[0], np.zeros(obj.d))
     assert np.array_equal(est.table_coefs[0], np.zeros(obj.n))
     # g equals one of the per-sample gradients
-    per_sample = [obj.grad_sample(i, x0) for i in range(obj.n)]
+    per_sample = [obj.grad_batch([i], x0) for i in range(obj.n)]
     assert any(np.array_equal(est.g[0], gi) for gi in per_sample)
 
 
@@ -127,13 +127,13 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, n):
     if not isinstance(seeds, int):
         x_new, x_old = np.tile(x_new, (len(seeds), 1)), np.tile(x_old, (len(seeds), 1))
     seen = []
-    batch = Objective.batch
+    gather = Batch.__init__
 
-    def recording(self, S):
+    def recording(self, obj, S):
         seen.append(np.array(S))
-        return batch(self, S)
+        gather(self, obj, S)
 
-    monkeypatch.setattr(Objective, "batch", recording)
+    monkeypatch.setattr(Batch, "__init__", recording)
     cfg = EstimatorConfig(b=b, **params)
     est = init_estimator(cfg, obj, x_old, seeds)
     for k in range(50):
@@ -198,7 +198,7 @@ def test_saga_sarah_expectation_identity(case, b):
     lam = 0.25
     # stale table: y_i = 0.7 * grad f_i(x_old)
     table_coefs = 0.7 * obj.grad_coefs(x_old)
-    table = 0.7 * np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
+    table = 0.7 * np.array([obj.grad_batch([i], x_old) for i in range(obj.n)])
 
     enum = expected_estimator_update(
         "saga_sarah", obj, {"g": g0, "table": table}, x_new, x_old,
@@ -223,7 +223,7 @@ def test_saga_sarah_fresh_table_closed_form(obj):
     x_new, x_old = random_points(obj)
     g0 = np.random.default_rng(9).normal(size=obj.d)
     lam = 0.25
-    table = np.array([obj.grad_sample(i, x_old) for i in range(obj.n)])
+    table = np.array([obj.grad_batch([i], x_old) for i in range(obj.n)])
     enum = expected_estimator_update(
         "saga_sarah", obj, {"g": g0, "table": table}, x_new, x_old,
         b=2, lam=lam,
@@ -268,7 +268,7 @@ def test_saga_write_back_keeps_each_samples_first_position(obj):
     est = init_estimator(EstimatorConfig(kind="saga_sarah", b=len(S), lam=0.2), obj, x_old, 0)
     table, avg = est.table_coefs[0].copy(), est.saga_avg[0].copy()
     scripted(est, batch=S).update(x_new, x_old, 0)
-    B = obj.batch(S)
+    B = Batch(obj, S)
     c_new = B.coefs(x_new)
     uniq, first = np.unique(S, return_index=True)
     delta = np.zeros(len(S))

@@ -65,7 +65,7 @@ def test_logistic_losses_are_logaddexp_within_2_ulps(t):
 
 def test_logistic_grad_at_zero():
     obj = single_sample_objective("logistic", 1, [1.0])
-    g = obj.grad_sample(0, np.zeros(1))
+    g = obj.grad_batch([0], np.zeros(1))
     assert g == pytest.approx([-0.5], abs=1e-15)
 
 
@@ -73,14 +73,14 @@ def test_nlls_grad_at_zero_matches_finite_difference():
     # y=0, x=e_1, w=0: d/dw (y - 1/(1+e^w))^2 = 2*(0-1/2)*(1/4) = -0.25
     obj = single_sample_objective("nlls", 0, [1.0])
     w = np.zeros(1)
-    g = obj.grad_sample(0, w)
+    g = obj.grad_batch([0], w)
     fd = finite_diff_grad(lambda v: obj.loss_sample(0, v), w)
     assert g == pytest.approx(fd, rel=1e-7)
     assert g == pytest.approx([-0.25], abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "nlls"])
-def test_grad_sample_matches_finite_differences(kind):
+def test_sample_gradient_matches_finite_differences(kind):
     text = separable_libsvm_text(40, 6, seed=17)
     ds = normalize_labels(parse_libsvm(text), kind)
     obj = Objective(kind, ds)
@@ -88,7 +88,7 @@ def test_grad_sample_matches_finite_differences(kind):
     for _ in range(100):
         i = int(rng.integers(0, obj.n))
         w = rng.uniform(-1.0, 1.0, size=obj.d)
-        g = obj.grad_sample(i, w)
+        g = obj.grad_batch([i], w)
         fd = finite_diff_grad(lambda v: obj.loss_sample(i, v), w, h=1e-5)
         rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-10)
         assert rel <= 1e-5
@@ -99,7 +99,7 @@ def test_grad_batch_duplicates_count_with_multiplicity(bc_logistic):
     w = rng.normal(size=bc_logistic.d)
     i = 17
     g_dup = bc_logistic.grad_batch([i, i], w)
-    assert g_dup == pytest.approx(bc_logistic.grad_sample(i, w), abs=1e-15)
+    assert g_dup == pytest.approx(bc_logistic.grad_batch([i], w), abs=1e-15)
 
 
 def test_grad_batch_full_is_grad_full(bc_logistic):
@@ -115,7 +115,7 @@ def test_grad_batch_is_mean_of_samples():
     rng = np.random.default_rng(2)
     w = rng.normal(size=obj.d)
     S = rng.integers(0, obj.n, size=6)
-    expect = np.mean([obj.grad_sample(i, w) for i in S], axis=0)
+    expect = np.mean([obj.grad_batch([i], w) for i in S], axis=0)
     assert np.max(np.abs(obj.grad_batch(S, w) - expect)) <= 1e-12
 
 
@@ -124,14 +124,14 @@ def test_grad_full_is_mean_of_samples():
         obj = tiny_objective(kind=kind, n=30, d=5, seed=9)
         rng = np.random.default_rng(4)
         w = rng.normal(size=obj.d)
-        expect = np.mean([obj.grad_sample(i, w) for i in range(obj.n)], axis=0)
+        expect = np.mean([obj.grad_batch([i], w) for i in range(obj.n)], axis=0)
         assert np.max(np.abs(obj.grad_full(w) - expect)) <= 1e-12
 
 
 def test_single_sample_grad_full():
     obj = tiny_objective(n=1, d=3)
     w = np.array([0.3, -0.2, 0.5])
-    assert obj.grad_full(w) == pytest.approx(obj.grad_sample(0, w), abs=0)
+    assert obj.grad_full(w) == pytest.approx(obj.grad_batch([0], w), abs=0)
 
 
 def test_logistic_grad_full_at_zero_closed_form(bc_logistic):
@@ -194,7 +194,7 @@ def test_objective_rejects_unnormalized_labels():
 
 def test_objective_input_validation(bc_logistic):
     with pytest.raises(IndexError):
-        bc_logistic.grad_sample(bc_logistic.n, np.zeros(bc_logistic.d))
+        bc_logistic.grad_batch([bc_logistic.n], np.zeros(bc_logistic.d))
     with pytest.raises(ValueError):
         bc_logistic.grad_batch([], np.zeros(bc_logistic.d))
     with pytest.raises(ValueError):
