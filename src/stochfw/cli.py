@@ -356,13 +356,14 @@ def _parse_bool(value):
 
 
 def load_config_file(path):
-    """Read a UTF-8 ``key = value`` config file into a dict of strings."""
+    """Read a UTF-8 ``key = value`` config file into a dict of strings; a
+    leading byte-order mark, as some editors write, is dropped."""
     values, first_line = {}, {}
-    data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # the line of the first bad byte
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        # exc.object is the text after the mark, and exc.start counts from there
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise SpecError(f"config line {lineno}: not UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

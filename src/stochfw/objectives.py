@@ -17,18 +17,25 @@ Three kernels do that work:
   the dataset's own CSR arrays, ``indptr``, ``indices`` and ``values``. No
   scipy matrix is built; only the ``smoothness`` diagnostic makes one.
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
-  a step toward a one-hot vertex r e_i moves z by one column of X, which
-  ``Objective.column`` reads from a column view built on first use.
-  ``loss_full``, ``grad_coefs`` and ``grad_full`` take such a z instead
-  of making a pass of their own. A batch's margins always come from the
-  batch kernel.
+  a step toward a one-hot vertex r e_i moves z by one column of X. A read
+  collapses the steps since the last one into one scale of z and one
+  compiled column add per distinct column (``Objective.add_column``), or
+  makes a fresh pass when that would touch more entries than the pass.
+  The adds read a column view of X in CSC form, built at the first replay
+  by the loop of scipy's ``tocsc``: row indices and a float64 copy of the
+  values in column order, so each add is one contiguous run. The copy
+  costs 8 bytes per nnz, 4 more than positions into the CSR values would
+  (about 0.7 MB more at mushrooms shape, 182k nnz). ``loss_full``,
+  ``grad_coefs`` and ``grad_full`` take such a z instead of making a pass
+  of their own. A batch's margins always come from the batch kernel.
 
 Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
-``X[S].T @ c``, ``X @ w`` and ``X.T @ c``, from the private
-``scipy.sparse._sparsetools``, so it has their bits; the bit-for-bit
-properties in ``tests/test_batch_kernel.py`` fail if a scipy release
-changes them. They are bound where an Objective is built, so ``import
-stochfw`` does not load ``scipy.sparse``.
+``X[S].T @ c``, ``X @ w``, ``X.T @ c`` and ``X.tocsc()``, from the private
+``scipy.sparse._sparsetools``, so it has their bits; a column add is the
+``X.T @ c`` loop over one column, with the bits of ``z[rows] += c *
+values``. The bit-for-bit properties in ``tests/test_batch_kernel.py``
+fail if a scipy release changes them. They are bound where an Objective
+is built, so ``import stochfw`` does not load ``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -154,7 +161,7 @@ class Objective:
         self._loops = _sparsetools
         self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
-        # the column view, built by the first ``column`` call of any thread
+        # the column view, built at the first replay of any thread
         self._columns = None
         self._columns_lock = threading.Lock()
 
@@ -174,14 +181,29 @@ class Objective:
         self._loops.csr_matvec(self.n, self.d, ds.indptr, ds.indices, ds.values, w, out)
         return out
 
+    def _view(self):
+        # (starts, rows, values, nnz): X in CSC form and each column's nnz
+        if self._columns is None:
+            with self._columns_lock:
+                if self._columns is None:
+                    self._columns = _column_view(self.dataset, self._loops)
+        return self._columns
+
     def column(self, i):
         """Column i of X as ``(rows, values)``, rows increasing."""
-        with self._columns_lock:
-            if self._columns is None:
-                self._columns = _column_view(self.dataset, self._loops)
-        starts, rows, positions = self._columns
+        starts, rows, values, _ = self._view()
         lo, hi = starts[i], starts[i + 1]
-        return rows[lo:hi], self.dataset.values.take(positions[lo:hi])
+        return rows[lo:hi], values[lo:hi]
+
+    def add_column(self, z, i, c):
+        """z += c X[:, i] in place, for a float64 array z of length n and a
+        float c; equals ``z[rows] += c * values`` of ``column(i)`` bit for bit."""
+        _check_shape(z, (self.n,), "z")
+        if not 0 <= i < self.d:
+            raise IndexError(f"column {i} out of range [0, {self.d})")
+        starts, rows, values, _ = self._view()
+        # the column's two bounds read as a CSC matrix of one column
+        self._loops.csc_matvec(self.n, 1, starts[i:i + 2], rows, values, [c], z)
 
     def _losses(self, z, y):
         if self.kind == "logistic":
@@ -257,12 +279,21 @@ class Objective:
 
 
 def _column_view(ds, loops):
-    """X in CSC form as ``(indptr, rows, positions)``, by the loop of scipy's ``tocsc``:
-    each entry's position in the CSR arrays in place of its value, so the values stay shared."""
+    """X in CSC form as ``(starts, rows, values, nnz)``, by the loop of scipy's
+    ``tocsc``, with a float64 copy of the values in column order; ``nnz`` lists
+    each column's entry count."""
     nnz, index = len(ds.values), ds.indptr.dtype
-    view = np.empty(ds.d + 1, index), np.empty(nnz, index), np.empty(nnz, index)
-    loops.csr_tocsc(ds.n, ds.d, ds.indptr, ds.indices, np.arange(nnz, dtype=index), *view)
-    return view
+    view = np.empty(ds.d + 1, index), np.empty(nnz, index), np.empty(nnz)
+    loops.csr_tocsc(ds.n, ds.d, ds.indptr, ds.indices, ds.values, *view)
+    return *view, np.diff(view[0]).tolist()
+
+
+# The fixed cost of one column add (the method call, its checks, the slice
+# and the compiled loop's set-up), in entries of a pass over X: an add of an
+# empty column took as long as 1500-2200 entries of ``Objective.margins``
+# (median 1900; 1.4-3.1 us against 0.9-1.2 ns an entry) at mushrooms shape
+# (8124 x 112, 182k nnz) on a 2-core x86-64 host.
+_COLUMN_COST = 2000
 
 
 class Margins:
@@ -270,24 +301,31 @@ class Margins:
 
     The solve reports each step x' = x + eta (s - x) to ``step``. When s is
     a one-hot vertex r e_i (the l1 ball and the simplex), the margins follow
-    z' = z + eta (r X[:, i] - z): one column of X and one O(n) pass. ``at``
-    replays the steps taken since the last read, in that association, unless
-    the replay would touch more entries than a pass over X (n + nnz/d per
-    step against nnz); then it recomputes X x. A dense vertex (the box) is
-    never replayed, so there z is only shared between reads at one iterate.
-    Replayed margins differ from X x by rounding only; each solve replays
-    the same steps, so its results stay bit-reproducible. The array ``at``
-    returns is overwritten by the next replay.
+    z' = (1 - eta) z + eta r X[:, i]. ``at`` collapses the steps taken since
+    the last read, from the last one back, into one scale and one
+    coefficient per distinct column,
+
+        a = prod_t (1 - eta_t),   c_i = sum_{t: i_t = i} eta_t r_t prod_{u>t} (1 - eta_u),
+
+    and applies them as ``z *= a`` and one compiled ``Objective.add_column``
+    per column. It does so unless the replay would touch more entries than a
+    pass over X: n for the scale, and each distinct column's nnz plus
+    ``_COLUMN_COST`` for its add, against nnz. Then it recomputes X x, and
+    ``step`` stops keeping steps once the sum passes nnz. A dense vertex
+    (the box) is never replayed, so there z is only shared between reads at
+    one iterate. Replayed margins differ from X x by rounding only; each
+    solve replays the same steps, so its results stay bit-reproducible. The
+    array ``at`` returns is overwritten by the next replay.
     """
 
     def __init__(self, obj, x):
         self._obj = obj
         self._x = x
         self._z = None
-        self._steps = None  # vertex steps since z was read; None: recompute
-        self._scaled = None  # replay buffer
-        n, d, nnz = obj.n, obj.d, len(obj.dataset.values)
-        self._max_steps = nnz * d // (n * d + nnz)
+        self._steps = None  # (eta, i, r) of the vertex steps since z was read; None: recompute
+        self._seen = set()  # the distinct i among them
+        self._room = 0  # entries a replay may still touch before a pass is cheaper
+        self._costs = None  # each column's nnz + _COLUMN_COST, from the column view
 
     def step(self, x_new, eta, s):
         """The solve moved to x_new = x + eta (s - x)."""
@@ -295,33 +333,35 @@ class Margins:
         steps = self._steps
         if steps is None:
             return
-        if len(steps) < self._max_steps:
-            (nz,) = s.nonzero()
-            if len(nz) == 1:
-                steps.append((eta, nz[0], s[nz[0]]))
+        (nz,) = s.nonzero()
+        if len(nz) == 1:
+            i = nz.item()
+            steps.append((eta, i, s.item(i)))
+            seen = self._seen
+            if i in seen:
+                return
+            seen.add(i)
+            if self._costs is None:
+                self._costs = [k + _COLUMN_COST for k in self._obj._view()[3]]
+            self._room -= self._costs[i]
+            if self._room >= 0:
                 return
         self._steps = None
 
     def at(self):
         """X x at the current iterate."""
-        if self._steps is None:
-            self._z = self._obj.margins(self._x)
-        else:
-            for eta, i, r in self._steps:
-                self._replay(eta, i, r)
-        self._steps = []
+        steps, obj = self._steps, self._obj
+        if steps is None:
+            self._z = obj.margins(self._x)
+        elif steps:
+            coefs, a = {}, 1.0
+            for eta, i, r in reversed(steps):
+                coefs[i] = coefs.get(i, 0.0) + eta * r * a
+                a *= 1.0 - eta
+            z = self._z
+            z *= a
+            for i, c in coefs.items():
+                obj.add_column(z, i, c)
+        self._steps, self._room = [], len(obj.dataset.values) - obj.n
+        self._seen.clear()
         return self._z
-
-    def _replay(self, eta, i, r):
-        z = self._z
-        if self._scaled is None:
-            self._scaled = np.empty_like(z)
-        rows, vals = self._obj.column(i)
-        zc = z.take(rows)
-        column = r * vals
-        column -= zc
-        column *= eta
-        column += zc  # z + eta (r X[:, i] - z) on the column's rows
-        np.multiply(z, eta, out=self._scaled)
-        z -= self._scaled  # z + eta (0 - z) elsewhere
-        z[rows] = column

@@ -31,11 +31,14 @@ iterate from one ``Margins`` per seed: the loss of each recorded row, the
 gap's full gradient and the estimator's full refreshes. A batch's margins
 come from the batch kernel. The loop reports each step to the margins, so
 on the l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one
-column of X instead of a pass over all of X; on the box, whose vertices
+column of X instead of a pass over all of X: a read applies the steps
+since the last one as one scale of z and one column add per distinct
+column, or makes a pass when that is cheaper. On the box, whose vertices
 are dense, the reads at one iterate (fw's gradient at x^{k+1} and row
 k+1's loss) share one pass. Replayed margins differ from X x by rounding,
-so such traces can differ from a pass-per-read loop's in the last bits,
-and they are bit-reproducible run to run.
+so l1 and simplex traces can differ from a pass-per-read loop's, or from
+a replay that applies the steps one at a time, by a few ulps; they are
+bit-reproducible run to run.
 
 A non-finite objective or gradient estimate raises ``NanAbort(k)`` at the
 first iteration k that records it or hands the estimate to the LMO,

@@ -458,16 +458,30 @@ def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeyp
     [
         (b"K = 5\n\n# comment\nalg = fw # caf\xe9\n", "config line 4: not UTF-8"),
         (b"K = 5\r\n\xff", "config line 2: not UTF-8"),
+        (b"\xef\xbb\xbfK = 5\n\xff", "config line 2: not UTF-8"),
+        (b"\xef\xbb\xbf\xffK = 5\n", "config line 1: not UTF-8"),
         (b"K = 5\nalg = fw\nepochs = 1\nk = 3\n", "config line 4: 'k' repeats the setting of line 1"),
         (b"algorithms = fw\nALG = sarah_fw\n", "config line 2: 'alg' repeats the setting of line 1"),
     ],
-    ids=["not-utf8", "not-utf8-after-crlf", "K-twice", "alg-and-algorithms"],
+    ids=["not-utf8", "not-utf8-after-crlf", "not-utf8-after-bom", "not-utf8-at-bom",
+         "K-twice", "alg-and-algorithms"],
 )
 def test_config_file_errors_name_the_line(tmp_path, config, message):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(config)
     with pytest.raises(SpecError, match=message):
         load_config_file(cfg)
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, dataset_file):
+    # as some editors save UTF-8; the mark is not part of the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfK = 5\nalg = fw\n")
+    assert load_config_file(cfg) == {"k": "5", "alg": "fw"}
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(dataset_file), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert (out / "summary.csv").is_file()
 
 
 def test_run_help_exits_0(capsys):
