@@ -288,12 +288,14 @@ def _column_view(ds, loops):
     return *view, np.diff(view[0]).tolist()
 
 
-# The fixed cost of one column add (the method call, its checks, the slice
-# and the compiled loop's set-up), in entries of a pass over X: an add of an
-# empty column took as long as 1500-2200 entries of ``Objective.margins``
-# (median 1900; 1.4-3.1 us against 0.9-1.2 ns an entry) at mushrooms shape
-# (8124 x 112, 182k nnz) on a 2-core x86-64 host.
+# The fixed costs of a replay, in entries of a pass over X, measured at
+# mushrooms shape (8124 x 112, 182k nnz) on a 2-core x86-64 host, where
+# ``Objective.margins`` took 0.9-1.2 ns an entry: an add of an empty column
+# (the method call, its checks, the slice and the compiled loop's set-up)
+# took as long as 1500-2200 entries (median 1900; 1.4-3.1 us), and each step
+# of the collapse as long as 160-230 (150-240 ns).
 _COLUMN_COST = 2000
+_STEP_COST = 200
 
 
 class Margins:
@@ -308,14 +310,16 @@ class Margins:
         a = prod_t (1 - eta_t),   c_i = sum_{t: i_t = i} eta_t r_t prod_{u>t} (1 - eta_u),
 
     and applies them as ``z *= a`` and one compiled ``Objective.add_column``
-    per column. It does so unless the replay would touch more entries than a
-    pass over X: n for the scale, and each distinct column's nnz plus
-    ``_COLUMN_COST`` for its add, against nnz. Then it recomputes X x, and
-    ``step`` stops keeping steps once the sum passes nnz. A dense vertex
-    (the box) is never replayed, so there z is only shared between reads at
-    one iterate. Replayed margins differ from X x by rounding only; each
-    solve replays the same steps, so its results stay bit-reproducible. The
-    array ``at`` returns is overwritten by the next replay.
+    per column. That touches n entries for the scale and each column's nnz
+    for its add, plus the fixed costs ``_STEP_COST`` per step and
+    ``_COLUMN_COST`` per column; when the sum passes nnz, ``at`` makes a
+    fresh pass over X instead. ``step`` stops keeping steps once their fixed
+    cost alone would pass it, which also bounds the memory they hold. A
+    dense vertex (the box) is never replayed, so there z is only shared
+    between reads at one iterate. Replayed margins differ from X x by
+    rounding only; each solve replays the same steps, so its results stay
+    bit-reproducible. The array ``at`` returns is overwritten by the next
+    replay.
     """
 
     def __init__(self, obj, x):
@@ -323,9 +327,8 @@ class Margins:
         self._x = x
         self._z = None
         self._steps = None  # (eta, i, r) of the vertex steps since z was read; None: recompute
-        self._seen = set()  # the distinct i among them
-        self._room = 0  # entries a replay may still touch before a pass is cheaper
-        self._costs = None  # each column's nnz + _COLUMN_COST, from the column view
+        self._room = len(obj.dataset.values) - obj.n  # entries a replay may touch past the scale
+        self._max_steps = self._room // _STEP_COST
 
     def step(self, x_new, eta, s):
         """The solve moved to x_new = x + eta (s - x)."""
@@ -333,35 +336,32 @@ class Margins:
         steps = self._steps
         if steps is None:
             return
-        (nz,) = s.nonzero()
-        if len(nz) == 1:
-            i = nz.item()
-            steps.append((eta, i, s.item(i)))
-            seen = self._seen
-            if i in seen:
-                return
-            seen.add(i)
-            if self._costs is None:
-                self._costs = [k + _COLUMN_COST for k in self._obj._view()[3]]
-            self._room -= self._costs[i]
-            if self._room >= 0:
+        if len(steps) < self._max_steps:
+            (nz,) = s.nonzero()
+            if len(nz) == 1:
+                i = nz.item()
+                steps.append((eta, i, s.item(i)))
                 return
         self._steps = None
 
     def at(self):
         """X x at the current iterate."""
         steps, obj = self._steps, self._obj
-        if steps is None:
-            self._z = obj.margins(self._x)
-        elif steps:
+        if steps:
             coefs, a = {}, 1.0
             for eta, i, r in reversed(steps):
                 coefs[i] = coefs.get(i, 0.0) + eta * r * a
                 a *= 1.0 - eta
-            z = self._z
-            z *= a
-            for i, c in coefs.items():
-                obj.add_column(z, i, c)
-        self._steps, self._room = [], len(obj.dataset.values) - obj.n
-        self._seen.clear()
+            nnz = obj._view()[3]
+            cost = _STEP_COST * len(steps) + sum(nnz[i] + _COLUMN_COST for i in coefs)
+            if cost <= self._room:
+                z = self._z
+                z *= a
+                for i, c in coefs.items():
+                    obj.add_column(z, i, c)
+            else:
+                steps = None
+        if steps is None:
+            self._z = obj.margins(self._x)
+        self._steps = []
         return self._z

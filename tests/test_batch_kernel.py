@@ -4,11 +4,13 @@
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
 b = n, and with int32 or int64 index arrays; so must the full passes
 ``Objective.margins`` and ``mean_rows`` against ``X @ w`` and ``X.T @ c``,
-and a block of m batches against each of its batches alone. The kernel calls the loops
-behind those products (``scipy.sparse._sparsetools``, a private module), so
-this property is what fails if a scipy release changes them. The loops
-check no bounds, so a ``Batch`` must reject a non-integer or out-of-range
-S and a w or c of the wrong length itself. ``grad_batch`` must be the mean of the
+and a block of m batches against each of its batches alone; and so must
+``Objective.add_column`` against numpy's ``z[rows] += c * values``. The kernel
+calls the loops behind those products (``scipy.sparse._sparsetools``, a
+private module), so this property is what fails if a scipy release changes
+them. The loops check no bounds, so a ``Batch`` must reject a non-integer or
+out-of-range S and a w or c of the wrong length itself, and a column add a z
+of the wrong length or a column out of range. ``grad_batch`` must be the mean of the
 per-sample gradients up to the rounding of the two summation orders; one
 Objective must serve batches from several threads at once; and
 ``import stochfw.cli`` must not load ``scipy.sparse``, which the kernel
@@ -99,6 +101,40 @@ def test_kernel_matches_scipy_on_int64_indices(monkeypatch, data):
     obj = data.draw(objectives())
     assert obj.dataset.indices.dtype == np.int64
     assert_kernel_matches_scipy(obj, data)
+
+
+# the patch holds for the whole test, so one fixture serves every example
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_column_add_matches_numpy_bit_for_bit(monkeypatch, data):
+    # every column, empty ones included, with c = 0, negative c and any other
+    with monkeypatch.context() as patch:
+        if data.draw(st.booleans(), label="int64 indices"):
+            patch.setattr(data_module, "INDEX_LIMIT", 0)
+        obj = data.draw(objectives())
+    z = data.draw(vectors(obj.n))
+    coefs = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), _VALUES)
+    for i in range(obj.d):
+        c = data.draw(coefs)
+        rows, vals = obj.column(i)
+        expect = z.copy()
+        expect[rows] += c * vals
+        obj.add_column(z, i, c)
+        assert np.array_equal(z.view(np.uint64), expect.view(np.uint64))
+
+
+def test_column_add_rejects_bad_z_and_columns(bc_logistic):
+    # the compiled loop writes n entries of z and reads the column's bounds unchecked
+    obj = bc_logistic
+    for z in (np.zeros(obj.n - 1), np.zeros(obj.n + 1), np.zeros((obj.n, 1))):
+        with pytest.raises(ValueError, match="z has shape"):
+            obj.add_column(z, 0, 1.0)
+    z = np.zeros(obj.n)
+    for i in (-1, obj.d, obj.d + 1):
+        with pytest.raises(IndexError):
+            obj.add_column(z, i, 1.0)
+    assert not z.any()
 
 
 def assert_grad_batch_is_mean(obj, S, w):

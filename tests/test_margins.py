@@ -1,6 +1,7 @@
 """The solve's margins z = X x: the column view it replays Frank-Wolfe steps
-from, how far replayed margins drift from a fresh pass over X, how many
-passes a solve makes, and one view per Objective across threads."""
+from, how far replayed margins drift from a fresh pass over X, when a read
+makes a fresh pass instead, how many passes a solve makes, and one view per
+Objective across threads."""
 
 import threading
 import time
@@ -80,6 +81,126 @@ def test_replayed_margins_stay_near_a_fresh_pass(data, kind, request, monkeypatc
     worst = max(worst, drift(cache.at(), x))
     assert len(passes) == 1  # x0 only: the other 2000 reads were replays
     assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("kind", ["l1_ball", "simplex"])
+@pytest.mark.parametrize("data", ["bc_logistic", "mushrooms_scale_logistic"])
+def test_reads_25_steps_apart_stay_near_a_fresh_pass(data, kind, request, monkeypatch):
+    # each read collapses 25 vertex steps into one scale and a column add per
+    # distinct column; the first step has eta = 1, so its read scales z by 0
+    obj = request.getfixturevalue(data)
+    if data == "bc_logistic":
+        # dense columns: the cost test would make a pass at most of these
+        # reads, so the column adds' fixed cost is cancelled to check the
+        # replay's drift
+        monkeypatch.setattr(objectives, "_COLUMN_COST", -obj.n)
+    cset = ConstraintSet(kind, 2000.0, dim=obj.d)
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+
+    x = default_x0(cset)
+    cache = Margins(obj, x)
+    worst = 0.0
+    for k in range(2000):
+        exact = margins(obj, x)
+        if k % 25 == 0:
+            z = cache.at()
+            worst = max(worst, np.max(np.abs(z - exact)) / np.max(np.abs(exact), initial=1.0))
+        s = lmo(cset, obj.grad_full(x, exact))
+        step = 2.0 / (k + 2.0)
+        x_new = x + step * (s - x)
+        cache.step(x_new, step, s)
+        x = x_new
+    assert len(passes) == 1  # x0 only: the other 80 reads were replays
+    assert worst <= 1e-12, worst
+
+
+def test_a_replay_that_touches_more_than_a_pass_makes_the_pass(bc_logistic, monkeypatch):
+    # on bc (683 x 10, dense) a replay of m + 1 steps on m distinct columns
+    # touches n + (m + 1) _STEP_COST + m (n + _COLUMN_COST) entries; past
+    # nnz, the read is a fresh pass
+    obj = bc_logistic
+    n, nnz = obj.n, len(obj.dataset.values)
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+    x = np.zeros(obj.d)
+    cache = Margins(obj, x)
+    cache.at()
+    for m in range(1, obj.d + 1):
+        before = len(passes)
+        for i in range(m):  # m distinct columns, the first one twice
+            for r in ((3.0, -2.0) if i == 0 else (5.0,)):
+                s = np.zeros(obj.d)
+                s[i] = r
+                x = x + 0.25 * (s - x)
+                cache.step(x, 0.25, s)
+        z = cache.at()
+        fresh = n + (m + 1) * objectives._STEP_COST + m * (n + objectives._COLUMN_COST) > nnz
+        assert len(passes) - before == fresh, m
+        assert np.allclose(z, margins(obj, x), rtol=1e-13, atol=1e-13 * np.abs(z).max())
+    assert 1 < passes.count(1) < obj.d + 1  # both kinds of read happened
+
+
+def test_steps_past_their_budget_make_a_pass(mushrooms_scale_logistic, monkeypatch):
+    # repeats of one column cost a replay _STEP_COST each, so step keeps at
+    # most (nnz - n) / _STEP_COST of them: the steps a read holds stay bounded
+    obj = mushrooms_scale_logistic
+    limit = (len(obj.dataset.values) - obj.n) // objectives._STEP_COST
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+    s = np.zeros(obj.d)
+    s[3] = 2.0
+    for steps, made in ((100, 0), (limit, 1), (limit + 1, 1)):
+        x = np.zeros(obj.d)
+        cache = Margins(obj, x)
+        cache.at()
+        for _ in range(steps):
+            x = x + 0.01 * (s - x)
+            cache.step(x, 0.01, s)
+        # the steps held, or None once there are more than the limit
+        assert cache._steps is None if steps > limit else len(cache._steps) == steps
+        passes.clear()
+        z = cache.at()
+        assert len(passes) == made, steps
+        assert np.allclose(z, margins(obj, x), rtol=1e-12, atol=1e-12)
+
+
+def test_dense_columns_always_make_passes(monkeypatch):
+    # a column of 20 rows does not pay for an add on 20 x 6 dense data
+    obj = tiny_objective(n=20, d=6, seed=9)
+    cset = ConstraintSet("l1_ball", 3.0, dim=obj.d)
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+    cfg = SolverConfig("fw", 30, "classic_fw", _ESTIMATORS["fw"], seeds=(4,))
+    solve(cfg, obj, cset, default_x0(cset))
+    assert len(passes) == cfg.K + 1  # a pass at every iterate
+
+
+@pytest.mark.parametrize("kind", ["l1_ball", "simplex"])
+@pytest.mark.parametrize("algorithm", ["fw", "sarah_fw", "saga_sarah_fw", "momentum_fw"])
+def test_thinned_rows_make_one_pass_per_seed(algorithm, kind, mushrooms_scale_logistic,
+                                             monkeypatch):
+    # rows 25 steps apart, as the benchmark's mushrooms-vr grid records them:
+    # every read after x0 is a replay, gaps and sarah's refreshes included
+    obj = mushrooms_scale_logistic
+    cset = ConstraintSet(kind, 2000.0, dim=obj.d)
+    x0 = default_x0(cset)
+    est_cfg = _ESTIMATORS[algorithm]
+    if algorithm == "sarah_fw":
+        est_cfg = EstimatorConfig(kind="sarah", b=3, p=0.05)
+    cfg = SolverConfig(algorithm, 200, "classic_fw", est_cfg, seeds=(0, 1),
+                       gap_every=50, record_every=25)
+    points = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins",
+                        lambda self, w: points.append(w.copy()) or margins(self, w))
+    solve(cfg, obj, cset, x0)
+    assert len(points) == len(cfg.seeds)
+    assert all(np.array_equal(w, x0) for w in points)
 
 
 # Objective.margins calls (passes over X) per solve of the run below at the
