@@ -362,7 +362,7 @@ def load_config_file(path):
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # the line of the first bad byte
-        # exc.object is the text after the mark, and exc.start counts from there
+        # exc.object holds the bytes after the mark, and exc.start counts from there
         lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise SpecError(f"config line {lineno}: not UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
