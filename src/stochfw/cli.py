@@ -78,6 +78,8 @@ MAX_K = 2**53
 # The most trace rows one solve holds in memory until its CSVs are written,
 # at about 225 B a row: under 1 GB.
 MAX_ROWS = 2**22
+# The first line of every trace CSV.
+TRACE_HEADER = "k,sfo,lmo,f,gap,wall_ns"
 
 
 class SpecError(ValueError):
@@ -217,7 +219,7 @@ def _format_float(x):
 
 def emit_csv(trace, path):
     """Write a trace as CSV; floats carry 17 significant digits."""
-    lines = ["k,sfo,lmo,f,gap,wall_ns"]
+    lines = [TRACE_HEADER]
     for row in trace.rows:
         gap = "" if row.gap is None else _format_float(row.gap)
         lines.append(
@@ -246,7 +248,7 @@ def read_csv(path):
     trace = Trace()
     with open(path, "r") as fh:
         header = fh.readline().strip()
-        if header != "k,sfo,lmo,f,gap,wall_ns":
+        if header != TRACE_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
         for line in fh:
             line = line.strip()

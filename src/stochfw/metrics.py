@@ -58,16 +58,16 @@ class Trace:
         return [r.gap for r in self.rows if r.gap is not None]
 
 
-def fw_gap(obj, cset, y, z=None, grad=None):
+def fw_gap(obj, cset, y, grad=None):
     """gap(y) = <grad f(y), y - s> with s the LMO vertex at grad f(y).
 
-    ``z``, if given, is X y, and grad f(y) is computed from it; ``grad``, if
-    given, is grad f(y) itself, and no pass is made. Mathematically
-    non-negative for feasible y; values within 1e-12 below zero (rounding)
-    are reported as 0. NaN when grad f(y) is not finite, since no vertex
-    minimizes against it.
+    ``grad``, if given, is grad f(y) itself, and no pass is made; otherwise
+    grad f(y) comes from one pass over the data. Mathematically non-negative
+    for feasible y; values within 1e-12 below zero (rounding) are reported
+    as 0. NaN when grad f(y) is not finite, since no vertex minimizes
+    against it.
     """
-    g = obj.grad_full(y, z) if grad is None else grad
+    g = obj.grad_full(y) if grad is None else grad
     if not np.all(np.isfinite(g)):
         return float("nan")
     s = lmo(cset, g)

@@ -46,11 +46,11 @@ whatever ``record_every`` is, in any seed; so does a non-finite full
 gradient at a row that evaluates the Frank-Wolfe gap. fw's estimate is
 that full gradient already, so its gap rows reuse it.
 
-Oracle accounting: the estimator owns the SFO counters, one per seed;
-each seed's lmo_total equals K.
-Frank-Wolfe gap evaluations need one full gradient (n SFO-equivalents) and
-one LMO each; these are metered separately (gap_sfo_total, gap_lmo_total)
-so reported totals reflect only the algorithm's own oracle calls.
+Oracle accounting: the estimator owns the SFO counters, one per seed. One
+LMO call per iteration: row k records lmo = k and lmo_total is K. A gap
+row's full gradient (n SFO-equivalents) and LMO are metered apart from
+these: gap_lmo_total counts the gap rows, the same in every seed's trace,
+and gap_sfo_total is n times that.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ class Run:
     trace: Trace
     sfo_total: int
     lmo_total: int
-    gap_sfo_total: int = 0
-    gap_lmo_total: int = 0
+    gap_sfo_total: int
+    gap_lmo_total: int
 
 
 @dataclass
@@ -138,7 +138,7 @@ class SolveResult:
     estimator that served them all."""
 
     runs: list
-    estimator: object = field(default=None, repr=False)
+    estimator: object = field(repr=False)
 
     @property
     def sfo_total(self):
@@ -174,13 +174,11 @@ def solve(cfg, obj, cset, x0, callback=None):
     margins = [Margins(obj, x_j) for x_j in x]
     est = init_estimator(cfg.estimator_cfg, obj, x, cfg.seeds, margins)
     traces = [Trace() for _ in cfg.seeds]
-    gap_rows = 0  # the seeds record the same rows, so they share this count
     # fw's estimate is the full gradient at x_k, from the same margins
     reuse_grad = cfg.estimator_cfg.kind == "full"
     t0 = time.monotonic_ns() if cfg.timing else None
 
     def record(k, x):
-        nonlocal gap_rows
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
         for x_k, g_k, mg, sfo, trace in zip(x, est.g, margins, est.sfo_counts, traces):
             f_k = obj.loss_full(x_k, mg.at())
@@ -190,17 +188,16 @@ def solve(cfg, obj, cset, x0, callback=None):
                 raise NanAbort(k, "gradient estimate")
             gap_k = None
             if gap_due:
-                gap_k = fw_gap(obj, cset, x_k, mg.at(), g_k if reuse_grad else None)
+                grad = g_k if reuse_grad else obj.grad_full(x_k, mg.at())
+                gap_k = fw_gap(obj, cset, x_k, grad)
                 if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                     raise NanAbort(k, "full gradient")
             wall = time.monotonic_ns() - t0 if cfg.timing else 0
-            trace.append(TraceRow(k=k, sfo=sfo, lmo=lmo_total, f=f_k, gap=gap_k, wall_ns=wall))
+            trace.append(TraceRow(k=k, sfo=sfo, lmo=k, f=f_k, gap=gap_k, wall_ns=wall))
             if callback is not None:
                 callback(k, x_k)
-        gap_rows += gap_due
 
     p, b, n = cfg.estimator_cfg.p, cfg.estimator_cfg.b, obj.n
-    lmo_total = 0
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
             record(k, x)
@@ -212,7 +209,6 @@ def solve(cfg, obj, cset, x0, callback=None):
             if np.all(np.isfinite(est.g)):
                 raise
             raise NanAbort(k, "gradient estimate") from None
-        lmo_total += 1
         step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
         for mg, x_j, s_j in zip(margins, x_new, s):
@@ -222,6 +218,7 @@ def solve(cfg, obj, cset, x0, callback=None):
 
     record(cfg.K, x)
 
-    runs = [Run(seed, x_j, trace, sfo, lmo_total, gap_rows * n, gap_rows)
+    gap_rows = len(traces[0].gap_values())  # every seed records the same rows
+    runs = [Run(seed, x_j, trace, sfo, cfg.K, gap_rows * n, gap_rows)
             for seed, x_j, trace, sfo in zip(cfg.seeds, x, traces, est.sfo_counts)]
     return SolveResult(runs=runs, estimator=est)
