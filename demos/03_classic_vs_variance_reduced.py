@@ -20,6 +20,7 @@ from stochfw import (
     relative_suboptimality,
     solve,
 )
+from stochfw.estimators import ALGORITHMS
 from stochfw.schedules import default_batch, default_params
 
 
@@ -51,10 +52,10 @@ epochs = 100
 budget = epochs * n
 print(f"n={n} d={d} b={b} p={p:.5f} lambda={lam:.5f} budget={epochs} epochs")
 
-# equal SFO budgets -> different horizons (expected per-iteration cost)
-K_fw = epochs
-K_sarah = ceil(budget / (p * n + (1 - p) * 2 * b))
-K_saga = ceil(budget / (2 * b))
+# equal SFO budgets -> different horizons: each algorithm's expected SFO
+# cost of one iteration turns the budget into K, as `stochfw run --epochs` does
+K_fw, K_sarah, K_saga = (ceil(budget / ALGORITHMS[name].sfo_per_iteration(n, b, p))
+                         for name in ("fw", "sarah_fw", "saga_sarah_fw"))
 
 runs = {
     "fw": solve(

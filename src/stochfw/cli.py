@@ -78,7 +78,7 @@ MAX_K = 2**53
 # The most trace rows one solve holds in memory until its CSVs are written,
 # at about 225 B a row: under 1 GB.
 MAX_ROWS = 2**22
-# The first line of every trace CSV.
+
 TRACE_HEADER = "k,sfo,lmo,f,gap,wall_ns"
 
 

@@ -60,6 +60,13 @@ def test_csv_round_trip_exact(tmp_path):
     emit_csv(make_trace(rows), path)
     back = read_csv(path)
     assert back.rows == rows
+    # blank lines are skipped; a file with another header is not a trace
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header, "", *lines, "  ", ""]) + "\n")
+    assert read_csv(path).rows == rows
+    path.write_text("\n".join(["k,sfo,lmo,f,gap", *lines]) + "\n")
+    with pytest.raises(ValueError, match="unexpected CSV header 'k,sfo,lmo,f,gap'"):
+        read_csv(path)
 
 
 class _FullDisk:
@@ -428,6 +435,12 @@ MISSING = ["--dataset", "missing.libsvm"]
         ([], "K = 5\nk = 3\n"),
         (["--K", "5"], "alg = fw\nalgorithms = sarah_fw\n"),
         (["--K", "5"], "Seeds = 1\nseed = 2\n"),
+        (["--K", "5", "--batch", "61"], None),
+        (["--K", "5", *MISSING], "colour = red\n"),
+        (["--K", "5", *MISSING], "constraint = l2_ball\n"),
+        (["--K", "5", *MISSING], "schedule = fast\n"),
+        (["--K", "5", "--alg", ",", *MISSING], None),
+        (["--K", "5", "--seed", ",", *MISSING], None),
     ],
     ids=["bad-int", "bad-loss", "K-and-epochs", "unknown-flag",
          "config-timing-typo", "config-timing-2", "repeated-alg", "repeated-seed",
@@ -436,7 +449,9 @@ MISSING = ["--dataset", "missing.libsvm"]
          "no-horizon", "record-every-0", "gap-every-negative",
          "batch-0", "p-2", "lambda-0", "d-0-missing-dataset", "d-0", "d-negative",
          "d-2^31", "config-colon", "config-not-utf8", "config-K-twice",
-         "config-alg-and-algorithms", "config-seeds-and-seed"],
+         "config-alg-and-algorithms", "config-seeds-and-seed", "batch-above-n",
+         "config-unknown-key", "constraint-l2-ball", "schedule-fast", "empty-alg-list",
+         "empty-seed-list"],
 )
 def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeypatch,
                                          flags, config):
@@ -451,6 +466,11 @@ def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert "invalid spec:" in captured.out + captured.err
     assert not out.exists()  # rejected before any run wrote output
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert "cannot read config:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -110,3 +110,7 @@ def test_constraint_validation():
         lmo(cset, np.zeros(4))  # dimension mismatch
     with pytest.raises(ValueError):
         lmo(cset, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="vector or an"):
+        lmo(cset, np.zeros((1, 1, 3)))
+    with pytest.raises(ValueError, match="tol"):
+        contains(cset, np.zeros(3), -1e-9)

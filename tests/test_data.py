@@ -114,6 +114,11 @@ def test_dataset_invariant_checks():
             labels=np.array([1.0, -1.0]),  # length mismatch
             d=1,
         )
+    empty = dict(indices=np.array([], dtype=np.int32), values=np.array([]))
+    with pytest.raises(ValueError, match="at least one sample"):
+        Dataset(indptr=np.array([0]), labels=np.array([]), d=1, **empty)
+    with pytest.raises(ValueError, match="at least one feature"):
+        Dataset(indptr=np.array([0, 0]), labels=np.array([1.0]), d=0, **empty)
     # CSR arrays that scipy's unchecked loops would read or write out of bounds
     for indptr, indices in [([0, 3], [0]),            # indptr past the nonzeros
                             ([0, 1], [5]),            # index >= d
@@ -146,6 +151,8 @@ def test_normalize_labels_rejects_wrong_cardinality():
         normalize_labels(parse_libsvm("1 1:1\n2 1:1\n3 1:1\n"), "logistic")
     with pytest.raises(ValueError):
         normalize_labels(parse_libsvm("1 1:1\n1 1:2\n"), "nlls")
+    with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+        normalize_labels(parse_libsvm("1 1:1\n2 1:1\n"), "hinge")
 
 
 @pytest.mark.skipif(not A9A_PATH.exists(), reason="a9a not bundled; drop the "

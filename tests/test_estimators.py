@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochfw.estimators import EstimatorConfig, init_estimator
+from stochfw.estimators import EstimatorConfig, SarahEstimator, init_estimator
 from stochfw.objectives import Batch
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
@@ -379,3 +379,5 @@ def test_config_validation(obj):
         EstimatorConfig(kind="full", cold_start=True)
     with pytest.raises(ValueError):
         EstimatorConfig(kind="nope")
+    with pytest.raises(ValueError, match="config kind 'full' does not match 'sarah'"):
+        SarahEstimator(EstimatorConfig(kind="full"), obj, np.zeros((1, obj.d)), (0,))

@@ -66,6 +66,18 @@ def test_fw_gap_consistent_with_lmo():
     assert fw_gap(obj, cset, y) == pytest.approx(float(g @ (y - s)), abs=1e-15)
 
 
+def test_fw_gap_clamps_only_rounding_below_zero():
+    # y = (2, 0) lies outside the unit l1 ball and grad = (-c, 0) picks the
+    # vertex (1, 0), so gap = -c exactly; a given gradient needs no objective
+    cset = ConstraintSet("l1_ball", 1.0, dim=2)
+    y = np.array([2.0, 0.0])
+    for c in (1e-12, 1e-13, 5e-324):
+        assert fw_gap(None, cset, y, grad=np.array([-c, 0.0])) == 0.0
+    for c in (np.nextafter(1e-12, 1.0), 1e-9):
+        assert fw_gap(None, cset, y, grad=np.array([-c, 0.0])) == -c
+    assert np.isnan(fw_gap(None, cset, y, grad=np.array([np.inf, 0.0])))
+
+
 def test_relative_suboptimality_basic():
     t = trace_from_values([4.0, 3.0, 2.0])
     assert np.array_equal(relative_suboptimality(t, 2.0), [1.0, 0.5, 0.0])
@@ -80,6 +92,8 @@ def test_relative_suboptimality_bad_reference():
     t = trace_from_values([4.0, 3.0, 2.0])
     with pytest.raises(ValueError):
         relative_suboptimality(t, 2.5)
+    with pytest.raises(ValueError, match="empty trace"):
+        relative_suboptimality(Trace(), 0.0)
 
 
 def test_relative_suboptimality_in_unit_interval():

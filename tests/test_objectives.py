@@ -193,6 +193,8 @@ def test_objective_rejects_unnormalized_labels():
 
 
 def test_objective_input_validation(bc_logistic):
+    with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+        Objective("hinge", bc_logistic.dataset)
     with pytest.raises(IndexError):
         bc_logistic.grad_batch([bc_logistic.n], np.zeros(bc_logistic.d))
     with pytest.raises(ValueError):

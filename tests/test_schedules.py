@@ -126,12 +126,16 @@ def test_default_params_rejects_bad_batch():
         default_params("sarah", 10, 11)
     with pytest.raises(ValueError):
         default_params("sarah", 10, 0)
+    with pytest.raises(ValueError, match="unknown algorithm 'momentum'"):
+        default_params("momentum", 10, 1)
 
 
 def test_default_batch():
     assert default_batch(683) == 7
     assert default_batch(1) == 1
     assert default_batch(22696) == 227
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        default_batch(0)
 
 
 def test_schedule_validation():

@@ -112,6 +112,13 @@ def test_infeasible_x0_rejected():
     cset = ConstraintSet("l1_ball", 1.0, dim=obj.d)
     with pytest.raises(ValueError, match="feasible"):
         solve(fw_config(5), obj, cset, np.full(obj.d, 1.0))
+    with pytest.raises(ValueError, match=r"x0 has shape \(5,\), expected \(4,\)"):
+        solve(fw_config(5), obj, cset, np.zeros(obj.d + 1))
+    # a set of another dimension: the LMO's own error, not a NaN abort
+    wide = ConstraintSet("l1_ball", 1.0, dim=obj.d + 1)
+    with pytest.raises(ValueError, match="g has shape") as err:
+        solve(fw_config(5), obj, wide, np.zeros(obj.d))
+    assert type(err.value) is ValueError
 
 
 def test_nan_abort_carries_iteration(monkeypatch):
@@ -152,6 +159,8 @@ def test_default_x0_per_kind():
     assert np.array_equal(default_x0(ConstraintSet("linf_box", 2.0, dim=3)), np.zeros(3))
     s = default_x0(ConstraintSet("simplex", 2.0, dim=3))
     assert np.array_equal(s, [2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="needs dim"):
+        default_x0(ConstraintSet("l1_ball", 2.0))
 
 
 def test_config_validation():
@@ -167,6 +176,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
                      record_every=0)
+    with pytest.raises(ValueError, match="gap_every must be >= 0"):
+        fw_config(5, gap_every=-1)
     for seeds in ((), 3, [1, 2]):
         with pytest.raises(ValueError, match="seeds"):
             SolverConfig(algorithm="fw", K=5, schedule="classic_fw", estimator_cfg=est,
