@@ -36,8 +36,10 @@ above n or a K resolved from epochs above 2^53 or past the row bound is
 rejected once n is known, before any output is written),
 2 unreadable/malformed dataset, 3 non-finite objective, gradient estimate
 or full gradient, 4 an output file or directory that cannot be written.
-The output directory is made at the first write, so a run that stops
-before its first file leaves no output directory.
+A nonzero exit prints its one line to standard error; the progress lines
+and the summary path go to standard output. The output directory is made
+at the first write, so a run that stops before its first file leaves no
+output directory.
 """
 
 from __future__ import annotations
@@ -269,24 +271,27 @@ def read_csv(path):
 
 
 def run_experiment(spec, log=print):
-    """Execute the grid described by ``spec``; returns a process exit code."""
+    """Execute the grid described by ``spec``; returns a process exit code.
+
+    Each finished run's line and the summary path go to ``log``; a failure's
+    one line goes to standard error, as ``main``'s own do."""
     try:
         spec.validate()
     except SpecError as exc:
-        log(f"invalid spec: {exc}")
+        print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
 
     path = Path(spec.dataset_path)
     try:
         text = path.read_bytes()
     except OSError as exc:
-        log(f"cannot read dataset {path}: {exc}")
+        print(f"cannot read dataset {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
         ds = parse_libsvm(text, d=spec.d_override, name=path.name)
         ds = normalize_labels(ds, spec.loss)
     except (ParseError, ValueError) as exc:
-        log(f"cannot parse dataset {path}: {exc}")
+        print(f"cannot parse dataset {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     del text  # nothing reads the raw bytes after the parse
 
@@ -297,7 +302,7 @@ def run_experiment(spec, log=print):
     try:
         configs = build_solver_configs(spec, ds.n)
     except (SpecError, ValueError) as exc:
-        log(f"invalid spec: {exc}")
+        print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
 
     out_dir = Path(spec.out_dir)
@@ -337,10 +342,10 @@ def run_experiment(spec, log=print):
         target = summary_path
         _write_atomic(summary_path, "\n".join(lines) + "\n")
     except NanAbort as exc:
-        log(f"aborted: {exc}")
+        print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_NAN_ABORT
     except OSError as exc:
-        log(f"cannot write {target}: {exc}")
+        print(f"cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_WRITE_ERROR
     log(f"summary -> {summary_path}")
     return EXIT_OK

@@ -1,9 +1,12 @@
 """Stochastic gradient estimators: full, SARAH, SAGA-SARAH, and momentum.
 
 An estimator serves the m seeds of a lockstep solve. Each seed has its
-own estimate (a row of the (m, d) block g), seeded RNG and stochastic
-first-order oracle (SFO) counter; the counter increments by exactly the
-number of per-sample gradient evaluations performed. Random choices go
+own estimate (a row of the (m, d) block g) and stochastic first-order
+oracle (SFO) counter; the counter increments by exactly the number of
+per-sample gradient evaluations performed. The three estimators that draw
+(sarah, saga_sarah, momentum) also hold a seeded RNG per seed; the full
+estimator holds none, so a process that runs only fw never loads
+``numpy.random`` (numpy loads it at first use). Random choices go
 through ``draw_refresh`` (SARAH's coins) and ``draw_batch``, seed by seed. A
 seed's coin is drawn before its batch, so its refresh branch consumes
 exactly one RNG draw, which keeps seeded reruns bit-exact and each seed's
@@ -129,27 +132,22 @@ class EstimatorConfig:
 
 
 class _Estimator:
-    """State shared by every estimator, held per seed: the RNGs and the
-    batches drawn from them ahead, the margins each seed reads, the SFO
-    counters and the estimates ``g``, one row per seed."""
+    """State shared by every estimator, held per seed: the margins each seed
+    reads, the SFO counters and the estimates ``g``, one row per seed. It
+    holds no RNG: only the estimators that draw (``_Drawing``) build one,
+    so the full estimator never loads ``numpy.random``."""
 
     kind = None
-    _block_indices = _BLOCK_INDICES
 
     def __init__(self, cfg, obj, x0, seeds, margins=None):
         if cfg.kind != self.kind:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         self.cfg = cfg
         self.obj = obj
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.margins = margins
-        self.sfo_counts = [0] * len(self.rngs)
-        self.g = np.empty((len(self.rngs), obj.d))
-        self._every_seed = range(len(self.rngs))
-        # each seed's drawn batches not yet served; the first block is drawn
-        # at the first update, after any draw of __init__
-        self._ahead = [iter(())] * len(self.rngs)
-        self._block_steps = max(1, self._block_indices // cfg.b)
+        self.sfo_counts = [0] * len(seeds)
+        self.g = np.empty((len(seeds), obj.d))
+        self._every_seed = range(len(seeds))
         for j, x in enumerate(x0):
             self._start(j, x)
 
@@ -161,6 +159,28 @@ class _Estimator:
     def _z(self, j):
         """X x at seed j's current iterate from its margins; None without them."""
         return None if self.margins is None else self.margins[j].at()
+
+    def _full_refresh(self, j, x):
+        self.g[j] = self.obj.grad_full(x, self._z(j))
+        self.sfo_counts[j] += self.obj.n
+
+    # g's first value at seed j's x0; saga_sarah starts without a full gradient
+    _start = _full_refresh
+
+
+class _Drawing(_Estimator):
+    """An estimator that draws: each seed's RNG and the batches drawn from it
+    ahead. The RNGs exist before the base's ``_start`` runs, which may draw."""
+
+    _block_indices = _BLOCK_INDICES
+
+    def __init__(self, cfg, obj, x0, seeds, margins=None):
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        # each seed's drawn batches not yet served; the first block is drawn
+        # at the first update, after any draw of __init__
+        self._ahead = [iter(())] * len(seeds)
+        self._block_steps = max(1, self._block_indices // cfg.b)
+        super().__init__(cfg, obj, x0, seeds, margins)
 
     def draw_batch(self, seeds):
         """One batch of b sample indices from each listed seed's RNG, as a
@@ -179,13 +199,6 @@ class _Estimator:
         bits and the RNG state of as many per-step draws."""
         return rng.integers(0, self.obj.n, size=(self._block_steps, self.cfg.b))
 
-    def _full_refresh(self, j, x):
-        self.g[j] = self.obj.grad_full(x, self._z(j))
-        self.sfo_counts[j] += self.obj.n
-
-    # g's first value at seed j's x0; saga_sarah starts without a full gradient
-    _start = _full_refresh
-
 
 class FullGradEstimator(_Estimator):
     """Deterministic baseline: g is always the exact full gradient."""
@@ -197,7 +210,7 @@ class FullGradEstimator(_Estimator):
             self._full_refresh(j, x)
 
 
-class SarahEstimator(_Estimator):
+class SarahEstimator(_Drawing):
     """Loopless SARAH: recursive correction, full refresh with probability p."""
 
     kind = "sarah"
@@ -232,7 +245,7 @@ class SarahEstimator(_Estimator):
             self.sfo_counts[j] += 2 * B.size
 
 
-class SagaSarahEstimator(_Estimator):
+class SagaSarahEstimator(_Drawing):
     """SARAH recursion mixed with a SAGA-table correction; no full gradients."""
 
     kind = "saga_sarah"
@@ -303,7 +316,7 @@ class SagaSarahEstimator(_Estimator):
             self._updates_since_recompute = 0
 
 
-class MomentumEstimator(_Estimator):
+class MomentumEstimator(_Drawing):
     """Exponential-average baseline: g = (1 - rho_k) g + rho_k batch gradient,
     with rho_k = (k+1)^(-2/3), so the first update takes the batch gradient."""
 

@@ -20,11 +20,12 @@ estimates are (m, d) blocks with one row per seed, and each step makes one
 LMO call, one step size and one estimator update for all of them. Inside
 the update the batch kernel serves every seed with one gather and one
 compiled loop per margin or weighted row sum (``objectives.Batch``). The
-RNGs, SARAH's coins and refreshes, the SAGA tables, the margins, the
-recorded rows, the gaps and the callbacks stay per seed, and every output
-sums its own seed's entries in the order a solve of that seed alone does,
-so each seed's trace is byte-identical to its solve alone. One seed is the
-case m = 1 of the same loop.
+RNGs of the estimators that draw (fw's holds none), SARAH's coins and
+refreshes, the SAGA tables, the margins, the recorded rows, the gaps and
+the callbacks stay per seed, and every output sums its own seed's entries
+in the order a solve of that seed alone does, so each seed's trace is
+byte-identical to its solve alone. One seed is the case m = 1 of the same
+loop.
 
 Every full-data pass reads the margins z = X x at its seed's current
 iterate from one ``Margins`` per seed: the loss of each recorded row, the

@@ -7,6 +7,10 @@ and goes through the real text parser so the full pipeline is exercised.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from hypothesis import strategies as st
 
 from stochfw.data import Dataset, normalize_labels, parse_libsvm
 from stochfw.objectives import Margins, Objective
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def separable_libsvm_text(n, d, seed, margin_floor=0.3, scale=1.0):
@@ -138,3 +144,16 @@ def mushrooms_scale_logistic():
     text = binary_sparse_libsvm_text(8124, 112, seed=5)
     ds = normalize_labels(parse_libsvm(text, name="mushrooms-synth"), "logistic")
     return Objective("logistic", ds)
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's src; its last
+    line of standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]

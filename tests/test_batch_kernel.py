@@ -19,11 +19,8 @@ objects as scipy's own imports in either order, and fall back to those
 imports, with the same output bytes, when the files are not there.
 """
 
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +31,7 @@ from stochfw import data as data_module
 from stochfw.data import Dataset
 from stochfw.objectives import Batch, Objective, _compiled, _load_compiled
 
-from conftest import binary_sparse_libsvm_text, separable_libsvm_text
+from conftest import binary_sparse_libsvm_text, run_python, separable_libsvm_text
 from conftest import sparse_objectives as objectives
 
 _VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -259,8 +256,6 @@ def test_batch_rejects_block_too_wide_for_index_dtype():
     assert Batch(obj, [[0]]).indices.tolist() == [d - 1]
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
 # a grid of every algorithm and both losses through ``stochfw.cli.main`` in a
 # fresh interpreter; the last line lists the scipy packages it imported.
 # argv: dataset, output directory, then the prelude's own arguments
@@ -274,19 +269,6 @@ for loss in ("logistic", "nlls"):
                  "--out", sys.argv[2] + "/" + loss]) == 0
 print([m for m in ("scipy.sparse", "scipy.special") if m in sys.modules])
 """
-
-
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter on this checkout's src; its last
-    line of standard output."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
 
 
 def grid_bytes(out):

@@ -113,14 +113,17 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, old):
         assert path.read_text() == old
 
 
-def test_failed_summary_write_leaves_no_summary(dataset_file, tmp_path, monkeypatch):
+def test_failed_summary_write_leaves_no_summary(dataset_file, tmp_path, monkeypatch,
+                                                capsys):
     def grid(out, fails):
         logs = []
         fail_writes(monkeypatch, fails)
         spec = ExperimentSpec(dataset_path=str(dataset_file), radius=10.0,
                               algorithms=["fw", "sarah_fw"], K=5, seeds=[0], out_dir=str(out))
         assert run_experiment(spec, log=logs.append) == 4
-        return logs[-1]
+        assert not any(line.startswith("cannot write") for line in logs)
+        [msg] = capsys.readouterr().err.splitlines()  # the failure, on stderr alone
+        return msg
 
     # the summary write fails: the runs' CSVs stay, and nothing else
     out = tmp_path / "summary-fails"
@@ -225,7 +228,7 @@ def test_unwritable_out_dir_exits_4(dataset_file, tmp_path, capsys):
     out = blocker / "out"
     argv = ["run", "--dataset", str(dataset_file), "--alg", "fw", "--K", "5", "--out", str(out)]
     assert main(argv) == 4
-    assert f"cannot write {out}: " in capsys.readouterr().out
+    assert f"cannot write {out}: " in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
 
 
@@ -290,7 +293,7 @@ def test_abort_in_first_solve_leaves_no_out_dir(tmp_path, capsys):
     ds.write_text("+1 1:1.7e308\n-1 1:-1.7e308\n+1 1:1.7e308\n")
     out = tmp_path / "nan_out"
     assert main(["run", "--dataset", str(ds), "--alg", "fw", "--K", "5", "--out", str(out)]) == 3
-    assert "non-finite gradient estimate at iteration 0" in capsys.readouterr().out
+    assert "non-finite gradient estimate at iteration 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -310,7 +313,7 @@ def test_nan_gradient_between_recorded_rows_exits_3(tmp_path, dataset_file,
         f"out = {tmp_path / 'out'}\n"
     )
     assert main(["run", "--config", str(cfg)]) == 3
-    assert "non-finite gradient estimate at iteration 1" in capsys.readouterr().out
+    assert "non-finite gradient estimate at iteration 1" in capsys.readouterr().err
 
 
 def test_nan_full_gradient_at_gap_row_exits_3(tmp_path, dataset_file, monkeypatch,
@@ -320,7 +323,7 @@ def test_nan_full_gradient_at_gap_row_exits_3(tmp_path, dataset_file, monkeypatc
     poison_margins(monkeypatch, 2)
     assert main(["run", "--dataset", str(dataset_file), "--alg", "sarah_fw",
                  "--K", "10", "--gap-every", "1", "--out", str(tmp_path / "out")]) == 3
-    assert "non-finite full gradient at iteration 0" in capsys.readouterr().out
+    assert "non-finite full gradient at iteration 0" in capsys.readouterr().err
 
 
 def test_non_ascii_dataset_exits_2(tmp_path, capsys):
@@ -328,7 +331,7 @@ def test_non_ascii_dataset_exits_2(tmp_path, capsys):
     bad.write_bytes(b"+1 1:1\n-1 2:\xe9\n")
     assert main(["run", "--dataset", str(bad), "--K", "5",
                  "--out", str(tmp_path / "out")]) == 2
-    assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().out
+    assert "line 2: non-ASCII byte 0xe9" in capsys.readouterr().err
 
 
 def test_config_file_parsing(tmp_path, dataset_file):
@@ -464,7 +467,7 @@ def test_command_line_spec_errors_exit_1(dataset_file, tmp_path, capsys, monkeyp
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "invalid spec:" in captured.out + captured.err
+    assert "invalid spec:" in captured.err and "invalid spec:" not in captured.out
     assert not out.exists()  # rejected before any run wrote output
 
 

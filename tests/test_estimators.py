@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochfw.estimators import EstimatorConfig, SarahEstimator, init_estimator
+from stochfw.estimators import (
+    EstimatorConfig,
+    FullGradEstimator,
+    SarahEstimator,
+    init_estimator,
+)
 from stochfw.objectives import Batch
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
-from conftest import scripted, sparse_objectives, tiny_objective
+from conftest import (
+    run_python,
+    scripted,
+    separable_libsvm_text,
+    sparse_objectives,
+    tiny_objective,
+)
 
 
 @pytest.fixture
@@ -76,6 +87,43 @@ def test_sarah_refresh_consumes_exactly_one_rng_draw(obj):
     twin = np.random.default_rng(seed)
     twin.random()
     assert est.rngs[0].random() == twin.random()
+
+
+# one algorithm's grid over both losses, the l1 ball and the box, seeds 0
+# and 1, through ``stochfw.cli.main`` in a fresh interpreter; the last line
+# says whether numpy.random was loaded. argv: a directory holding grid.libsvm
+# and a config file per constraint, then the algorithm
+ALG_GRID = """
+import sys
+from stochfw.cli import main
+work = sys.argv[1]
+for loss in ("logistic", "nlls"):
+    for constraint in ("l1_ball", "linf_box"):
+        assert main(["run", "--dataset", f"{work}/grid.libsvm", "--loss", loss,
+                     "--config", f"{work}/{constraint}.cfg", "--alg", sys.argv[2],
+                     "--K", "30", "--seed", "0,1",
+                     "--out", f"{work}/out/{loss}-{constraint}"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("alg, draws", [("fw", False), ("sarah_fw", True)])
+def test_only_drawing_estimators_load_numpy_random(tmp_path, alg, draws):
+    # numpy loads numpy.random at its first use, about 6 MB of a fresh
+    # process's peak RSS; fw draws nothing, so its grid never loads it
+    (tmp_path / "grid.libsvm").write_text(separable_libsvm_text(40, 6, seed=2))
+    for constraint in ("l1_ball", "linf_box"):
+        (tmp_path / f"{constraint}.cfg").write_text(f"constraint = {constraint}\n")
+    assert run_python(ALG_GRID, tmp_path, alg) == str(draws)
+    # two traces and a summary for each loss and constraint
+    assert len(list((tmp_path / "out").rglob("*.csv"))) == 4 * 3
+
+
+def test_full_estimator_holds_no_rng(obj):
+    est = init_estimator(EstimatorConfig(kind="full"), obj, np.ones((2, obj.d)), (0, 1))
+    assert isinstance(est, FullGradEstimator)
+    assert not hasattr(est, "rngs")
+    assert not hasattr(est, "draw_batch")
 
 
 @settings(max_examples=200, deadline=None)

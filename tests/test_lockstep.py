@@ -139,7 +139,7 @@ def test_nonfinite_estimate_in_one_seed_exits_3(tmp_path, monkeypatch, capsys):
     argv = ["run", "--dataset", str(data), "--alg", "momentum_fw", "--K", "10",
             "--seed", "0,1", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
-    assert "aborted: non-finite gradient estimate" in capsys.readouterr().out
+    assert "aborted: non-finite gradient estimate" in capsys.readouterr().err
 
 
 def test_grid_starts_no_thread(tmp_path, monkeypatch):
