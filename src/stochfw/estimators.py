@@ -52,9 +52,10 @@ through the objective's full passes (``grad_full``, ``grad_coefs``,
 and ``X[S].T @ c``, so every batch term has their bits.
 
 A batch's margins always come from the batch kernel. Inside ``solve``,
-full refreshes and the SAGA initial pass read X x at each seed's current
-iterate from that seed's ``Margins``. Built without them, an estimator
-leaves every full pass to the objective.
+full refreshes and the SAGA initial pass are handed each seed's
+``Margins`` and read from them X x at its current iterate and the loss
+terms of it. Built without them, an estimator leaves every full pass to
+the objective.
 
 Every estimator holds its state with a leading seed axis: g, the SAGA
 table and its average are (m, .) arrays and the refresh counts a per-seed
@@ -144,7 +145,7 @@ class _Estimator:
             raise ValueError(f"config kind {cfg.kind!r} does not match {self.kind!r}")
         self.cfg = cfg
         self.obj = obj
-        self.margins = margins
+        self.margins = margins or [None] * len(seeds)
         self.sfo_counts = [0] * len(seeds)
         self.g = np.empty((len(seeds), obj.d))
         self._every_seed = range(len(seeds))
@@ -156,12 +157,8 @@ class _Estimator:
         """SFO calls of all seeds together."""
         return sum(self.sfo_counts)
 
-    def _z(self, j):
-        """X x at seed j's current iterate from its margins; None without them."""
-        return None if self.margins is None else self.margins[j].at()
-
     def _full_refresh(self, j, x):
-        self.g[j] = self.obj.grad_full(x, self._z(j))
+        self.g[j] = self.obj.grad_full(x, self.margins[j])
         self.sfo_counts[j] += self.obj.n
 
     # g's first value at seed j's x0; saga_sarah starts without a full gradient
@@ -270,7 +267,7 @@ class SagaSarahEstimator(_Drawing):
             self.sfo_counts[j] += 1
         else:
             # One pass fills the table and the initial estimate together.
-            self.table_coefs[j] = obj.grad_coefs(x, self._z(j))
+            self.table_coefs[j] = obj.grad_coefs(x, self.margins[j])
             self.saga_avg[j] = obj.mean_rows(self.table_coefs[j])
             self.g[j] = self.saga_avg[j]
             self.sfo_counts[j] += obj.n

@@ -26,8 +26,15 @@ Three kernels do that work:
   values in column order, so each add is one contiguous run. The copy
   costs 8 bytes per nnz, 4 more than positions into the CSR values would
   (about 0.7 MB more at mushrooms shape, 182k nnz). ``loss_full``,
-  ``grad_coefs`` and ``grad_full`` take such a z instead of making a pass
-  of their own. A batch's margins always come from the batch kernel.
+  ``grad_coefs`` and ``grad_full`` take such a z, or the ``Margins``
+  themselves, instead of making a pass of their own. A batch's margins
+  always come from the batch kernel.
+
+The loss and its gradient multipliers share per-sample terms of z
+(``Objective._terms``): s = expit(-z) and y - s for nlls, -y and t = -y z
+for logistic. ``Margins.terms`` evaluates them once per z of its seed, so
+the recorded loss, the full gradient and the gap's gradient at one iterate
+evaluate them once between them, with the bits of an evaluation per read.
 
 Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
 ``X[S].T @ c``, ``X @ w``, ``X.T @ c`` and ``X.tocsc()``, from the private
@@ -176,7 +183,8 @@ class Batch:
 
     def coefs(self, w):
         """Gradient multipliers c_i(w) for every row, from the margins at w."""
-        return self._obj._coefs(self.margins(w), self.y)
+        obj = self._obj
+        return obj._coefs(obj._terms(self.margins(w), self.y))
 
     def scatter(self, c):
         """sum_t c[t] x_{S[t]} for a float64 array c shaped like S, as a dense
@@ -208,6 +216,7 @@ class Objective:
         # the compiled loops of every kernel, and the losses' expit
         self._loops, self._expit = _compiled()
         self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
+        self._ny = -self.y  # the logistic terms read -y once per Objective
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
         # the column view, built at the first replay of any thread
         self._columns = None
@@ -253,43 +262,62 @@ class Objective:
         # the column's two bounds read as a CSC matrix of one column
         self._loops.csc_matvec(self.n, 1, starts[i:i + 2], rows, values, [c], z)
 
-    def _losses(self, z, y):
+    def _terms(self, z, y=None):
+        # what f_i and c_i share at margins z, labels y (default: every
+        # sample's): (-y, t = -y z) for logistic, (s = 1 / (1 + e^z), y - s)
+        # for nlls
+        if self.kind == "logistic":
+            ny = self._ny if y is None else -y
+            return ny, ny * z
+        s = self._expit(-z)
+        return s, (self.y if y is None else y) - s
+
+    def _losses(self, terms):
         if self.kind == "logistic":
             # numpy's logaddexp(0, t), term for term, on the vector loops of
-            # exp and log1p instead of its scalar loop: within 2 ulps of it
-            t = -y * z
-            return np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-        s = self._expit(-z)  # 1 / (1 + e^z)
-        return (y - s) ** 2
+            # exp and log1p instead of its scalar loop: within 2 ulps of it.
+            # log1p(exp(-|t|)) + max(t, 0), in one buffer and the max's
+            t = terms[1]
+            out = np.abs(t)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            np.log1p(out, out=out)
+            return np.add(out, np.maximum(t, 0.0), out=out)
+        return terms[1] ** 2
 
-    def _coefs(self, z, y):
+    def _coefs(self, terms):
         # grad f_i(w) = c_i * x_i with c_i = d f_i / d z_i
         if self.kind == "logistic":
-            ny = -y
-            return ny * self._expit(ny * z)
-        s = self._expit(-z)
-        return 2.0 * (y - s) * s * (1.0 - s)
+            ny, t = terms
+            return ny * self._expit(t)
+        s, r = terms
+        return 2.0 * r * s * (1.0 - s)
+
+    def _full_terms(self, w, z):
+        # z: X w, the Margins of w (which evaluate the terms once per z), or
+        # None for a pass over X
+        if isinstance(z, Margins):
+            return z.terms()
+        if z is None:
+            z = self.margins(self._check_w(w))
+        return self._terms(z)
 
     def loss_sample(self, i, w):
         """f_i(w) for one sample."""
         w = self._check_w(w)
         B = Batch(self, [i])
-        return float(self._losses(B.margins(w), B.y)[0])
+        return float(self._losses(self._terms(B.margins(w), B.y))[0])
 
     def loss_full(self, w, z=None):
         """f(w) = (1/n) sum_i f_i(w); overflow-safe for any finite w. ``z``,
-        if given, is X w, and no pass over X is made."""
-        if z is None:
-            z = self.margins(self._check_w(w))
+        if given, is X w or the ``Margins`` at w, and no pass over X is made."""
         # np.mean's sum and division, without its per-call argument handling
-        return float(np.add.reduce(self._losses(z, self.y)) / self.n)
+        return float(np.add.reduce(self._losses(self._full_terms(w, z))) / self.n)
 
     def grad_coefs(self, w, z=None):
         """Scalar multipliers c_i with grad f_i(w) = c_i * x_i, every sample
         in storage order; ``z`` as for ``loss_full``."""
-        if z is None:
-            z = self.margins(self._check_w(w))
-        return self._coefs(z, self.y)
+        return self._coefs(self._full_terms(w, z))
 
     def grad_batch(self, S, w):
         """(1/|S|) sum_{i in S} grad f_i(w), duplicates with multiplicity; [i] gives grad f_i(w)."""
@@ -368,12 +396,19 @@ class Margins:
     rounding only; each solve replays the same steps, so its results stay
     bit-reproducible. The array ``at`` returns is overwritten by the next
     replay.
+
+    ``terms`` gives ``Objective._terms`` of ``at()`` and holds them until z
+    moves: every replay and every fresh pass drops them, and they are kept
+    with the array they came from, so an ``at`` that returns another array
+    gets its own. ``Objective.loss_full``, ``grad_coefs`` and ``grad_full``
+    read them when given the margins.
     """
 
     def __init__(self, obj, x):
         self._obj = obj
         self._x = x
         self._z = None
+        self._memo = None  # (z, the terms at z) of the last terms() call
         self._steps = None  # (eta, i, r) of the vertex steps since z was read; None: recompute
         self._room = len(obj.dataset.values) - obj.n  # entries a replay may touch past the scale
         self._max_steps = self._room // _STEP_COST
@@ -395,6 +430,9 @@ class Margins:
     def at(self):
         """X x at the current iterate."""
         steps, obj = self._steps, self._obj
+        if steps == []:  # no step since the last read
+            return self._z
+        self._memo = None  # a replay or a pass moves z
         if steps:
             coefs, a = {}, 1.0
             for eta, i, r in reversed(steps):
@@ -413,3 +451,10 @@ class Margins:
             self._z = obj.margins(self._x)
         self._steps = []
         return self._z
+
+    def terms(self):
+        """``Objective._terms`` of ``at()``, evaluated once per z."""
+        z = self.at()
+        if self._memo is None or self._memo[0] is not z:
+            self._memo = z, self._obj._terms(z)
+        return self._memo[1]

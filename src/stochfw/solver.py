@@ -29,14 +29,17 @@ loop.
 
 Every full-data pass reads the margins z = X x at its seed's current
 iterate from one ``Margins`` per seed: the loss of each recorded row, the
-gap's full gradient and the estimator's full refreshes. A batch's margins
-come from the batch kernel. The loop reports each step to the margins, so
-on the l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one
-column of X instead of a pass over all of X: a read applies the steps
-since the last one as one scale of z and one column add per distinct
-column, or makes a pass when that is cheaper. On the box, whose vertices
-are dense, the reads at one iterate (fw's gradient at x^{k+1} and row
-k+1's loss) share one pass. Replayed margins differ from X x by rounding,
+gap's full gradient and the estimator's full refreshes. Each is handed the
+margins, not z, so they also share the per-sample loss terms of z (the
+expit of nlls, t = -y z of logistic), evaluated once per iterate: an fw
+step evaluates them once for its estimate, its row's loss and its gap. A
+batch's margins come from the batch kernel. The loop reports each step to
+the margins, so on the l1 ball and the simplex z follows x' = x + eta
+(r e_i - x) by one column of X instead of a pass over all of X: a read
+applies the steps since the last one as one scale of z and one column add
+per distinct column, or makes a pass when that is cheaper. On the box,
+whose vertices are dense, the reads at one iterate (fw's gradient at
+x^{k+1} and row k+1's loss) share one pass. Replayed margins differ from X x by rounding,
 so l1 and simplex traces can differ from a pass-per-read loop's, or from
 a replay that applies the steps one at a time, by a few ulps; they are
 bit-reproducible run to run.
@@ -182,14 +185,14 @@ def solve(cfg, obj, cset, x0, callback=None):
     def record(k, x):
         gap_due = cfg.gap_every > 0 and k % cfg.gap_every == 0
         for x_k, g_k, mg, sfo, trace in zip(x, est.g, margins, est.sfo_counts, traces):
-            f_k = obj.loss_full(x_k, mg.at())
+            f_k = obj.loss_full(x_k, mg)
             if not math.isfinite(f_k):
                 raise NanAbort(k, "objective")
             if not np.isfinite(g_k).all():
                 raise NanAbort(k, "gradient estimate")
             gap_k = None
             if gap_due:
-                grad = g_k if reuse_grad else obj.grad_full(x_k, mg.at())
+                grad = g_k if reuse_grad else obj.grad_full(x_k, mg)
                 gap_k = fw_gap(obj, cset, x_k, grad)
                 if np.isnan(gap_k):  # fw_gap's answer to a non-finite gradient
                     raise NanAbort(k, "full gradient")

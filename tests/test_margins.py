@@ -287,6 +287,43 @@ def test_batch_margins_do_not_depend_on_the_solves_margins(data, algorithm, est_
     assert est.g.tobytes() == result.estimator.g[0].tobytes()
 
 
+@pytest.mark.parametrize("every", [1, 3, 25])
+@pytest.mark.parametrize("kind", ["l1_ball", "simplex", "linf_box"])
+@pytest.mark.parametrize("data", ["bc_logistic", "bc_nlls"])
+def test_terms_read_through_the_margins_are_those_of_a_copy_of_z(data, kind, every,
+                                                                 request, monkeypatch):
+    # the margins hold the loss terms of the last z they gave; a replay
+    # moves z in place and a pass makes a new z, and neither may leave stale
+    # terms behind
+    obj = request.getfixturevalue(data)
+    cset = ConstraintSet(kind, 2000.0, dim=obj.d)
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+
+    x = default_x0(cset)
+    cache = Margins(obj, x)
+    replays = 0
+    for k in range(150):
+        if k % every == 0:
+            before = len(passes)
+            z = cache.at().copy()
+            replays += len(passes) == before
+            for _ in range(2):  # the second read takes the held terms
+                assert obj.loss_full(x, cache) == obj.loss_full(x, z)
+                assert obj.grad_full(x, cache).tobytes() == obj.grad_full(x, z).tobytes()
+        s = lmo(cset, obj.grad_full(x, margins(obj, x)))
+        step = 2.0 / (k + 2.0)
+        x_new = x + step * (s - x)
+        cache.step(x_new, step, s)
+        x = x_new
+    # reads after a pass and after a replay are both checked
+    if kind == "linf_box":
+        assert replays == 0
+    elif every == 1:
+        assert replays > 0
+
+
 def test_first_use_from_four_threads_builds_one_view(monkeypatch):
     text = binary_sparse_libsvm_text(400, 30, seed=11)
 

@@ -50,10 +50,10 @@ _SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
                 min_size=1, max_size=64))
 @example([1.0, 30.0, 710.0, -745.2, 1e300])
 def test_logistic_losses_are_logaddexp_within_2_ulps(t):
-    # _losses(z, y) takes t = -y z; y = -1 makes z = t exactly
+    # _terms(z, y) makes t = -y z; y = -1 makes t = z exactly
     t = np.array(t)
     obj = tiny_objective("logistic")
-    got = obj._losses(t, -np.ones_like(t))
+    got = obj._losses(obj._terms(t, -np.ones_like(t)))
     with np.errstate(invalid="ignore"):  # logaddexp flags a nan input
         want = np.logaddexp(0.0, t)
     special = ~np.isfinite(t) | (t == 0.0)
@@ -61,6 +61,16 @@ def test_logistic_losses_are_logaddexp_within_2_ulps(t):
     # both are >= 0 and finite here, so their bit patterns order like the floats
     ulps = np.abs(got[~special].view(np.int64) - want[~special].view(np.int64))
     assert ulps.max(initial=0) <= 2, (t[~special], got[~special], want[~special])
+
+
+def test_logistic_losses_keep_the_bits_of_the_written_out_expression():
+    # the in-place form of log1p(exp(-|t|)) + max(t, 0) against the expression
+    # with a temporary per step, on t spanning both tails and both zeros
+    t = np.concatenate([np.linspace(-800.0, 800.0, 64_001), [0.0, -0.0, 5e-324, -5e-324]])
+    obj = tiny_objective("logistic")
+    got = obj._losses(obj._terms(t, -np.ones_like(t)))
+    want = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_logistic_grad_at_zero():

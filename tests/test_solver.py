@@ -241,6 +241,18 @@ def test_step_size_rule_reads_the_run(monkeypatch):
         solve(SolverConfig("saga_sarah_fw", 5, "theorem3", too_big), obj, cset, x0)
 
 
+def test_fw_evaluates_the_loss_terms_once_per_iterate():
+    # the estimate, the row's loss and the gap at x_k share one expit of the
+    # margins: K + 1 iterates, K + 1 calls on all n samples
+    obj = tiny_objective("nlls", n=10, d=4, seed=9)
+    cset = ConstraintSet("linf_box", 2.0, dim=obj.d)
+    sizes = []
+    expit = obj._expit
+    obj._expit = lambda z: sizes.append(len(z)) or expit(z)
+    solve(fw_config(12, gap_every=1), obj, cset, np.zeros(obj.d))
+    assert sizes.count(obj.n) == 12 + 1
+
+
 def test_fw_gap_rows_reuse_the_estimate(monkeypatch):
     # fw's estimate at x_k is grad f(x_k) from the same margins the gap
     # reads, so gap rows add no gradient pass and keep the bits of one
