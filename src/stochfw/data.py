@@ -23,6 +23,18 @@ The parser reads the bytes in line-aligned chunks and checks and converts
 each chunk with whole-array operations, so its temporaries are bounded by
 the chunk size. ``stochfw.reference.parse_libsvm_by_tokens`` is the
 per-token loop it is tested against.
+
+A well-formed chunk skips the steps only a malformed one needs. When it
+holds exactly one colon per feature token, and colon k lies strictly inside
+token k, those colons are the separators and no search finds them. When
+every segment of a kind (labels, indices or values) is an exact integer,
+its conversion skips the masks and the scatter into a filled array. Any
+other chunk, with a colon in a comment or a label, two in a token, or a
+decimal value, takes the general steps. A shortcut yields what the general
+step would, and the checks that raise errors come after both, so the
+parsed bits and every ``ParseError`` are the same either way. The row and
+nonzero bounds and each chunk's line count are numpy counts over at most a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -267,7 +279,11 @@ def _zeros(a, start, stop):
 
 def _signed_digits(a, s, e, kind, lead):
     """Which segments are digit runs of at most 18 significant digits, with
-    their magnitudes and whether they carry a minus sign."""
+    their magnitudes and whether they carry a minus sign.
+
+    The magnitudes and signs are those of the digit runs only, so there is
+    one per segment exactly when every segment is such a run.
+    """
     body = s + lead
     # only the last 18 digits are read; any before them must be zeros
     head = np.maximum(e - _MAX_INT_DIGITS, body)
@@ -275,14 +291,17 @@ def _signed_digits(a, s, e, kind, lead):
     long = np.flatnonzero(exact & (head > body))
     exact[long] = _zeros(a, body[long], head[long])
     del body
-    magnitude = _digits(a, head[exact], e[exact])
-    return exact, magnitude, lead[exact] & (a[s[exact]] == ord("-"))
+    if not exact.all():
+        s, e, head, lead = s[exact], e[exact], head[exact], lead[exact]
+    return exact, _digits(a, head, e), lead & (a[s] == ord("-"))
 
 
 def _indices(a, s, e, kind, lead):
     """Feature indices (int64) and whether each was a valid index."""
     exact, magnitude, neg = _signed_digits(a, s, e, kind, lead)
     np.negative(magnitude, out=magnitude, where=neg)
+    if len(magnitude) == len(s):  # every segment is an index: no scatter
+        return magnitude, exact
     out = np.zeros(len(s), dtype=np.int64)
     out[exact] = magnitude
     return out, exact
@@ -294,6 +313,8 @@ def _numbers(a, s, e, kind, lead):
     value = magnitude.astype(np.float64)
     # negating the float, not the integer, keeps the sign of "-0"
     np.negative(value, out=value, where=neg)
+    if len(value) == len(s):  # every segment is an exact integer: no scatter
+        return value
     out = np.full(len(s), np.nan)
     out[exact] = value
     rest = np.flatnonzero((kind == _FLOAT) | ((kind == _INT) & ~exact))
@@ -341,6 +362,12 @@ def _tokens(a, blank, breaks):
 def _split(a, start, end):
     """Position of each token's first colon (``end`` without one)."""
     colons = np.flatnonzero(a == ord(":")).astype(np.int32)
+    # Tokens are disjoint and in order, so when colon k lies strictly inside
+    # token k for every k, it is the first colon of token k: no search. A
+    # colon anywhere else (a comment, a label, a second one in a token)
+    # breaks the one-to-one match and sends the chunk to the search.
+    if len(colons) == len(start) and (start < colons).all() and (colons < end).all():
+        return colons, np.ones(len(start), dtype=bool)
     if not len(colons):
         return end.copy(), np.zeros(len(start), dtype=bool)
     j = np.searchsorted(colons, start)
@@ -352,9 +379,9 @@ def _split(a, start, end):
 def _parse_chunk(a, line0):
     """Parse a line-aligned chunk whose first line is line ``line0 + 1``.
 
-    Returns the labels, the feature count of each row, and the 1-based
-    indices and values of the chunk's features, or raises the
-    :class:`ParseError` of its first bad line.
+    Returns the labels, the feature count of each row, the 1-based indices
+    and values of the chunk's features and the number of line breaks in the
+    chunk, or raises the :class:`ParseError` of its first bad line.
     """
     # Python's ASCII whitespace: 9-13 and 28-32 (uint8 arithmetic wraps)
     blank = ((a - np.uint8(9)) < 5) | ((a - np.uint8(28)) < 5)
@@ -421,7 +448,7 @@ def _parse_chunk(a, line0):
         )
         raise ParseError(line0 + int(np.searchsorted(breaks, lo)) + 1, message)
     counts = np.diff(np.flatnonzero(first), append=len(first)) - 1
-    return lab, counts, idx, val
+    return lab, counts, idx, val, len(breaks)
 
 
 def parse_libsvm(text, d=None, name=""):
@@ -450,18 +477,24 @@ def parse_libsvm(text, d=None, name=""):
     # surrogatepass turns lone surrogates into non-ASCII bytes, which are
     # then reported like any other non-ASCII character
     raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    rows = raw.count(b"\n") + 1
+    # at most one row per line and one feature per colon, counted a slice
+    # at a time so that no temporary spans the whole text
+    rows, nnz_cap = 1, 0
+    for lo in range(0, len(raw), _CHUNK_BYTES):
+        size = min(_CHUNK_BYTES, len(raw) - lo)
+        a = np.frombuffer(raw, dtype=np.uint8, count=size, offset=lo)
+        rows += np.count_nonzero(a == ord("\n"))
+        nnz_cap += np.count_nonzero(a == ord(":"))
     labels = np.empty(rows, dtype=np.float64)
     indptr = np.empty(rows + 1, dtype=np.int32)
     indptr[0] = 0
-    nnz_cap = raw.count(b":")
     indices = np.empty(nnz_cap, dtype=np.int32)
     values = np.empty(nnz_cap, dtype=np.float64)
     n = nnz = line = max_index = 0
     for lo, hi in _chunks(raw):
         a = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
-        lab, counts, idx, val = _parse_chunk(a, line)
-        line += raw.count(b"\n", lo, hi)
+        lab, counts, idx, val, lines = _parse_chunk(a, line)
+        line += lines
         m, k = len(lab), len(idx)
         labels[n:n + m] = lab
         np.cumsum(counts, out=indptr[n + 1:n + m + 1])
@@ -506,11 +539,15 @@ def normalize_labels(ds, loss_kind):
 
     ``logistic`` targets {-1, +1}; ``nlls`` targets {0, 1}. The smaller raw
     value maps to the smaller target. Raises ``ValueError`` unless exactly
-    two distinct label values are present.
+    two distinct label values are present, both finite.
     """
     if loss_kind not in LABEL_TARGETS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     distinct = np.unique(ds.labels)
+    # np.unique folds every NaN into one value, which would pass for a class
+    bad = distinct[~np.isfinite(distinct)]
+    if len(bad):
+        raise ValueError(f"labels must be finite, found {bad[0]}")
     if len(distinct) != 2:
         raise ValueError(
             f"expected exactly 2 distinct label values, found {len(distinct)}"

@@ -155,6 +155,18 @@ def test_normalize_labels_rejects_wrong_cardinality():
         normalize_labels(parse_libsvm("1 1:1\n2 1:1\n"), "hinge")
 
 
+@pytest.mark.parametrize("labels", [[np.nan, 1.0], [1.0, np.nan, np.nan], [np.inf, 1.0],
+                                    [-np.inf, 1.0], [np.nan, np.inf]])
+@pytest.mark.parametrize("loss", ["logistic", "nlls"])
+def test_normalize_labels_rejects_non_finite_labels(labels, loss):
+    # np.unique counts NaN as one value, so [nan, 1] once looked like two classes
+    n = len(labels)
+    ds = Dataset(indptr=np.arange(n + 1), indices=np.zeros(n, dtype=np.int64),
+                 values=np.ones(n), labels=np.array(labels), d=1)
+    with pytest.raises(ValueError, match="labels must be finite"):
+        normalize_labels(ds, loss)
+
+
 @pytest.mark.skipif(not A9A_PATH.exists(), reason="a9a not bundled; drop the "
                     "LibSVM file at tests/data/a9a to enable")
 def test_a9a_shape():
@@ -181,6 +193,29 @@ def test_parse_memory_stays_near_the_output_size():
         tracemalloc.stop()
     out = sum(a.nbytes for a in (ds.indptr, ds.indices, ds.values, ds.labels))
     assert peak <= 3 * out, (peak, out)
+
+
+def test_parse_temporaries_stay_bounded_by_the_chunk():
+    # A 4-chunk file and the same rows four times over, 16 chunks: what the
+    # parse holds beyond its output must not grow with the text. Each row is
+    # padded with blanks so that the text outweighs the output; otherwise a
+    # whole-text temporary freed before the output arrays exist would hide
+    # under them.
+    rows = binary_sparse_libsvm_text(1000, 112, seed=5).splitlines()
+    small = "".join(f"{row:<1000}\n" for row in rows).encode("ascii")
+    assert 3 * data._CHUNK_BYTES < len(small) <= 4 * data._CHUNK_BYTES
+    extra = []
+    for raw in (small, small * 4):
+        tracemalloc.start()
+        try:
+            ds = parse_libsvm(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(a.nbytes for a in (ds.indptr, ds.indices, ds.values, ds.labels))
+        extra.append(peak - out)
+        del ds
+    assert extra[1] - extra[0] < data._CHUNK_BYTES, extra
 
 
 def test_parsed_arrays_own_contiguous_memory_that_scipy_shares():

@@ -238,6 +238,46 @@ def test_each_fault_class_matches_oracle(text, d, lineno, message):
     assert (got.value.lineno, str(got.value)) == (want.value.lineno, str(want.value))
 
 
+# inputs at the edges of the chunk shortcuts: one colon strictly inside each
+# feature token skips the colon search, and all-integer segments skip the
+# masks; every other input must take the general path
+_SHORTCUT_EDGES = [
+    # a comment line that holds colons
+    "# a:b 1:2\n+1 1:1 3:2\n-1 2:5\n",
+    "+1 1:1\n  # 1:1 2:2 3:3\n-1 2:5\n",
+    # a label that holds a colon
+    "1:1 2:3\n",
+    "+1 1:1\n-1:2 4\n",
+    # 1:2:3 beside a token with no colon: as many colons as tokens
+    "+1 1:2:3 4\n",
+    "+1 4 5:2:3\n",
+    "-1 2:1\n+1 1:1 2:2:3 4\n",
+    # a token that starts with a colon
+    "+1 :1\n",
+    "+1 1:1 :2 3:4\n",
+    "+1 1:1\n-1 :\n",
+    # values that mix integers and decimals
+    "+1 1:1 2:0.5 3:-2\n-1 1:2.5e-3 4:7\n",
+    "1.5 1:1\n-1 2:1\n",
+    "+1 1:-0 2:0.0 3:-0.0\n-1 1:3\n",
+    # negative zeros on the all-integer path
+    "-0 1:-0 2:+0\n1 1:1\n",
+    # digit runs past 18 significant digits, beside exact ones
+    "+1 1:1 2:12345678901234567890 0000000000000000000003:4\n",
+    "123456789012345678901 1:1\n-1 2:2\n",
+]
+
+
+@pytest.mark.parametrize("chunk", [1, data._CHUNK_BYTES])
+@pytest.mark.parametrize("text", _SHORTCUT_EDGES)
+def test_shortcut_edges_match_oracle(text, chunk):
+    raw = text.encode("ascii")
+    want = outcome(parse_libsvm_by_tokens, raw, None)
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk):
+        got = outcome(parse_libsvm, raw, None)
+    assert_same(got, want)
+
+
 def test_multi_chunk_file_matches_oracle():
     # four real chunks; every seventh line gets a CRLF ending and a comment
     # or blank line before it, so all three fall on both sides of chunk edges
