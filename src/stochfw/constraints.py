@@ -29,6 +29,7 @@ class ConstraintSet:
 
     ``dim`` is only required where the geometry needs it (the linf_box
     diameter grows with dimension); the LMO infers dimension from its input.
+    When given, it must be a positive Python or numpy integer.
     """
 
     kind: str
@@ -40,6 +41,17 @@ class ConstraintSet:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if not 0 < self.radius < inf:
             raise ValueError("radius must be positive and finite")
+        if self.dim is not None:
+            _check_int("dim", self.dim)
+            if self.dim < 1:
+                raise ValueError("dim must be >= 1")
+
+
+def _check_int(name, value):
+    """Raise ``ValueError`` unless ``value`` is a Python or numpy integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def lmo(cset, g):
@@ -52,6 +64,13 @@ def lmo(cset, g):
     ``g`` may also be an (m, d) block with one gradient per row, as a
     lockstep solve holds them; then row t of the result is row t's vertex.
     """
+    return _lmo(cset, g)[0]
+
+
+def _lmo(cset, g):
+    # (lmo(cset, g), picks): picks holds, per row of the block (one for a
+    # vector), (i, s_i) of the row's vertex, whose one nonzero is s_i; it is
+    # None when every vertex has more than one nonzero (the box at d > 1)
     g = np.asarray(g, dtype=np.float64)
     if g.ndim not in (1, 2):
         raise ValueError("g must be a vector or an (m, d) block")
@@ -62,17 +81,22 @@ def lmo(cset, g):
     r = cset.radius
     if cset.kind == "linf_box":
         # argmax corners per coordinate, +r where g_j <= 0
-        return np.where(g > 0, -r, r)
+        s = np.where(g > 0, -r, r)
+        if g.shape[-1] > 1:
+            return s, None
+        return s, [(0, float(v)) for v in s.reshape(-1).tolist()]  # d = 1: s = +-r e_0
 
-    s = np.zeros(g.shape)
+    s, picks, r = np.zeros(g.shape), [], float(r)
     g2, s2 = g.reshape(-1, g.shape[-1]), s.reshape(-1, g.shape[-1])
     if cset.kind == "l1_ball":
         for t, i in enumerate(np.abs(g2).argmax(axis=1).tolist()):
-            s2[t, i] = -r if g2[t, i] > 0 else r
+            s2[t, i] = v = -r if g2[t, i] > 0 else r
+            picks.append((i, v))
     else:  # simplex
         for t, i in enumerate(g2.argmin(axis=1).tolist()):
             s2[t, i] = r
-    return s
+            picks.append((i, r))
+    return s, picks
 
 
 def contains(cset, x, tol):

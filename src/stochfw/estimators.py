@@ -75,6 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import _check_int
 from .objectives import Batch
 
 __all__ = [
@@ -105,9 +106,10 @@ def _block(x):
 class EstimatorConfig:
     """Which estimator to run and its parameters.
 
-    ``p`` is required for sarah, ``lam`` for saga_sarah. ``cold_start`` starts
-    saga_sarah from a single sampled gradient and an all-zero table instead
-    of a full-gradient pass.
+    ``b`` must be a Python or numpy integer, not a bool. ``p`` is required
+    for sarah, ``lam`` for saga_sarah. ``cold_start`` starts saga_sarah from
+    a single sampled gradient and an all-zero table instead of a
+    full-gradient pass.
     """
 
     kind: str
@@ -119,6 +121,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        _check_int("b", self.b)
         if self.b < 1:
             raise ValueError("batch size must be >= 1")
         if self.kind == "sarah" and (

@@ -13,19 +13,28 @@ Three kernels do that work:
   weighted row sums are then one compiled loop each, with no sparse matrix
   built. A lockstep solve gathers one batch per seed into one
   block-diagonal triple, so each loop serves all of its seeds at once.
-* Full passes (``margins``, ``mean_rows``) run the same compiled loops over
-  the dataset's own CSR arrays, ``indptr``, ``indices`` and ``values``. No
-  scipy matrix is built; only the ``smoothness`` diagnostic makes one.
+* Full passes run the same compiled loops over all of X. X w
+  (``margins``) reads the dataset's own CSR arrays, ``indptr``, ``indices``
+  and ``values``, a dot per row. X^T c (``mean_rows``, so every full
+  gradient) reads the column view below, a dot per column: each output
+  adds its column's products in row order from 0, as the scatter of
+  ``X.T @ c`` over the rows does, so it has that scatter's bits without
+  its read and write of an output per entry (145 against 177 us by timeit
+  at mushrooms shape on a 2-core x86-64 host). No scipy matrix is built;
+  only the ``smoothness`` diagnostic makes one.
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
   a step toward a one-hot vertex r e_i moves z by one column of X. A read
   collapses the steps since the last one into one scale of z and one
   compiled column add per distinct column (``Objective.add_column``), or
   makes a fresh pass when that would touch more entries than the pass.
-  The adds read a column view of X in CSC form, built at the first replay
-  by the loop of scipy's ``tocsc``: row indices and a float64 copy of the
-  values in column order, so each add is one contiguous run. The copy
-  costs 8 bytes per nnz, 4 more than positions into the CSR values would
-  (about 0.7 MB more at mushrooms shape, 182k nnz). ``loss_full``,
+  The adds read a column view of X in CSC form, built once per Objective
+  at its first replay or its first full gradient, whichever comes first,
+  by the loop of scipy's ``tocsc``: row indices, increasing within each
+  column, and a float64 copy of the values in column order, so each add is
+  one contiguous run. It costs 12 bytes per nnz with int32 indices (about
+  2.2 MB at mushrooms shape, 182k nnz; 82 KB at 683 x 10 dense), the copy
+  8 of them, 4 more than positions into the CSR values would. Box runs,
+  which never replay, build it at their first full gradient. ``loss_full``,
   ``grad_coefs`` and ``grad_full`` take such a z, or the ``Margins``
   themselves, instead of making a pass of their own. A batch's margins
   always come from the batch kernel.
@@ -37,8 +46,9 @@ the recorded loss, the full gradient and the gap's gradient at one iterate
 evaluate them once between them, with the bits of an evaluation per read.
 
 Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
-``X[S].T @ c``, ``X @ w``, ``X.T @ c`` and ``X.tocsc()``, from the private
-``scipy.sparse._sparsetools``, so it has their bits; a column add is the
+``X[S].T @ c``, ``X @ w``, ``X.tocsc().T @ c`` and ``X.tocsc()``, from the
+private ``scipy.sparse._sparsetools``, so it has their bits, and
+``mean_rows`` also those of ``X.T @ c``; a column add is the
 ``X.T @ c`` loop over one column, with the bits of ``z[rows] += c *
 values``. The bit-for-bit properties in ``tests/test_batch_kernel.py``
 fail if a scipy release changes them. The losses' ``expit`` is
@@ -218,7 +228,8 @@ class Objective:
         self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
         self._ny = -self.y  # the logistic terms read -y once per Objective
         self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
-        # the column view, built at the first replay of any thread
+        # the column view, built at the first replay or full gradient of any
+        # thread, not here: an Objective costs no pass over X until it is used
         self._columns = None
         self._columns_lock = threading.Lock()
 
@@ -330,11 +341,13 @@ class Objective:
     def mean_rows(self, c):
         """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
         array c of length n, as a dense length-d vector; the sum equals
-        ``X.T @ c`` bit for bit."""
+        ``X.T @ c`` bit for bit. A dot per column of the column view, which
+        the first call builds if no replay has."""
         _check_shape(c, (self.n,), "c")
-        ds, out = self.dataset, np.zeros(self.d)
-        # the CSR arrays read in CSC form are X.T
-        self._loops.csc_matvec(self.d, self.n, ds.indptr, ds.indices, ds.values, c, out)
+        starts, rows, values, _ = self._view()
+        out = np.zeros(self.d)
+        # the column view read in CSR form is X.T: a dot per column
+        self._loops.csr_matvec(self.d, self.n, starts, rows, values, c, out)
         return out / self.n
 
     def grad_full(self, w, z=None):
@@ -413,18 +426,17 @@ class Margins:
         self._room = len(obj.dataset.values) - obj.n  # entries a replay may touch past the scale
         self._max_steps = self._room // _STEP_COST
 
-    def step(self, x_new, eta, s):
-        """The solve moved to x_new = x + eta (s - x)."""
+    def step(self, x_new, eta, vertex):
+        """The solve moved to x_new = x + eta (s - x), toward the vertex s =
+        r e_i given as ``vertex = (i, r)``, or None for a vertex with more
+        than one nonzero."""
         self._x = x_new
         steps = self._steps
         if steps is None:
             return
-        if len(steps) < self._max_steps:
-            (nz,) = s.nonzero()
-            if len(nz) == 1:
-                i = nz.item()
-                steps.append((eta, i, s.item(i)))
-                return
+        if vertex is not None and len(steps) < self._max_steps:
+            steps.append((eta, *vertex))
+            return
         self._steps = None
 
     def at(self):

@@ -34,8 +34,9 @@ margins, not z, so they also share the per-sample loss terms of z (the
 expit of nlls, t = -y z of logistic), evaluated once per iterate: an fw
 step evaluates them once for its estimate, its row's loss and its gap. A
 batch's margins come from the batch kernel. The loop reports each step to
-the margins, so on the l1 ball and the simplex z follows x' = x + eta
-(r e_i - x) by one column of X instead of a pass over all of X: a read
+the margins with the vertex its LMO picked, (i, r) for s = r e_i, so on
+the l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one
+column of X instead of a pass over all of X: a read
 applies the steps since the last one as one scale of z and one column add
 per distinct column, or makes a pass when that is cheaper. On the box,
 whose vertices are dense, the reads at one iterate (fw's gradient at
@@ -65,7 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import contains, lmo
+from .constraints import _lmo as lmo  # the vertices and their picks; bench/tracing.py wraps it
+from .constraints import _check_int, contains
 from .estimators import ALGORITHMS, init_estimator
 from .metrics import Trace, TraceRow, fw_gap
 from .objectives import Margins
@@ -86,6 +88,9 @@ class NanAbort(RuntimeError):
 class SolverConfig:
     """One algorithm run from one or more seeds: algorithm, horizon,
     step-size rule, estimator parameters, seeds.
+
+    ``K``, ``gap_every`` and ``record_every`` must be Python or numpy
+    integers, not bools.
 
     ``schedule`` names a rule of ``SCHEDULE_KINDS``. ``seeds`` holds at least
     one seed; ``solve`` runs them in lockstep. ``gap_every = 0`` disables gap
@@ -111,6 +116,8 @@ class SolverConfig:
             raise ValueError(
                 f"{self.algorithm} needs a {kind!r} estimator, got {self.estimator_cfg.kind!r}"
             )
+        for name in ("K", "gap_every", "record_every"):
+            _check_int(name, getattr(self, name))
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.schedule not in SCHEDULE_KINDS:
@@ -202,11 +209,12 @@ def solve(cfg, obj, cset, x0, callback=None):
                 callback(k, x_k)
 
     p, b, n = cfg.estimator_cfg.p, cfg.estimator_cfg.b, obj.n
+    dense = [None] * len(cfg.seeds)  # each seed's pick when the vertices are dense
     for k in range(cfg.K):
         if k % cfg.record_every == 0:
             record(k, x)
         try:
-            s = lmo(cset, est.g)
+            s, picks = lmo(cset, est.g)
         except ValueError:
             # The LMO's own finiteness check doubles as the estimate's, so
             # unrecorded iterations pay for no extra scan of g.
@@ -215,8 +223,8 @@ def solve(cfg, obj, cset, x0, callback=None):
             raise NanAbort(k, "gradient estimate") from None
         step = eta(cfg.schedule, k, cfg.K, p, b, n)
         x_new = x + step * (s - x)
-        for mg, x_j, s_j in zip(margins, x_new, s):
-            mg.step(x_j, step, s_j)
+        for mg, x_j, pick in zip(margins, x_new, picks or dense):
+            mg.step(x_j, step, pick)
         est.update(x_new, x, k)
         x = x_new
 

@@ -4,9 +4,10 @@
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
 b = n, and with int32 or int64 index arrays; so must the full passes
 ``Objective.margins`` and ``mean_rows`` against ``X @ w`` and ``X.T @ c``,
-and a block of m batches against each of its batches alone; and so must
-``Objective.add_column`` against numpy's ``z[rows] += c * values``. The kernel
-calls the loops behind those products (``scipy.sparse._sparsetools``, a
+drawn and on explicit shapes (an empty column, an empty row, one column,
+int64 indices), and a block of m batches against each of its batches
+alone; and so must ``Objective.add_column`` against numpy's ``z[rows] +=
+c * values``. The kernel calls the loops behind those products (``scipy.sparse._sparsetools``, a
 private module), so this property is what fails if a scipy release changes
 them. The loops check no bounds, so a ``Batch`` must reject a non-integer or
 out-of-range S and a w or c of the wrong length itself, and a column add a z
@@ -101,6 +102,32 @@ def test_kernel_matches_scipy_on_int64_indices(monkeypatch, data):
     obj = data.draw(objectives())
     assert obj.dataset.indices.dtype == np.int64
     assert_kernel_matches_scipy(obj, data)
+
+
+# (indptr, indices, d) of shapes the properties draw only by chance
+_EDGE_SHAPES = {
+    "empty column": ([0, 2, 3, 5, 7], [0, 2, 2, 0, 2, 0, 2], 3),
+    "empty row": ([0, 2, 2, 5, 6], [0, 1, 0, 1, 2, 2], 3),
+    "single column": ([0, 1, 1, 2, 3], [0, 0, 0], 1),
+    "int64 indices": ([0, 3, 4, 6, 8], [0, 1, 3, 2, 1, 3, 0, 3], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_SHAPES))
+def test_mean_rows_keeps_the_bits_of_scipy_on_edge_shapes(monkeypatch, case):
+    if case == "int64 indices":
+        monkeypatch.setattr(data_module, "INDEX_LIMIT", 0)
+    indptr, indices, d = _EDGE_SHAPES[case]
+    n = len(indptr) - 1
+    rng = np.random.default_rng(24)
+    ds = Dataset(indptr=np.array(indptr), indices=np.array(indices),
+                 values=rng.normal(size=len(indices)) * 10.0 ** rng.integers(-8, 9, len(indices)),
+                 labels=np.resize([-1.0, 1.0], n), d=d)
+    assert ds.indices.dtype == (np.int64 if case == "int64 indices" else np.int32)
+    obj, X = Objective("logistic", ds), ds.to_csr()
+    for c in (rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.integers(-290, 291, n),
+              np.full(n, -0.0), np.zeros(n)):
+        assert obj.mean_rows(c).tobytes() == ((X.T @ c) / n).tobytes()
 
 
 # the patch holds for the whole test, so one fixture serves every example

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochfw.constraints import ConstraintSet, contains, diameter, lmo
+from stochfw.constraints import ConstraintSet, _lmo, contains, diameter, lmo
 from stochfw.reference import lmo_by_enumeration, vertex_matrix
 
 
@@ -41,10 +41,19 @@ def test_lmo_matches_enumeration_on_random_gradients(kind):
         # rows hold ties, zeros and all-zero rows
         block = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d)).astype(np.float64)
         for g in (rng.normal(size=d), block):
-            s_fast = lmo(cset, g)
+            s_fast, picks = _lmo(cset, g)
             assert s_fast.shape == g.shape
-            for g_t, s_t in zip(np.atleast_2d(g), np.atleast_2d(s_fast)):
+            assert np.array_equal(lmo(cset, g), s_fast)
+            if picks is None:  # the box at d > 1 has only dense vertices
+                assert kind == "linf_box" and d > 1
+                picks = [None] * len(np.atleast_2d(g))
+            for g_t, s_t, pick in zip(np.atleast_2d(g), np.atleast_2d(s_fast), picks,
+                                      strict=True):
                 assert np.array_equal(s_t, lmo_by_enumeration(cset, g_t))
+                # the pick is (i, s_i) of a vertex whose one nonzero is s_i,
+                # the box at d = 1 included, and None for any other
+                (nz,) = s_t.nonzero()
+                assert pick == ((nz.item(), s_t.item(nz.item())) if len(nz) == 1 else None)
                 # fast solution is at least as good as every enumerated vertex
                 scores = vertex_matrix(cset, d) @ g_t
                 assert g_t @ s_t <= scores.min() + 1e-12
@@ -114,3 +123,14 @@ def test_constraint_validation():
         lmo(cset, np.zeros((1, 1, 3)))
     with pytest.raises(ValueError, match="tol"):
         contains(cset, np.zeros(3), -1e-9)
+
+
+@pytest.mark.parametrize("dim,message", [
+    (2.5, "dim must be an integer"), (3.0, "dim must be an integer"),
+    (True, "dim must be an integer"), (np.float64(3.0), "dim must be an integer"),
+    (0, "dim must be >= 1"), (-2, "dim must be >= 1"), (np.int64(0), "dim must be >= 1"),
+], ids=["2.5", "3.0", "True", "float64", "0", "-2", "int64-0"])
+def test_dim_must_be_a_positive_integer(dim, message):
+    with pytest.raises(ValueError, match=message):
+        ConstraintSet("linf_box", 1.0, dim=dim)
+    assert diameter(ConstraintSet("linf_box", 1.0, dim=np.int32(4))) == 4.0

@@ -429,3 +429,10 @@ def test_config_validation(obj):
         EstimatorConfig(kind="nope")
     with pytest.raises(ValueError, match="config kind 'full' does not match 'sarah'"):
         SarahEstimator(EstimatorConfig(kind="full"), obj, np.zeros((1, obj.d)), (0,))
+
+
+@pytest.mark.parametrize("b", [2.5, 2.0, True, np.float64(3.0), "2"])
+def test_batch_size_must_be_an_integer(b):
+    with pytest.raises(ValueError, match="b must be an integer, got"):
+        EstimatorConfig(kind="momentum", b=b)
+    assert EstimatorConfig(kind="momentum", b=np.int64(3)).b == 3

@@ -1,7 +1,9 @@
 """The solve's margins z = X x: the column view it replays Frank-Wolfe steps
-from, how far replayed margins drift from a fresh pass over X, when a read
-makes a fresh pass instead, how many passes a solve makes, and one view per
-Objective across threads."""
+from (each column's rows in increasing order, which ``mean_rows`` sums in,
+and built once, at the first replay or full gradient), how far replayed
+margins drift from a fresh pass over X, when a read makes a fresh pass
+instead, how many passes a solve makes, and one view per Objective across
+threads."""
 
 import threading
 import time
@@ -20,6 +22,13 @@ from stochfw.objectives import Margins, Objective
 from stochfw.solver import SolverConfig, default_x0, solve
 
 from conftest import binary_sparse_libsvm_text, tiny_objective
+
+
+def _picked(s):
+    """The ``(i, r)`` of a vertex s = r e_i, or None for a dense one, as the
+    solve hands its LMO's pick to ``Margins.step``."""
+    (nz,) = s.nonzero()
+    return (nz.item(), s.item(nz.item())) if len(nz) == 1 else None
 
 
 @st.composite
@@ -52,6 +61,40 @@ def test_column_view_columns_equal_scipy_columns(obj):
         assert np.array_equal(vals.view(np.uint64), col.data.view(np.uint64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_objectives())
+def test_column_view_lists_each_columns_rows_strictly_increasing(obj):
+    # mean_rows sums each column of the view in its order, which must be the
+    # row order of X.T @ c for the same bits
+    starts, rows, _, nnz = obj._view()
+    assert starts[0] == 0 and starts[-1] == len(rows) == len(obj.dataset.values)
+    assert nnz == np.diff(starts).tolist()
+    for i in range(obj.d):
+        assert np.all(np.diff(rows[starts[i]:starts[i + 1]]) > 0), i
+
+
+def test_the_view_is_built_once_at_the_first_full_gradient(bc_logistic, monkeypatch):
+    builds = []
+    build = objectives._column_view
+    monkeypatch.setattr(objectives, "_column_view", lambda *a: builds.append(1) or build(*a))
+    obj = Objective("logistic", bc_logistic.dataset)
+    assert obj._columns is None
+    w = np.zeros(obj.d)
+    obj.loss_full(w)
+    obj.margins(w)
+    assert builds == []  # a loss and X w read the rows
+    for _ in range(3):
+        obj.grad_full(w)
+    assert builds == [1]
+    # a box has no column steps to replay; its full gradients build the view
+    obj = Objective("logistic", bc_logistic.dataset)
+    assert obj._columns is None
+    cset = ConstraintSet("linf_box", 1.0, dim=obj.d)
+    cfg = SolverConfig("fw", 20, "classic_fw", _ESTIMATORS["fw"], gap_every=1)
+    solve(cfg, obj, cset, default_x0(cset))
+    assert builds == [1, 1]
+
+
 @pytest.mark.parametrize("kind", ["l1_ball", "simplex"])
 @pytest.mark.parametrize("data", ["bc_logistic", "mushrooms_scale_logistic"])
 def test_replayed_margins_stay_near_a_fresh_pass(data, kind, request, monkeypatch):
@@ -76,7 +119,7 @@ def test_replayed_margins_stay_near_a_fresh_pass(data, kind, request, monkeypatc
         s = lmo(cset, obj.grad_full(x, z))
         step = 2.0 / (k + 2.0)
         x_new = x + step * (s - x)
-        cache.step(x_new, step, s)
+        cache.step(x_new, step, _picked(s))
         x = x_new
     worst = max(worst, drift(cache.at(), x))
     assert len(passes) == 1  # x0 only: the other 2000 reads were replays
@@ -110,7 +153,7 @@ def test_reads_25_steps_apart_stay_near_a_fresh_pass(data, kind, request, monkey
         s = lmo(cset, obj.grad_full(x, exact))
         step = 2.0 / (k + 2.0)
         x_new = x + step * (s - x)
-        cache.step(x_new, step, s)
+        cache.step(x_new, step, _picked(s))
         x = x_new
     assert len(passes) == 1  # x0 only: the other 80 reads were replays
     assert worst <= 1e-12, worst
@@ -135,7 +178,7 @@ def test_a_replay_that_touches_more_than_a_pass_makes_the_pass(bc_logistic, monk
                 s = np.zeros(obj.d)
                 s[i] = r
                 x = x + 0.25 * (s - x)
-                cache.step(x, 0.25, s)
+                cache.step(x, 0.25, (i, r))
         z = cache.at()
         fresh = n + (m + 1) * objectives._STEP_COST + m * (n + objectives._COLUMN_COST) > nnz
         assert len(passes) - before == fresh, m
@@ -159,7 +202,7 @@ def test_steps_past_their_budget_make_a_pass(mushrooms_scale_logistic, monkeypat
         cache.at()
         for _ in range(steps):
             x = x + 0.01 * (s - x)
-            cache.step(x, 0.01, s)
+            cache.step(x, 0.01, (3, 2.0))
         # the steps held, or None once there are more than the limit
         assert cache._steps is None if steps > limit else len(cache._steps) == steps
         passes.clear()
@@ -315,7 +358,7 @@ def test_terms_read_through_the_margins_are_those_of_a_copy_of_z(data, kind, eve
         s = lmo(cset, obj.grad_full(x, margins(obj, x)))
         step = 2.0 / (k + 2.0)
         x_new = x + step * (s - x)
-        cache.step(x_new, step, s)
+        cache.step(x_new, step, _picked(s))
         x = x_new
     # reads after a pass and after a replay are both checked
     if kind == "linf_box":

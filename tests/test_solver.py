@@ -184,6 +184,21 @@ def test_config_validation():
                          seeds=seeds)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("K", 5.5), ("K", True), ("K", np.float64(5.0)),
+    ("record_every", 2.5), ("record_every", True),
+    ("gap_every", 3.5), ("gap_every", False), ("gap_every", "2"),
+])
+def test_counts_must_be_integers(field, value):
+    # accepted, record_every = 2.5 would record rows at k = 0, 5, 10, 12 of
+    # K = 12, gap_every = 3.5 a gap at k = 0 alone, and K = True one step
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        fw_config(**{"K": 5, field: value})
+    counts = {"K": np.int64(5), "record_every": np.int32(2), "gap_every": np.uint8(3)}
+    assert len(solve(fw_config(**counts), tiny_objective(), ConstraintSet("l1_ball", 1.0),
+                     np.zeros(4)).runs[0].trace.rows) == 4  # rows 0, 2, 4 and K
+
+
 def test_cold_start_saga_sarah_makes_no_full_pass(monkeypatch):
     # the paper's SAGA-SARAH-FW start: one sampled gradient and an empty
     # table, then 2b SFO a step and no pass over all n rows
