@@ -102,6 +102,15 @@ class Dataset:
             raise ValueError("indptr must end at len(indices) == len(values)")
         if len(indices) and not (indices.min() >= 0 and indices.max() < self.d):
             raise ValueError(f"feature indices must lie in [0, d={self.d})")
+        # strictly increasing within each row: a neighbour pair may only fall
+        # or repeat across a row boundary, at position indptr[k] - 1 for each
+        # row k that starts inside the array (an empty row starts nowhere new)
+        unordered = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+        if unordered.any():
+            row = np.searchsorted(indptr, unordered.argmax() + 1, side="right") - 1
+            raise ValueError(f"feature indices of row {row} are not strictly increasing")
         index = np.int32 if max(self.d, len(indices)) < INDEX_LIMIT else np.int64
         object.__setattr__(self, "indptr", indptr.astype(index, copy=False))
         object.__setattr__(self, "indices", indices.astype(index, copy=False))

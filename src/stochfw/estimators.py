@@ -23,6 +23,17 @@ drawn at the first update). SARAH's coin is drawn from the same RNG between its
 batches, so its blocks hold one step. The one visible effect: after updates, a
 seed's RNG may be up to one block ahead of the last batch it served.
 
+The seeds that draw at a step refill their blocks together (momentum and
+saga_sarah draw every seed at every step), and their blocks are stacked
+into one (C, m, b) block and prepared once (``objectives.Batches``): the
+range check, the cast to the dataset's index dtype, each step's running
+sum of row lengths and the labels, for all C steps at once. saga_sarah
+adds each step's table entries and write-back positions. A step then does
+only what depends on it: ``draw_batch(seeds)`` returns its ``Batch``, two
+buffers filled by one compiled copy of the rows, each seed's column
+indices shifted. Only ``_draw_block``, one seed's C steps of draws, touches
+the RNG; SARAH's blocks go through the same preparation, one step each.
+
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
     full        g = grad f(x_new)                                  [n SFO]
@@ -66,7 +77,10 @@ list. One seed's vector form is only a promotion at the entry points:
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
 step) and recomputed from scratch every 10^4 updates to wash out float
-drift.
+drift. A sample drawn twice in a batch is written back once, from its
+first position; those positions come from a sort of each batch of a block
+when it is drawn (``_first_positions``), so the write-back needs no
+n-entry scratch.
 """
 
 from __future__ import annotations
@@ -76,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import _check_int
-from .objectives import Batch
+from .objectives import Batches
 
 __all__ = [
     "Algorithm",
@@ -93,13 +107,32 @@ __all__ = [
 _SAGA_RECOMPUTE_EVERY = 10_000
 # sample indices in a block of a seed's future batches
 _BLOCK_INDICES = 2048
-_NO_POSITION = np.iinfo(np.intp).max
 
 
 def _block(x):
     """x as an (m, d) block: one seed's vector gains the seed axis, and a
     block passes through."""
     return x[None] if x.ndim == 1 else x
+
+
+def _first_positions(S):
+    """True at the first position of each sample in its batch, for every
+    batch (last-axis row) of S. Each row is sorted by sample, then position:
+    a stable argsort, made as a sort of the keys sample b + position, which
+    is faster. The first of each run of one sample is its first position."""
+    b = S.shape[-1]
+    rows = S.reshape(-1, b)
+    key = rows * b + np.arange(b)
+    key.sort(axis=-1)
+    sample = key // b
+    starts = np.empty(key.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(sample[:, 1:], sample[:, :-1], out=starts[:, 1:])
+    key -= sample * b  # each key's position in its row,
+    key += np.arange(0, rows.size, b)[:, None]  # and in S
+    first = np.zeros(S.shape, dtype=bool)
+    first.reshape(-1)[key[starts]] = True
+    return first
 
 
 @dataclass(frozen=True)
@@ -176,23 +209,35 @@ class _Drawing(_Estimator):
 
     def __init__(self, cfg, obj, x0, seeds, margins=None):
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        # each seed's drawn batches not yet served; the first block is drawn
-        # at the first update, after any draw of __init__
-        self._ahead = [iter(())] * len(seeds)
+        # the prepared block of drawn steps and how many it has served; the
+        # first block is drawn at the first update, after any draw of __init__
+        self._steps, self._served = None, 0
         self._block_steps = max(1, self._block_indices // cfg.b)
         super().__init__(cfg, obj, x0, seeds, margins)
 
     def draw_batch(self, seeds):
-        """One batch of b sample indices from each listed seed's RNG, as a
-        (len(seeds), b) block: each seed's next row of its drawn block."""
-        rows = []
-        for j in seeds:
-            row = next(self._ahead[j], None)
-            if row is None:
-                self._ahead[j] = iter(self._draw_block(self.rngs[j]))
-                row = next(self._ahead[j])
-            rows.append(row)
-        return np.array(rows)
+        """One batch of b sample indices from each listed seed's RNG,
+        gathered: the ``Batch`` of a (len(seeds), b) block whose row u comes
+        from seed seeds[u]."""
+        t = self._next_step(seeds)  # may draw a new block
+        return self._steps.batch(t)
+
+    def _next_step(self, seeds):
+        # the step of the prepared block that serves this draw. A block is
+        # served whole to the seeds that drew it: every seed at every step
+        # for momentum and saga_sarah, one step for SARAH
+        if self._steps is None or self._served == len(self._steps):
+            blocks = [self._draw_block(self.rngs[j]) for j in seeds]
+            C, b = blocks[0].shape
+            self._prepare(np.concatenate(blocks, axis=1).reshape(C, len(seeds), b))
+            self._served = 0
+        self._served += 1
+        return self._served - 1
+
+    def _prepare(self, S):
+        """Take S, a (C, m, b) block of C steps' batches for m seeds, as the
+        steps to serve next, prepared once for all of them."""
+        self._steps = Batches(self.obj, S)
 
     def _draw_block(self, rng):
         """The next ``_block_steps`` batches of one RNG, one row each: the
@@ -237,7 +282,7 @@ class SarahEstimator(_Drawing):
                 seeds.append(j)
         if not seeds:
             return
-        B = Batch(self.obj, self.draw_batch(seeds))
+        B = self.draw_batch(seeds)
         c_new = B.coefs(x_new.take(seeds, axis=0))
         step = B.scatter(c_new - B.coefs(x_old.take(seeds, axis=0))) / B.size
         for t, j in enumerate(seeds):
@@ -255,11 +300,8 @@ class SagaSarahEstimator(_Drawing):
         self.table_coefs = np.zeros((m, n))
         self.saga_avg = np.zeros((m, obj.d))
         super().__init__(cfg, obj, x0, seeds, margins)
-        # seed j's entries start at j n in the flattened table; ``_first``
-        # finds each entry's first position in a batch, and is reset after
+        # seed j's entries start at j n in the flattened table
         self._table_start = np.arange(0, m * n, n)[:, None]
-        self._positions = np.arange(m * cfg.b)
-        self._first = np.full(m * n, _NO_POSITION)
         self._updates_since_recompute = 0
 
     def _start(self, j, x):
@@ -279,14 +321,21 @@ class SagaSarahEstimator(_Drawing):
         """Recompute (1/n) sum_j y_j from the stored table, per seed."""
         return np.array([self.obj.mean_rows(coefs) for coefs in self.table_coefs])
 
+    def _prepare(self, S):
+        # and, for the block's every step, each sample's table entry and the
+        # positions that write it back
+        super()._prepare(S)
+        S = self._steps.S
+        self._entries = S + self._table_start
+        self._first = _first_positions(S)
+
     def update(self, x_new, x_old, k):
         obj, lam = self.obj, self.cfg.lam
         seeds = self._every_seed
-        S = self.draw_batch(seeds)
-        B = Batch(obj, S)
+        t = self._next_step(seeds)
+        B, entries, first = self._steps.batch(t), self._entries[t], self._first[t]
         b = B.size
         table = self.table_coefs.reshape(-1)
-        entries = S + self._table_start
         y_S = table.take(entries)
 
         c_new, c_old = B.coefs(_block(x_new)), B.coefs(_block(x_old))
@@ -301,11 +350,7 @@ class SagaSarahEstimator(_Drawing):
         # first position in S. Zeroing the other positions makes the scatter
         # of delta equal the sum of per-unique-row deltas without gathering
         # again.
-        flat = entries.reshape(-1)
-        np.minimum.at(self._first, flat, self._positions)
-        first = (self._first.take(flat) == self._positions).reshape(S.shape)
-        self._first[flat] = _NO_POSITION
-        delta = np.zeros(S.shape)
+        delta = np.zeros(B.S.shape)
         np.subtract(c_new, y_S, out=delta, where=first)
         self.saga_avg = self.saga_avg + B.scatter(delta) / obj.n
         table[entries[first]] = c_new[first]
@@ -324,7 +369,7 @@ class MomentumEstimator(_Drawing):
 
     def update(self, x_new, x_old, k):
         rho = (k + 1.0) ** (-2.0 / 3.0)
-        B = Batch(self.obj, self.draw_batch(self._every_seed))
+        B = self.draw_batch(self._every_seed)
         # grad_batch's sum, on iterates the solve produced: no check of x_new
         self.g = (1.0 - rho) * self.g + rho * (B.scatter(B.coefs(_block(x_new))) / B.size)
         for j in self._every_seed:

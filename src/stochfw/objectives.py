@@ -13,6 +13,10 @@ Three kernels do that work:
   weighted row sums are then one compiled loop each, with no sparse matrix
   built. A lockstep solve gathers one batch per seed into one
   block-diagonal triple, so each loop serves all of its seeds at once.
+  ``Batch(obj, S)`` checks the indices it is given. Batches drawn ahead for
+  many steps (``Batches``) are checked once, with the rest of their
+  index-sized work, when they are drawn; each step then only copies its
+  rows.
 * Full passes run the same compiled loops over all of X. X w
   (``margins``) reads the dataset's own CSR arrays, ``indptr``, ``indices``
   and ``values``, a dot per row. X^T c (``mean_rows``, so every full
@@ -25,8 +29,10 @@ Three kernels do that work:
 * A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
   a step toward a one-hot vertex r e_i moves z by one column of X. A read
   collapses the steps since the last one into one scale of z and one
-  compiled column add per distinct column (``Objective.add_column``), or
-  makes a fresh pass when that would touch more entries than the pass.
+  compiled column add per distinct column, or makes a fresh pass when that
+  would touch more entries than the pass. A replay calls the column loop
+  itself, with the column's bounds from the view; ``Objective.add_column``
+  is the same loop behind checks of z and the column, for other callers.
   The adds read a column view of X in CSC form, built once per Objective
   at its first replay or its first full gradient, whichever comes first,
   by the loop of scipy's ``tocsc``: row indices, increasing within each
@@ -82,7 +88,7 @@ import numpy as np
 
 from .data import LABEL_TARGETS
 
-__all__ = ["Objective", "Batch", "Margins", "SmoothnessInfo", "LOSS_KINDS"]
+__all__ = ["Objective", "Batch", "Batches", "Margins", "SmoothnessInfo", "LOSS_KINDS"]
 
 LOSS_KINDS = tuple(LABEL_TARGETS)
 
@@ -151,35 +157,35 @@ class Batch:
     iterates as one vector and a scatter fills m d outputs, and every output
     still sums its own seed's entries in storage order. ``size`` is b, the
     batch size of each seed.
+
+    ``Batch(obj, S)`` checks S: integers only, a vector or an (m, b) block,
+    every index in [0, n). It is the one-step case of ``Batches``, which
+    makes those checks and the rest of the index-sized work once for the
+    batches of many steps; ``Batches.batch(t)`` builds the same Batch for
+    step t from that work.
     """
 
     __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values", "_w_shape")
 
     def __init__(self, obj, S):
         S = np.asarray(S)
-        if S.size and S.dtype.kind not in "iu":  # signed or unsigned integers only
-            raise ValueError("batch indices must be integers")
         if S.ndim not in (1, 2):
             raise ValueError("batch indices must be a vector or an (m, b) block")
-        # range-checked before the cast, so no index wraps around
-        if S.size and (S.min() < 0 or S.max() >= obj.n):
-            raise IndexError(f"batch index out of range [0, {obj.n})")
-        S = S.astype(np.int64, copy=False)
-        rows = S.reshape(-1)
-        ds, ptr = obj.dataset, obj.dataset.indptr
-        # as scipy's X[S]: a running sum of the row lengths, then one compiled copy
-        self.indptr = np.zeros(len(rows) + 1, dtype=ptr.dtype)
-        np.add.accumulate(obj._row_nnz.take(rows), out=self.indptr[1:])
-        self.indices = np.empty(self.indptr[-1], dtype=ptr.dtype)
-        self.values = np.empty(self.indptr[-1])
-        obj._loops.csr_row_index(len(rows), rows.astype(ptr.dtype), ptr, ds.indices, ds.values,
+        self._gather(Batches(obj, S[None]), 0)
+
+    def _gather(self, steps, t):
+        # step t of the prepared ``steps``: what depends on the step alone,
+        # the two buffers, one compiled copy of the rows and the seed shift
+        obj, ends, S = steps._obj, steps._ends[t], steps.S[t]
+        self.indptr = steps._indptr[t]
+        self.indices = np.empty(ends[-1], dtype=self.indptr.dtype)
+        self.values = np.empty(ends[-1])
+        rows, ds = steps._rows[t], obj.dataset
+        obj._loops.csr_row_index(len(rows), rows, ds.indptr, ds.indices, ds.values,
                                  self.indices, self.values)
-        m, b = len(S) if S.ndim == 2 else 1, S.shape[-1]
-        if m * obj.d >= 2 ** (8 * ptr.itemsize - 1):
-            raise ValueError("block of iterates too wide for the dataset's index dtype")
-        for t in range(1, m):
-            self.indices[self.indptr[t * b]:self.indptr[(t + 1) * b]] += t * obj.d
-        self._obj, self.S, self.size, self.y = obj, S, b, obj.y.take(S)
+        for u in range(1, len(ends)):  # seed u's entries, shifted by u d
+            self.indices[ends[u - 1]:ends[u]] += u * obj.d
+        self._obj, self.S, self.size, self.y = obj, S, S.shape[-1], steps.y[t]
         self._w_shape = S.shape[:-1] + (obj.d,)  # the iterates it reads, the sums it makes
 
     def margins(self, w):
@@ -206,6 +212,51 @@ class Batch:
         self._obj._loops.csc_matvec(out.size, c.size, self.indptr, self.indices,
                                     self.values, c, out)
         return out
+
+
+class Batches:
+    """The batches of C steps, S[0] to S[C - 1], prepared at once: S is a
+    (C, b) array of vectors or a (C, m, b) array of (m, b) blocks, as
+    ``Batch`` takes them. Everything that depends on the indices alone is
+    done here, for all C steps together: the checks of ``Batch``, the cast to
+    the dataset's index dtype, each step's running sum of row lengths (its
+    ``indptr``) and the labels. ``batch(t)`` then gathers step t's rows, a
+    ``Batch`` equal to ``Batch(obj, S[t])`` bit for bit.
+    """
+
+    __slots__ = ("_obj", "S", "y", "_rows", "_indptr", "_ends")
+
+    def __init__(self, obj, S):
+        S = np.asarray(S)
+        if S.size and S.dtype.kind not in "iu":  # signed or unsigned integers only
+            raise ValueError("batch indices must be integers")
+        # one range check for both ends: the cast keeps every index's bits
+        # modulo 2^64, so read as unsigned, a negative one or one wrapped by
+        # the cast is 2^63 or more
+        self.S = S.astype(np.int64, copy=False)
+        if S.size and self.S.view(np.uint64).max() >= obj.n:
+            raise IndexError(f"batch index out of range [0, {obj.n})")
+        ds = obj.dataset
+        m, b = (S.shape[1] if S.ndim == 3 else 1), S.shape[-1]
+        if m * obj.d >= 2 ** (8 * ds.indptr.itemsize - 1):
+            raise ValueError("block of iterates too wide for the dataset's index dtype")
+        # one row of sample indices per step; as scipy's X[S], each step's
+        # indptr is a running sum of its row lengths from 0
+        self._rows = self.S.reshape(len(S), m * b).astype(ds.indptr.dtype)
+        self._indptr = np.zeros((len(S), m * b + 1), dtype=ds.indptr.dtype)
+        np.add.accumulate(obj._row_nnz.take(self._rows), axis=1, out=self._indptr[:, 1:])
+        # where each seed's entries end in each step's triple
+        self._ends = self._indptr[:, b::b].tolist() if b else [[0]] * len(S)
+        self._obj, self.y = obj, obj.y.take(self.S)
+
+    def __len__(self):
+        return len(self.S)
+
+    def batch(self, t):
+        """Step t's rows gathered: the ``Batch`` of S[t]."""
+        B = Batch.__new__(Batch)
+        B._gather(self, t)
+        return B
 
 
 class Objective:
@@ -380,9 +431,12 @@ def _column_view(ds, loops):
 # The fixed costs of a replay, in entries of a pass over X, measured at
 # mushrooms shape (8124 x 112, 182k nnz) on a 2-core x86-64 host, where
 # ``Objective.margins`` took 0.9-1.2 ns an entry: an add of an empty column
-# (the method call, its checks, the slice and the compiled loop's set-up)
-# took as long as 1500-2200 entries (median 1900; 1.4-3.1 us), and each step
-# of the collapse as long as 160-230 (150-240 ns).
+# through ``add_column`` (the method call, its checks, the slice and the
+# compiled loop's set-up) took as long as 1500-2200 entries (median 1900;
+# 1.4-3.1 us), and each step of the collapse as long as 160-230 (150-240
+# ns). A replay calls the loop itself, without those checks, about 0.6 us
+# less per column; the constants are not lowered to match, since they
+# decide which reads replay, and so the bits of every trace.
 _COLUMN_COST = 2000
 _STEP_COST = 200
 
@@ -398,12 +452,13 @@ class Margins:
 
         a = prod_t (1 - eta_t),   c_i = sum_{t: i_t = i} eta_t r_t prod_{u>t} (1 - eta_u),
 
-    and applies them as ``z *= a`` and one compiled ``Objective.add_column``
-    per column. That touches n entries for the scale and each column's nnz
-    for its add, plus the fixed costs ``_STEP_COST`` per step and
-    ``_COLUMN_COST`` per column; when the sum passes nnz, ``at`` makes a
-    fresh pass over X instead. ``step`` stops keeping steps once their fixed
-    cost alone would pass it, which also bounds the memory they hold. A
+    and applies them as ``z *= a`` and one call of the compiled column loop
+    per column, the loop of ``Objective.add_column`` without its checks.
+    That touches n entries for the scale and each column's nnz for its add,
+    plus the fixed costs ``_STEP_COST`` per step and ``_COLUMN_COST`` per
+    column; when the sum passes nnz, ``at`` makes a fresh pass over X
+    instead. ``step`` stops keeping steps once their fixed cost alone
+    would pass it, which also bounds the memory they hold. A
     dense vertex (the box) is never replayed, so there z is only shared
     between reads at one iterate. Replayed margins differ from X x by
     rounding only; each solve replays the same steps, so its results stay
@@ -450,13 +505,17 @@ class Margins:
             for eta, i, r in reversed(steps):
                 coefs[i] = coefs.get(i, 0.0) + eta * r * a
                 a *= 1.0 - eta
-            nnz = obj._view()[3]
+            starts, rows, values, nnz = obj._view()
             cost = _STEP_COST * len(steps) + sum(nnz[i] + _COLUMN_COST for i in coefs)
             if cost <= self._room:
                 z = self._z
                 z *= a
+                # add_column's loop without its checks: z is this seed's own
+                # and every i a column the LMO picked
+                add, n, coef = obj._loops.csc_matvec, obj.n, np.empty(1)
                 for i, c in coefs.items():
-                    obj.add_column(z, i, c)
+                    coef[0] = c
+                    add(n, 1, starts[i:i + 2], rows, values, coef, z)
             else:
                 steps = None
         if steps is None:

@@ -96,14 +96,14 @@ def scripted(est, refresh=None, batch=None):
 
     ``refresh`` is the SARAH coin: one bool for every update, or a sequence
     with one bool per update. ``batch`` is the index array every update
-    uses. A draw left as None stays random.
+    uses, drawn as blocks of one step. A draw left as None stays random.
     """
     if refresh is not None:
         coins = itertools.repeat(refresh) if isinstance(refresh, bool) else iter(refresh)
         est.draw_refresh = lambda: [next(coins)]
     if batch is not None:
         S = np.asarray(batch, dtype=np.int64)
-        est.draw_batch = lambda seeds: S[None]
+        est._draw_block = lambda rng: S[None]
     return est
 
 

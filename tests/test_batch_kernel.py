@@ -218,7 +218,7 @@ def test_all_empty_rows_give_float_zeros():
 def test_batch_rejects_bad_indices(bc_logistic):
     # the compiled gather reads any index it is given, so a Batch must check S
     n, w = bc_logistic.n, np.zeros(bc_logistic.d)
-    # 2**63 is a uint64 array, range-checked before any cast could wrap it
+    # 2**63 is a uint64 array: the check catches it though the int64 cast wraps it
     for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)], [2**63]):
         with pytest.raises(IndexError):
             Batch(bc_logistic, S)

@@ -132,6 +132,43 @@ def test_dataset_invariant_checks():
                     values=np.array([1.0]), labels=np.array([1.0]), d=2)
 
 
+# (indptr, indices, the row named) of rows whose feature indices repeat or
+# fall; empty rows around them must not move or hide the position
+_UNORDERED_ROWS = {
+    "repeated index": ([0, 2, 3], [1, 1, 0], 0),
+    "decreasing pair": ([0, 2, 3], [1, 0, 0], 0),
+    "in the last row": ([0, 1, 4], [0, 0, 2, 2], 1),
+    "after a leading empty row": ([0, 0, 2], [1, 1], 1),
+    "after two leading empty rows": ([0, 0, 0, 2, 3], [2, 1, 0], 2),
+    "before a trailing empty row": ([0, 1, 3, 3], [0, 2, 2], 1),
+    "between empty rows": ([0, 1, 1, 1, 3, 3], [1, 1, 0], 3),
+}
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("case", sorted(_UNORDERED_ROWS))
+def test_dataset_rejects_rows_not_strictly_increasing(case, index):
+    indptr, indices, row = _UNORDERED_ROWS[case]
+    with pytest.raises(ValueError, match=f"row {row} are not strictly increasing"):
+        Dataset(indptr=np.array(indptr, dtype=index), indices=np.array(indices, dtype=index),
+                values=np.ones(len(indices)), labels=np.ones(len(indptr) - 1), d=3)
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 2], [1, 1]),              # an equal index across a row boundary
+    ([0, 2, 3], [0, 2, 0]),           # a fall across a row boundary
+    ([0, 0, 2, 2, 3, 3], [1, 2, 0]),  # empty rows at the start, middle and end
+    ([0, 0, 0], []),                  # no entries at all
+    ([0, 1, 2, 3], [2, 2, 2]),        # one entry per row
+])
+def test_dataset_accepts_rows_increasing_within_each_row(indptr, indices, index):
+    ds = Dataset(indptr=np.array(indptr, dtype=index), indices=np.array(indices, dtype=index),
+                 values=np.ones(len(indices)), labels=np.ones(len(indptr) - 1), d=3)
+    for i in range(ds.n):
+        assert np.all(np.diff(ds.row(i)[0]) > 0)
+
+
 def test_normalize_labels_remaps_two_values():
     ds = parse_libsvm("0 1:1\n1 1:2\n0 1:3\n")
     logi = normalize_labels(ds, "logistic")

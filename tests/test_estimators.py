@@ -6,6 +6,7 @@ from stochfw.estimators import (
     EstimatorConfig,
     FullGradEstimator,
     SarahEstimator,
+    _first_positions,
     init_estimator,
 )
 from stochfw.objectives import Batch
@@ -175,13 +176,13 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, n):
     if not isinstance(seeds, int):
         x_new, x_old = np.tile(x_new, (len(seeds), 1)), np.tile(x_old, (len(seeds), 1))
     seen = []
-    gather = Batch.__init__
+    gather = Batch._gather
 
-    def recording(self, obj, S):
-        seen.append(np.array(S))
-        gather(self, obj, S)
+    def recording(self, steps, t):
+        gather(self, steps, t)
+        seen.append(np.array(self.S))
 
-    monkeypatch.setattr(Batch, "__init__", recording)
+    monkeypatch.setattr(Batch, "_gather", recording)
     cfg = EstimatorConfig(b=b, **params)
     est = init_estimator(cfg, obj, x_old, seeds)
     for k in range(50):
@@ -190,6 +191,113 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, n):
     assert len(seen) == len(want)
     for got, expected in zip(seen, want):
         assert np.array_equal(got, expected)
+
+
+def _assert_same_batch(got, want):
+    for name in ("S", "y", "indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.size == want.size
+
+
+# n = 3: batches repeat indices, and b = 100 exceeds n
+@pytest.mark.parametrize("n", [120, 3], ids=["n120", "n3"])
+@pytest.mark.parametrize("b", [2, 100])  # a block of 1024 steps, and of 20
+@pytest.mark.parametrize("seeds", [(5,), (5, 9)], ids=["one-seed", "two-seeds"])
+@pytest.mark.parametrize("kind", ["momentum", "sarah"])  # blocks of many steps, and of one
+def test_drawn_batches_equal_the_checked_batch_bit_for_bit(kind, seeds, b, n):
+    # a Batch served from a prepared block is the public Batch of the same
+    # draws: its triple, labels, margins and scatter, through two refills
+    obj = tiny_objective(n=n, d=4, seed=0)
+    cfg = EstimatorConfig(kind=kind, b=b, p=0.5 if kind == "sarah" else None)
+    est = init_estimator(cfg, obj, np.zeros((len(seeds), obj.d)), seeds)
+    twins = [np.random.default_rng(seed) for seed in seeds]
+    rng = np.random.default_rng(8)
+    for _ in range(2 * est._block_steps + 3):
+        got = est.draw_batch(range(len(seeds)))
+        want = Batch(obj, np.array([twin.integers(0, n, size=b) for twin in twins]))
+        _assert_same_batch(got, want)
+        w, c = rng.normal(size=(len(seeds), obj.d)), rng.normal(size=(len(seeds), b))
+        assert got.margins(w).tobytes() == want.margins(w).tobytes()
+        assert got.scatter(c).tobytes() == want.scatter(c).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, "n", 2**63], ids=["negative", "n", "2^63"])
+@pytest.mark.parametrize("params", [
+    {"kind": "momentum"}, {"kind": "saga_sarah", "lam": 0.2}, {"kind": "sarah", "p": 0.3},
+], ids=["momentum", "saga_sarah", "sarah"])
+def test_an_out_of_range_draw_raises_before_any_gather(monkeypatch, params, bad):
+    # the gather reads any row it is given: a drawn block is range-checked
+    # once, when it is drawn, before its first step's rows are copied
+    obj = tiny_objective(n=6, d=4, seed=0)
+    x_new, x_old = (np.tile(x, (2, 1)) for x in random_points(obj))
+    est = init_estimator(EstimatorConfig(b=3, **params), obj, x_old, (0, 1))
+    est.draw_refresh = lambda: [False, False]
+    index = obj.n if bad == "n" else bad
+
+    def draw_block(rng):
+        S = rng.integers(0, obj.n, size=(est._block_steps, 3))
+        if index >= 2**63:
+            S = S.astype(np.uint64)
+        S[-1, -1] = index  # in the block's last step
+        return S
+
+    gathers = []
+    monkeypatch.setattr(est, "_draw_block", draw_block)
+    monkeypatch.setattr(Batch, "_gather", lambda self, steps, t: gathers.append(t))
+    with pytest.raises(IndexError):
+        est.update(x_new, x_old, 0)
+    assert gathers == []
+
+
+def _first_by_minimum_at(S, n):
+    """Each sample's first position in each batch of S, by the smallest
+    position ``np.minimum.at`` leaves for it in an n-entry scratch."""
+    b, first = S.shape[-1], np.zeros(S.shape, dtype=bool)
+    for idx in np.ndindex(S.shape[:-1]):
+        smallest = np.full(n, b)
+        np.minimum.at(smallest, S[idx], np.arange(b))
+        first[idx] = smallest[S[idx]] == np.arange(b)
+    return first
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), steps=st.integers(1, 4), m=st.integers(1, 3), b=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_positions_follow_the_minimum_at_rule(n, steps, m, b, seed):
+    # blocks full of duplicates: n of at most 8 for up to 40 draws a batch
+    S = np.random.default_rng(seed).integers(0, n, size=(steps, m, b))
+    assert np.array_equal(_first_positions(S), _first_by_minimum_at(S, n))
+
+
+@pytest.mark.parametrize("seeds", [(5,), (5, 9)], ids=["one-seed", "two-seeds"])
+def test_saga_writes_back_each_steps_first_positions_across_refills(seeds):
+    # n = 3 and b = 100: blocks of 20 steps, every batch full of duplicates;
+    # each update writes its own batch's first positions into its own seed's
+    # table, and the average moves by the scatter of their deltas alone, in
+    # the order of those positions, through two refills
+    obj = tiny_objective(n=3, d=4, seed=0)
+    m = len(seeds)
+    x_old = np.zeros((m, obj.d))
+    est = init_estimator(EstimatorConfig(kind="saga_sarah", b=100, lam=0.2), obj, x_old, seeds)
+    twins = [np.random.default_rng(seed) for seed in seeds]
+    moves = np.random.default_rng(3)
+    for k in range(45):
+        x_new = x_old + 0.1 * moves.normal(size=x_old.shape)  # new table entries every step
+        table, avg = est.table_coefs.copy(), est.saga_avg.copy()
+        est.update(x_new, x_old, k)
+        S = np.array([twin.integers(0, obj.n, size=100) for twin in twins])
+        first = _first_by_minimum_at(S, obj.n)
+        B = Batch(obj, S)
+        c_new = B.coefs(x_new)
+        delta = np.zeros(S.shape)
+        for j in range(m):
+            delta[j][first[j]] = c_new[j][first[j]] - table[j, S[j][first[j]]]
+            table[j, S[j][first[j]]] = c_new[j][first[j]]
+        assert est.table_coefs.tobytes() == table.tobytes(), k
+        assert est.saga_avg.tobytes() == (avg + B.scatter(delta) / obj.n).tobytes(), k
+        x_old = x_new
 
 
 @st.composite

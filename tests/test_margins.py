@@ -186,6 +186,39 @@ def test_a_replay_that_touches_more_than_a_pass_makes_the_pass(bc_logistic, monk
     assert 1 < passes.count(1) < obj.d + 1  # both kinds of read happened
 
 
+def test_a_replay_is_add_column_over_the_same_columns_in_order(mushrooms_scale_logistic,
+                                                              monkeypatch):
+    # a read calls the column loop itself; it must equal the checked
+    # add_column applied to the collapsed coefficients, column by column in
+    # the order of each column's last step, after the one scale
+    obj = mushrooms_scale_logistic
+    rng = np.random.default_rng(31)
+    passes = []
+    margins = Objective.margins
+    monkeypatch.setattr(Objective, "margins", lambda self, w: passes.append(1) or margins(self, w))
+    x = np.zeros(obj.d)
+    cache = Margins(obj, x)
+    for read in range(4):
+        z = cache.at().copy()
+        steps = []
+        for k in range(10):
+            i, r, eta = int(rng.integers(0, 6)), float(rng.choice([-2e3, 2e3])), 2.0 / (k + 3.0)
+            s = np.zeros(obj.d)
+            s[i] = r
+            x = x + eta * (s - x)
+            cache.step(x, eta, (i, r))
+            steps.append((eta, i, r))
+        coefs, a = {}, 1.0
+        for eta, i, r in reversed(steps):
+            coefs[i] = coefs.get(i, 0.0) + eta * r * a
+            a *= 1.0 - eta
+        z *= a
+        for i, c in coefs.items():
+            obj.add_column(z, i, c)
+        assert cache.at().tobytes() == z.tobytes(), read
+    assert len(passes) == 1  # x0's: the four reads were replays
+
+
 def test_steps_past_their_budget_make_a_pass(mushrooms_scale_logistic, monkeypatch):
     # repeats of one column cost a replay _STEP_COST each, so step keeps at
     # most (nnz - n) / _STEP_COST of them: the steps a read holds stay bounded
