@@ -6,33 +6,27 @@ oracle (SFO) counter; the counter increments by exactly the number of
 per-sample gradient evaluations performed. The three estimators that draw
 (sarah, saga_sarah, momentum) also hold a seeded RNG per seed; the full
 estimator holds none, so a process that runs only fw never loads
-``numpy.random`` (numpy loads it at first use). Random choices go
-through ``draw_refresh`` (SARAH's coins) and ``draw_batch``, seed by seed. A
-seed's coin is drawn before its batch, so its refresh branch consumes
-exactly one RNG draw, which keeps seeded reruns bit-exact and each seed's
-draws those of its solve alone.
+``numpy.random``.
 
-``draw_batch`` serves each seed's batches, drawn uniformly with replacement,
-from a block of that seed's future draws, refilled with one
-``integers(0, n, size=(C, b))`` call of C = max(1, 2048 // b) steps. numpy
-gives that block the bits of C per-step calls and leaves the RNG where they
-would, so every batch is the one a per-step draw gives. It holds for momentum
-and saga_sarah, whose batches are the only draws from their RNGs after
-``__init__`` (saga_sarah's cold-start draw comes first: the first block is
-drawn at the first update). SARAH's coin is drawn from the same RNG between its
-batches, so its blocks hold one step. The one visible effect: after updates, a
-seed's RNG may be up to one block ahead of the last batch it served.
+Random choices go through ``draw_refresh`` (SARAH's coins) and
+``draw_batch``, seed by seed, so each seed's draws are those of its solve
+alone, and a seed's coin is drawn before its batch, so its refresh branch
+consumes exactly one RNG draw; seeded reruns are bit-exact. Batches are drawn uniformly with
+replacement, C = max(1, 2048 // b) steps ahead, by one
+``integers(0, n, size=(C, b))`` call per seed: numpy gives it the bits and
+the RNG state of C per-step calls, so every batch is the one a per-step
+draw gives. SARAH's coins are drawn between its batches, so its blocks
+hold one step, and saga_sarah's cold-start draw comes before its first
+block. The one visible effect: after updates, a seed's RNG may be up to
+one block ahead of the last batch it served.
 
-The seeds that draw at a step refill their blocks together (momentum and
-saga_sarah draw every seed at every step), and their blocks are stacked
-into one (C, m, b) block and prepared once (``objectives.Batches``): the
-range check, the cast to the dataset's index dtype, each step's running
-sum of row lengths and the labels, for all C steps at once. saga_sarah
-adds each step's table entries and write-back positions. A step then does
-only what depends on it: ``draw_batch(seeds)`` returns its ``Batch``, two
-buffers filled by one compiled copy of the rows, each seed's column
-indices shifted. Only ``_draw_block``, one seed's C steps of draws, touches
-the RNG; SARAH's blocks go through the same preparation, one step each.
+The seeds that draw at a step refill their blocks together, and the
+stacked (C, m, b) block is prepared once (``objectives.Batches``: the
+checks and every other piece of index-sized work); saga_sarah adds each
+step's table entries and write-back positions. A step then gathers only
+its own rows, ``Batch(steps, t)``, one block-diagonal triple for all of
+its seeds. Only ``_draw_block``, one seed's C steps of draws, touches the
+RNG.
 
 Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
 
@@ -46,41 +40,29 @@ Update rules (x_new = x^{k+1}, x_old = x^k, batch S of size b):
                 then y_i = grad f_i(x_new) for i in S              [2b SFO]
     momentum    g = (1-rho_k) g + rho_k mean_S[grad f_i(x_new)]    [b SFO]
 
-Both losses have grad f_i = c_i * x_i, so every batch term above is a
-weighted sum of the rows of S. An update gathers those rows once into an
-``objectives.Batch``, as ``Objective.grad_batch`` does, and evaluates each
-term as margins at a point, then scalar coefficients, then one scatter of
-the coefficients back onto the rows: O(b * nnz_row) work per term in
-scipy's compiled sparse loops, with no sparse matrix object built per call.
-The m seeds' batches are gathered into one block (a ``Batch`` of an (m, b)
-array), so each term is one loop for all of them, and all arithmetic on
-estimates is elementwise on (m, d) blocks, so each seed's bits are those of
-its update alone. A SARAH seed that refreshes takes its full gradient
-alone, and the block holds the other seeds' batches only. Full refreshes,
-the SAGA initial pass and the table recomputation cover all n rows and go
-through the objective's full passes (``grad_full``, ``grad_coefs``,
-``mean_rows``) instead. ``Batch`` runs the loops behind scipy's ``X[S] @ w``
-and ``X[S].T @ c``, so every batch term has their bits.
+Both losses have grad f_i = c_i * x_i, so every batch term above is the
+margins at a point, then scalar coefficients, then one scatter of them
+back onto the rows, each one compiled loop for all seeds with the bits of
+scipy's ``X[S] @ w`` and ``X[S].T @ c``, seed by seed. All arithmetic on
+estimates is elementwise on (m, d) blocks, so each seed's bits are those
+of its update alone. A SARAH seed that refreshes takes its full gradient
+alone, and the step's block holds the other seeds' batches only. Full
+refreshes, the SAGA initial pass and the table recomputation go through
+the objective's full passes (``grad_full``, ``grad_coefs``,
+``mean_rows``). Inside ``solve`` those read each seed's ``Margins``;
+built without them, an estimator leaves every full pass to the objective.
 
-A batch's margins always come from the batch kernel. Inside ``solve``,
-full refreshes and the SAGA initial pass are handed each seed's
-``Margins`` and read from them X x at its current iterate and the loss
-terms of it. Built without them, an estimator leaves every full pass to
-the objective.
-
-Every estimator holds its state with a leading seed axis: g, the SAGA
-table and its average are (m, .) arrays and the refresh counts a per-seed
-list. One seed's vector form is only a promotion at the entry points:
-``init_estimator`` turns a vector x0 and an int seed into ``x0[None]`` and
+State has a leading seed axis: g, the SAGA table and its average are
+(m, .) arrays and the refresh counts a per-seed list. ``init_estimator``
+promotes one seed's vector x0 and int seed to ``x0[None]`` and
 ``(seed,)``, and ``update`` gives a vector iterate the seed axis.
 
 The SAGA table stores each y_i in factored form, one scalar c_i per
 sample. The table average is maintained incrementally (O(b * nnz) per
 step) and recomputed from scratch every 10^4 updates to wash out float
 drift. A sample drawn twice in a batch is written back once, from its
-first position; those positions come from a sort of each batch of a block
-when it is drawn (``_first_positions``), so the write-back needs no
-n-entry scratch.
+first position (``_first_positions``, found for a whole block when it is
+drawn).
 """
 
 from __future__ import annotations
@@ -90,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import _check_int
-from .objectives import Batches
+from .objectives import Batch, Batches
 
 __all__ = [
     "Algorithm",
@@ -217,16 +199,16 @@ class _Drawing(_Estimator):
 
     def draw_batch(self, seeds):
         """One batch of b sample indices from each listed seed's RNG,
-        gathered: the ``Batch`` of a (len(seeds), b) block whose row u comes
-        from seed seeds[u]."""
+        gathered: the next step's ``Batch``, whose batch u comes from seed
+        seeds[u]."""
         t = self._next_step(seeds)  # may draw a new block
-        return self._steps.batch(t)
+        return Batch(self._steps, t)
 
     def _next_step(self, seeds):
         # the step of the prepared block that serves this draw. A block is
         # served whole to the seeds that drew it: every seed at every step
         # for momentum and saga_sarah, one step for SARAH
-        if self._steps is None or self._served == len(self._steps):
+        if self._steps is None or self._served == len(self._steps.S):
             blocks = [self._draw_block(self.rngs[j]) for j in seeds]
             C, b = blocks[0].shape
             self._prepare(np.concatenate(blocks, axis=1).reshape(C, len(seeds), b))
@@ -333,7 +315,7 @@ class SagaSarahEstimator(_Drawing):
         obj, lam = self.obj, self.cfg.lam
         seeds = self._every_seed
         t = self._next_step(seeds)
-        B, entries, first = self._steps.batch(t), self._entries[t], self._first[t]
+        B, entries, first = Batch(self._steps, t), self._entries[t], self._first[t]
         b = B.size
         table = self.table_coefs.reshape(-1)
         y_S = table.take(entries)

@@ -6,70 +6,58 @@ grad f_i(w) = c_i(w) * x_i. A batch gradient is therefore a gather of
 margins followed by a scatter of scalars, and the SAGA table can store one
 float per sample.
 
-Three kernels do that work:
+Three kernels do that work, on scipy's compiled sparse loops, with no
+sparse matrix built:
 
-* Batches (``Batch``, which ``Objective.grad_batch`` builds; a sample is
-  a batch of one) gather their rows once into a CSR triple; margins and
-  weighted row sums are then one compiled loop each, with no sparse matrix
-  built. A lockstep solve gathers one batch per seed into one
-  block-diagonal triple, so each loop serves all of its seeds at once.
-  ``Batch(obj, S)`` checks the indices it is given. Batches drawn ahead for
-  many steps (``Batches``) are checked once, with the rest of their
-  index-sized work, when they are drawn; each step then only copies its
-  rows.
-* Full passes run the same compiled loops over all of X. X w
-  (``margins``) reads the dataset's own CSR arrays, ``indptr``, ``indices``
-  and ``values``, a dot per row. X^T c (``mean_rows``, so every full
-  gradient) reads the column view below, a dot per column: each output
-  adds its column's products in row order from 0, as the scatter of
-  ``X.T @ c`` over the rows does, so it has that scatter's bits without
-  its read and write of an output per entry (145 against 177 us by timeit
-  at mushrooms shape on a 2-core x86-64 host). No scipy matrix is built;
-  only the ``smoothness`` diagnostic makes one.
-* A solve's margins z = X x (``Margins``) follow its Frank-Wolfe steps:
-  a step toward a one-hot vertex r e_i moves z by one column of X. A read
-  collapses the steps since the last one into one scale of z and one
-  compiled column add per distinct column, or makes a fresh pass when that
-  would touch more entries than the pass. A replay calls the column loop
-  itself, with the column's bounds from the view; ``Objective.add_column``
-  is the same loop behind checks of z and the column, for other callers.
-  The adds read a column view of X in CSC form, built once per Objective
-  at its first replay or its first full gradient, whichever comes first,
-  by the loop of scipy's ``tocsc``: row indices, increasing within each
-  column, and a float64 copy of the values in column order, so each add is
-  one contiguous run. It costs 12 bytes per nnz with int32 indices (about
-  2.2 MB at mushrooms shape, 182k nnz; 82 KB at 683 x 10 dense), the copy
-  8 of them, 4 more than positions into the CSR values would. Box runs,
-  which never replay, build it at their first full gradient. ``loss_full``,
-  ``grad_coefs`` and ``grad_full`` take such a z, or the ``Margins``
-  themselves, instead of making a pass of their own. A batch's margins
-  always come from the batch kernel.
+* Batches. ``Batches`` prepares the batches of C steps of a lockstep solve
+  at once, a (C, m, b) block with one batch of b samples per seed and step:
+  it checks the indices and does all other work that depends on them
+  alone. ``Batch(steps, t)`` gathers step t's rows into one block-diagonal
+  CSR triple, so each margin or weighted row sum is one loop for all m
+  seeds. ``Objective.grad_batch`` and ``loss_sample`` take the one step of
+  a one-seed block.
+* Full passes. X w (``margins``) is a dot per row of the dataset's own CSR
+  arrays; X^T c (``mean_rows``, so every full gradient) is a dot per column
+  of the column view, which adds each column's products in row order from
+  0, as the scatter of ``X.T @ c`` over the rows does.
+* Margins. A solve's z = X x (``Margins``) follows its Frank-Wolfe steps: a
+  step toward a one-hot vertex r e_i moves z by one column of X, so a read
+  applies the steps since the last one as one scale of z and one compiled
+  column add per distinct column, or makes a fresh pass when that would
+  touch fewer entries.
 
-The loss and its gradient multipliers share per-sample terms of z
-(``Objective._terms``): s = expit(-z) and y - s for nlls, -y and t = -y z
-for logistic. ``Margins.terms`` evaluates them once per z of its seed, so
-the recorded loss, the full gradient and the gap's gradient at one iterate
-evaluate them once between them, with the bits of an evaluation per read.
+The column view is X in CSC form, built by the loop of scipy's ``tocsc``
+once per Objective, at its first replay or full gradient: row indices,
+increasing within each column, and a float64 copy of the values, 12 bytes
+per nnz with int32 indices. ``loss_full``, ``grad_coefs`` and ``grad_full``
+take X w, or the ``Margins`` themselves, instead of making a pass of their
+own; a batch's margins always come from the batch kernel. The loss and its
+gradient multipliers share per-sample terms of z (``Objective._terms``),
+which ``Margins.terms`` evaluates once per z.
 
-Every kernel runs the loops behind scipy's ``X[S]``, ``X[S] @ w``,
-``X[S].T @ c``, ``X @ w``, ``X.tocsc().T @ c`` and ``X.tocsc()``, from the
-private ``scipy.sparse._sparsetools``, so it has their bits, and
-``mean_rows`` also those of ``X.T @ c``; a column add is the
-``X.T @ c`` loop over one column, with the bits of ``z[rows] += c *
-values``. The bit-for-bit properties in ``tests/test_batch_kernel.py``
-fail if a scipy release changes them. The losses' ``expit`` is
-``scipy.special.expit``, which the compiled
-``scipy.special._special_ufuncs`` holds.
+Bits. The kernels run the loops behind scipy's ``X[S]``, ``X[S] @ w``,
+``X[S].T @ c``, ``X @ w``, ``X.T @ c`` and ``X.tocsc()``, from the private
+``scipy.sparse._sparsetools``, and match those forms bit for bit, seed by
+seed; a column add has the bits of ``z[rows] += c * values``. Replayed
+margins differ from X x by rounding only, and every solve replays the same
+steps, so results are bit-reproducible. ``tests/test_batch_kernel.py``
+fails if a scipy release changes those bits. The losses' ``expit`` is
+``scipy.special.expit``, from the compiled ``scipy.special._special_ufuncs``.
 
-The two compiled modules are loaded once per process, at the first
-Objective, straight from their files under scipy's install directory,
-so neither ``scipy.sparse`` nor ``scipy.special`` is imported: with scipy
-1.17.1 on a 2-core x86-64 host, those imports took about 18 MB of a
-mushrooms-shape grid's peak RSS and 0.2 s of a process's start-up. They
-are the same module objects scipy's own imports give, before or after. On a scipy whose files
-or attributes are laid out otherwise, the packages are imported instead,
-which gives the same functions. Only the diagnostics ``Dataset.to_csr``
-and ``Objective.smoothness`` import ``scipy.sparse``.
+Checks. The loops check no bounds, so ``Batches`` checks the indices
+(integers in [0, n), and m d within the dataset's index dtype), and every
+kernel that reads or fills a caller's array checks its shape; a replay's
+column adds, on the margins' own z, check nothing. An Objective keeps no
+per-call state and builds its column view under a lock, so one Objective
+can serve several threads.
+
+Both compiled modules are loaded once per process, at the first Objective,
+from their files under scipy's install directory, without importing the
+``scipy.sparse`` or ``scipy.special`` package; they are the same module
+objects scipy's own imports give. Where the files or attributes are laid
+out otherwise, the packages are imported instead, with the same functions.
+Only the diagnostics ``Dataset.to_csr`` and ``Objective.smoothness`` import
+``scipy.sparse``.
 
 logistic:  f_i(w) = log(1 + exp(-y_i z_i)),          y_i in {-1, +1}
 nlls:      f_i(w) = (y_i - 1/(1 + exp(z_i)))^2,      y_i in {0, 1}
@@ -146,36 +134,21 @@ def _compiled():
 
 
 class Batch:
-    """The rows of a batch S, gathered once into a CSR triple (``indptr``,
-    ``indices``, ``values``) with the dataset's index dtype; its row t is
-    sample S[t], duplicates included, and ``y`` holds the labels of S. Built
-    per call and never cached, so one Objective can serve several threads.
-
-    S may also be an (m, b) block holding one batch per seed of a lockstep
-    solve. Row t b + u is then sample S[t, u], and its column indices are
-    shifted by t d, so the triple is block-diagonal: margins read (m, d)
-    iterates as one vector and a scatter fills m d outputs, and every output
-    still sums its own seed's entries in storage order. ``size`` is b, the
-    batch size of each seed.
-
-    ``Batch(obj, S)`` checks S: integers only, a vector or an (m, b) block,
-    every index in [0, n). It is the one-step case of ``Batches``, which
-    makes those checks and the rest of the index-sized work once for the
-    batches of many steps; ``Batches.batch(t)`` builds the same Batch for
-    step t from that work.
+    """Step t of the prepared ``steps``, its rows gathered once into a CSR
+    triple (``indptr``, ``indices``, ``values``) with the dataset's index
+    dtype. ``S`` is the step's (m, b) block, one batch per seed, ``y`` its
+    labels and ``size`` b, the batch size of each seed. Row u b + v is
+    sample S[u, v], duplicates included, and its column indices are shifted
+    by u d, so the triple is block-diagonal: margins read (m, d) iterates as
+    one vector, a scatter fills m d outputs, and every output sums its own
+    seed's entries in storage order. Built per call and never cached.
     """
 
     __slots__ = ("_obj", "S", "size", "y", "indptr", "indices", "values", "_w_shape")
 
-    def __init__(self, obj, S):
-        S = np.asarray(S)
-        if S.ndim not in (1, 2):
-            raise ValueError("batch indices must be a vector or an (m, b) block")
-        self._gather(Batches(obj, S[None]), 0)
-
-    def _gather(self, steps, t):
-        # step t of the prepared ``steps``: what depends on the step alone,
-        # the two buffers, one compiled copy of the rows and the seed shift
+    def __init__(self, steps, t):
+        # what depends on the step alone: the two buffers, one compiled copy
+        # of the rows and the seed shift
         obj, ends, S = steps._obj, steps._ends[t], steps.S[t]
         self.indptr = steps._indptr[t]
         self.indices = np.empty(ends[-1], dtype=self.indptr.dtype)
@@ -186,11 +159,11 @@ class Batch:
         for u in range(1, len(ends)):  # seed u's entries, shifted by u d
             self.indices[ends[u - 1]:ends[u]] += u * obj.d
         self._obj, self.S, self.size, self.y = obj, S, S.shape[-1], steps.y[t]
-        self._w_shape = S.shape[:-1] + (obj.d,)  # the iterates it reads, the sums it makes
+        self._w_shape = (len(S), obj.d)  # the iterates it reads, the sums it makes
 
     def margins(self, w):
-        """<w, x_i> for every row, w a float64 array of length d, or (m, d)
-        for a block; equals ``X[S] @ w`` bit for bit, seed by seed."""
+        """<w[u], x_i> for every row of seed u's batch, w an (m, d) float64
+        array; equals ``X[S[u]] @ w[u]`` bit for bit, seed by seed."""
         _check_shape(w, self._w_shape, "w")
         out = np.zeros(self.S.shape)
         self._obj._loops.csr_matvec(out.size, w.size, self.indptr, self.indices,
@@ -203,9 +176,9 @@ class Batch:
         return obj._coefs(obj._terms(self.margins(w), self.y))
 
     def scatter(self, c):
-        """sum_t c[t] x_{S[t]} for a float64 array c shaped like S, as a dense
-        length-d vector, or (m, d) for a block; equals ``X[S].T @ c`` bit for
-        bit, seed by seed."""
+        """sum_v c[u, v] x_{S[u, v]} for every seed u, c a float64 array
+        shaped like S, as an (m, d) array; equals ``X[S[u]].T @ c[u]`` bit
+        for bit, seed by seed."""
         _check_shape(c, self.S.shape, "c")
         out = np.zeros(self._w_shape)
         # the triple read in CSC form is X[S].T
@@ -215,19 +188,20 @@ class Batch:
 
 
 class Batches:
-    """The batches of C steps, S[0] to S[C - 1], prepared at once: S is a
-    (C, b) array of vectors or a (C, m, b) array of (m, b) blocks, as
-    ``Batch`` takes them. Everything that depends on the indices alone is
-    done here, for all C steps together: the checks of ``Batch``, the cast to
-    the dataset's index dtype, each step's running sum of row lengths (its
-    ``indptr``) and the labels. ``batch(t)`` then gathers step t's rows, a
-    ``Batch`` equal to ``Batch(obj, S[t])`` bit for bit.
+    """The batches of C steps, prepared at once: S is a (C, m, b) array,
+    and S[t, u] is seed u's batch at step t. Everything that depends on the
+    indices alone is done here, for all C steps together: the checks, the
+    cast to the dataset's index dtype, each step's running sum of row
+    lengths (its ``indptr``) and the labels. ``Batch(steps, t)`` then
+    gathers step t's rows.
     """
 
     __slots__ = ("_obj", "S", "y", "_rows", "_indptr", "_ends")
 
     def __init__(self, obj, S):
         S = np.asarray(S)
+        if S.ndim != 3:
+            raise ValueError(f"batch indices must be a (C, m, b) block, got shape {S.shape}")
         if S.size and S.dtype.kind not in "iu":  # signed or unsigned integers only
             raise ValueError("batch indices must be integers")
         # one range check for both ends: the cast keeps every index's bits
@@ -236,27 +210,17 @@ class Batches:
         self.S = S.astype(np.int64, copy=False)
         if S.size and self.S.view(np.uint64).max() >= obj.n:
             raise IndexError(f"batch index out of range [0, {obj.n})")
-        ds = obj.dataset
-        m, b = (S.shape[1] if S.ndim == 3 else 1), S.shape[-1]
+        ds, (C, m, b) = obj.dataset, S.shape
         if m * obj.d >= 2 ** (8 * ds.indptr.itemsize - 1):
             raise ValueError("block of iterates too wide for the dataset's index dtype")
         # one row of sample indices per step; as scipy's X[S], each step's
         # indptr is a running sum of its row lengths from 0
-        self._rows = self.S.reshape(len(S), m * b).astype(ds.indptr.dtype)
-        self._indptr = np.zeros((len(S), m * b + 1), dtype=ds.indptr.dtype)
+        self._rows = self.S.reshape(C, m * b).astype(ds.indptr.dtype)
+        self._indptr = np.zeros((C, m * b + 1), dtype=ds.indptr.dtype)
         np.add.accumulate(obj._row_nnz.take(self._rows), axis=1, out=self._indptr[:, 1:])
         # where each seed's entries end in each step's triple
-        self._ends = self._indptr[:, b::b].tolist() if b else [[0]] * len(S)
+        self._ends = self._indptr[:, b::b].tolist() if b else [[0]] * C
         self._obj, self.y = obj, obj.y.take(self.S)
-
-    def __len__(self):
-        return len(self.S)
-
-    def batch(self, t):
-        """Step t's rows gathered: the ``Batch`` of S[t]."""
-        B = Batch.__new__(Batch)
-        B._gather(self, t)
-        return B
 
 
 class Objective:
@@ -278,7 +242,7 @@ class Objective:
         self._loops, self._expit = _compiled()
         self.n, self.d, self.y = dataset.n, dataset.d, dataset.labels
         self._ny = -self.y  # the logistic terms read -y once per Objective
-        self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batch
+        self._row_nnz = np.diff(dataset.indptr)  # the row lengths, for Batches
         # the column view, built at the first replay or full gradient of any
         # thread, not here: an Objective costs no pass over X until it is used
         self._columns = None
@@ -307,22 +271,6 @@ class Objective:
                 if self._columns is None:
                     self._columns = _column_view(self.dataset, self._loops)
         return self._columns
-
-    def column(self, i):
-        """Column i of X as ``(rows, values)``, rows increasing."""
-        starts, rows, values, _ = self._view()
-        lo, hi = starts[i], starts[i + 1]
-        return rows[lo:hi], values[lo:hi]
-
-    def add_column(self, z, i, c):
-        """z += c X[:, i] in place, for a float64 array z of length n and a
-        float c; equals ``z[rows] += c * values`` of ``column(i)`` bit for bit."""
-        _check_shape(z, (self.n,), "z")
-        if not 0 <= i < self.d:
-            raise IndexError(f"column {i} out of range [0, {self.d})")
-        starts, rows, values, _ = self._view()
-        # the column's two bounds read as a CSC matrix of one column
-        self._loops.csc_matvec(self.n, 1, starts[i:i + 2], rows, values, [c], z)
 
     def _terms(self, z, y=None):
         # what f_i and c_i share at margins z, labels y (default: every
@@ -364,11 +312,20 @@ class Objective:
             z = self.margins(self._check_w(w))
         return self._terms(z)
 
+    def _one_seed(self, S, w, ndim):
+        # S, a vector of sample indices (ndim 1) or one index (ndim 0), as the
+        # one step of a one-seed block, and w checked as its (1, d) iterates
+        S = np.asarray(S)
+        if S.ndim != ndim:
+            what = "batch indices must be a vector" if ndim else "sample index must be a scalar"
+            raise ValueError(f"{what}, got shape {S.shape}")
+        return Batch(Batches(self, S.reshape(1, 1, -1)), 0), self._check_w(w)[None]
+
     def loss_sample(self, i, w):
-        """f_i(w) for one sample."""
-        w = self._check_w(w)
-        B = Batch(self, [i])
-        return float(self._losses(self._terms(B.margins(w), B.y))[0])
+        """f_i(w) for one sample: the per-sample oracle that finite
+        differences of the gradients are checked against."""
+        B, w = self._one_seed(i, w, 0)
+        return float(self._losses(self._terms(B.margins(w), B.y))[0, 0])
 
     def loss_full(self, w, z=None):
         """f(w) = (1/n) sum_i f_i(w); overflow-safe for any finite w. ``z``,
@@ -382,12 +339,12 @@ class Objective:
         return self._coefs(self._full_terms(w, z))
 
     def grad_batch(self, S, w):
-        """(1/|S|) sum_{i in S} grad f_i(w), duplicates with multiplicity; [i] gives grad f_i(w)."""
-        w = self._check_w(w)
-        B = Batch(self, S)
+        """(1/|S|) sum_{i in S} grad f_i(w) for a vector S of sample indices,
+        duplicates with multiplicity; [i] gives grad f_i(w)."""
+        B, w = self._one_seed(S, w, 1)
         if B.size == 0:
             raise ValueError("empty batch")
-        return B.scatter(B.coefs(w)) / B.size
+        return B.scatter(B.coefs(w))[0] / B.size
 
     def mean_rows(self, c):
         """(1/n) sum_i c_i x_i = (1/n) X^T c over all n samples, for a float64
@@ -428,15 +385,11 @@ def _column_view(ds, loops):
     return *view, np.diff(view[0]).tolist()
 
 
-# The fixed costs of a replay, in entries of a pass over X, measured at
-# mushrooms shape (8124 x 112, 182k nnz) on a 2-core x86-64 host, where
-# ``Objective.margins`` took 0.9-1.2 ns an entry: an add of an empty column
-# through ``add_column`` (the method call, its checks, the slice and the
-# compiled loop's set-up) took as long as 1500-2200 entries (median 1900;
-# 1.4-3.1 us), and each step of the collapse as long as 160-230 (150-240
-# ns). A replay calls the loop itself, without those checks, about 0.6 us
-# less per column; the constants are not lowered to match, since they
-# decide which reads replay, and so the bits of every trace.
+# The fixed costs of a replay, in entries of a pass over X: each distinct
+# column's add (the slice and the compiled loop's set-up) and each step of
+# the collapse, as measured at mushrooms shape. They decide which reads
+# replay and which make a pass, and so the bits of every trace; they are not
+# retuned when the costs they stand for move.
 _COLUMN_COST = 2000
 _STEP_COST = 200
 
@@ -452,9 +405,9 @@ class Margins:
 
         a = prod_t (1 - eta_t),   c_i = sum_{t: i_t = i} eta_t r_t prod_{u>t} (1 - eta_u),
 
-    and applies them as ``z *= a`` and one call of the compiled column loop
-    per column, the loop of ``Objective.add_column`` without its checks.
-    That touches n entries for the scale and each column's nnz for its add,
+    and applies them as ``z *= a`` and one call per column of the compiled
+    loop behind ``X.T @ c`` over that column of the view, with the bits of
+    ``z[rows] += c * values``. That touches n entries for the scale and each column's nnz for its add,
     plus the fixed costs ``_STEP_COST`` per step and ``_COLUMN_COST`` per
     column; when the sum passes nnz, ``at`` makes a fresh pass over X
     instead. ``step`` stops keeping steps once their fixed cost alone
@@ -510,8 +463,9 @@ class Margins:
             if cost <= self._room:
                 z = self._z
                 z *= a
-                # add_column's loop without its checks: z is this seed's own
-                # and every i a column the LMO picked
+                # the loop checks nothing: z is this seed's own n entries and
+                # every i a column the LMO picked; the column's two bounds
+                # read as a CSC matrix of one column
                 add, n, coef = obj._loops.csc_matvec, obj.n, np.empty(1)
                 for i, c in coefs.items():
                     coef[0] = c

@@ -87,7 +87,8 @@ def expected_estimator_update(kind, obj, state, x_new, x_old, *, b,
     ``state`` is a snapshot dict: ``g`` (current estimate) and, for
     saga_sarah, ``table`` as an (n, d) array of stored per-sample gradients
     y_i. The update formulas are recomputed here per-sample, each grad f_i(x)
-    a ``Batch`` of one (``obj.grad_batch([i], x)``), not by block updates.
+    ``obj.grad_batch([i], x)``, the one step of a one-seed block of one
+    sample, not by block updates.
     """
     x_new = np.asarray(x_new, dtype=np.float64)
     x_old = np.asarray(x_old, dtype=np.float64)

@@ -36,11 +36,11 @@ step evaluates them once for its estimate, its row's loss and its gap. A
 batch's margins come from the batch kernel. The loop reports each step to
 the margins with the vertex its LMO picked, (i, r) for s = r e_i, so on
 the l1 ball and the simplex z follows x' = x + eta (r e_i - x) by one
-column of X instead of a pass over all of X: a read
-applies the steps since the last one as one scale of z and one column add
-per distinct column, or makes a pass when that is cheaper. On the box,
-whose vertices are dense, the reads at one iterate (fw's gradient at
-x^{k+1} and row k+1's loss) share one pass. Replayed margins differ from X x by rounding,
+column of X instead of a pass over all of X: a read applies the steps
+since the last one as one scale of z and one column add per distinct
+column, or makes a pass when that is cheaper. On the box, whose vertices
+are dense, the reads at one iterate (fw's gradient at x^{k+1} and row
+k+1's loss) share one pass. Replayed margins differ from X x by rounding,
 so l1 and simplex traces can differ from a pass-per-read loop's, or from
 a replay that applies the steps one at a time, by a few ulps; they are
 bit-reproducible run to run.

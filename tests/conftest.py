@@ -17,7 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 from stochfw.data import Dataset, normalize_labels, parse_libsvm
-from stochfw.objectives import Margins, Objective
+from stochfw.objectives import Batch, Batches, Margins, Objective
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,6 +90,13 @@ def sparse_objectives(draw, n=(1, 12), d=(1, 8), bound=1e3):
     return Objective(kind, ds)
 
 
+def one_step(obj, S):
+    """The ``Batch`` of S, an (m, b) block of one batch per seed or one
+    seed's vector, as the one step of a prepared block."""
+    S = np.asarray(S)
+    return Batch(Batches(obj, S[None] if S.ndim == 2 else S[None, None]), 0)
+
+
 def scripted(est, refresh=None, batch=None):
     """Replace the random draws of an estimator of one seed with fixed ones;
     returns ``est``.
@@ -146,14 +153,20 @@ def mushrooms_scale_logistic():
     return Objective("logistic", ds)
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter on this checkout's src; its last
-    line of standard output."""
+def run_process(*args, cwd=None):
+    """Run ``python *args`` in a fresh interpreter on this checkout's src;
+    the finished process, with its exit code and both streams as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's src; its last
+    line of standard output."""
+    proc = run_process("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]

@@ -1,17 +1,16 @@
 """Property tests: the batch kernel on scipy's compiled CSR loops against X[S].
 
-``Batch(obj, S)`` must reproduce scipy's row-slice products bit for bit
+A ``Batch`` must reproduce scipy's row-slice products bit for bit
 on any CSR shape, including empty rows, duplicate indices in S, b = 1 and
 b = n, and with int32 or int64 index arrays; so must the full passes
 ``Objective.margins`` and ``mean_rows`` against ``X @ w`` and ``X.T @ c``,
 drawn and on explicit shapes (an empty column, an empty row, one column,
 int64 indices), and a block of m batches against each of its batches
-alone; and so must ``Objective.add_column`` against numpy's ``z[rows] +=
-c * values``. The kernel calls the loops behind those products (``scipy.sparse._sparsetools``, a
+alone; and so must the column loop of a replay against numpy's ``z[rows]
++= c * values``. The kernel calls the loops behind those products (``scipy.sparse._sparsetools``, a
 private module), so this property is what fails if a scipy release changes
-them. The loops check no bounds, so a ``Batch`` must reject a non-integer or
-out-of-range S and a w or c of the wrong length itself, and a column add a z
-of the wrong length or a column out of range. ``grad_batch`` must be the mean of the
+them. The loops check no bounds, so ``Batches`` must reject a non-integer or
+out-of-range S, and a ``Batch`` a w or c of the wrong length. ``grad_batch`` must be the mean of the
 per-sample gradients up to the rounding of the two summation orders; and
 one Objective must serve batches from several threads at once. A grid must
 import neither the ``scipy.sparse`` nor the ``scipy.special`` package: the
@@ -30,9 +29,9 @@ from hypothesis import strategies as st
 
 from stochfw import data as data_module
 from stochfw.data import Dataset
-from stochfw.objectives import Batch, Objective, _compiled, _load_compiled
+from stochfw.objectives import Batches, Objective, _compiled, _load_compiled
 
-from conftest import binary_sparse_libsvm_text, run_python, separable_libsvm_text
+from conftest import binary_sparse_libsvm_text, one_step, run_python, separable_libsvm_text
 from conftest import sparse_objectives as objectives
 
 _VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -57,13 +56,13 @@ def assert_kernel_matches_scipy(obj, data):
     S = data.draw(batches(obj.n))
     w = data.draw(vectors(obj.d))
     c = data.draw(vectors(len(S)))
-    B = Batch(obj, S)
+    B = one_step(obj, S)
     X = obj.dataset.to_csr()
     XS = X[S]
     assert B.indices.dtype == obj.dataset.indices.dtype
-    assert np.array_equal(B.margins(w), np.asarray(XS @ w).ravel())
-    assert np.array_equal(B.scatter(c), np.asarray(XS.T @ c).ravel())
-    assert np.array_equal(B.y, obj.y[S])
+    assert np.array_equal(B.margins(w[None])[0], np.asarray(XS @ w).ravel())
+    assert np.array_equal(B.scatter(c[None])[0], np.asarray(XS.T @ c).ravel())
+    assert np.array_equal(B.y[0], obj.y[S])
     # the full passes run the same loops over all n rows
     c_all = data.draw(vectors(obj.n))
     assert np.array_equal(obj.margins(w), np.asarray(X @ w).ravel())
@@ -75,13 +74,13 @@ def assert_kernel_matches_scipy(obj, data):
                                       max_size=len(S))) for _ in range(m)])
     W = np.array([data.draw(vectors(obj.d)) for _ in range(m)])
     C = np.array([data.draw(vectors(S.shape[1])) for _ in range(m)])
-    B = Batch(obj, S)
+    B = one_step(obj, S)
     coefs = B.coefs(W)
     for t in range(m):
-        alone = Batch(obj, S[t])
-        assert np.array_equal(B.margins(W)[t], alone.margins(W[t]))
-        assert np.array_equal(B.scatter(C)[t], alone.scatter(C[t]))
-        assert np.array_equal(coefs[t], alone.coefs(W[t]))
+        alone = one_step(obj, S[t])
+        assert np.array_equal(B.margins(W)[t], alone.margins(W[t][None])[0])
+        assert np.array_equal(B.scatter(C)[t], alone.scatter(C[t][None])[0])
+        assert np.array_equal(coefs[t], alone.coefs(W[t][None])[0])
     assert np.array_equal(B.y, obj.y[S])
 
 
@@ -135,33 +134,23 @@ def test_mean_rows_keeps_the_bits_of_scipy_on_edge_shapes(monkeypatch, case):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_column_add_matches_numpy_bit_for_bit(monkeypatch, data):
-    # every column, empty ones included, with c = 0, negative c and any other
+    # every column, empty ones included, with c = 0, negative c and any other,
+    # through the loop called exactly as a replay in ``Margins.at`` calls it
     with monkeypatch.context() as patch:
         if data.draw(st.booleans(), label="int64 indices"):
             patch.setattr(data_module, "INDEX_LIMIT", 0)
         obj = data.draw(objectives())
     z = data.draw(vectors(obj.n))
     coefs = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), _VALUES)
+    starts, rows, values, _ = obj._view()
+    coef = np.empty(1)
     for i in range(obj.d):
-        c = data.draw(coefs)
-        rows, vals = obj.column(i)
+        coef[0] = data.draw(coefs)
+        lo, hi = starts[i], starts[i + 1]
         expect = z.copy()
-        expect[rows] += c * vals
-        obj.add_column(z, i, c)
+        expect[rows[lo:hi]] += coef[0] * values[lo:hi]
+        obj._loops.csc_matvec(obj.n, 1, starts[i:i + 2], rows, values, coef, z)
         assert np.array_equal(z.view(np.uint64), expect.view(np.uint64))
-
-
-def test_column_add_rejects_bad_z_and_columns(bc_logistic):
-    # the compiled loop writes n entries of z and reads the column's bounds unchecked
-    obj = bc_logistic
-    for z in (np.zeros(obj.n - 1), np.zeros(obj.n + 1), np.zeros((obj.n, 1))):
-        with pytest.raises(ValueError, match="z has shape"):
-            obj.add_column(z, 0, 1.0)
-    z = np.zeros(obj.n)
-    for i in (-1, obj.d, obj.d + 1):
-        with pytest.raises(IndexError):
-            obj.add_column(z, i, 1.0)
-    assert not z.any()
 
 
 def assert_grad_batch_is_mean(obj, S, w):
@@ -209,44 +198,51 @@ def test_all_empty_rows_give_float_zeros():
         labels=np.array([-1.0, 1.0, 1.0]),
         d=2,
     )
-    B = Batch(Objective("logistic", ds), [2, 0, 2])
-    for out, size in ((B.margins(np.ones(2)), 3), (B.scatter(np.ones(3)), 2)):
+    B = one_step(Objective("logistic", ds), [2, 0, 2])
+    for out, size in ((B.margins(np.ones((1, 2))), 3), (B.scatter(np.ones((1, 3))), 2)):
         assert out.dtype == np.float64
-        assert np.array_equal(out, np.zeros(size))
+        assert np.array_equal(out, np.zeros((1, size)))
 
 
 def test_batch_rejects_bad_indices(bc_logistic):
-    # the compiled gather reads any index it is given, so a Batch must check S
+    # the compiled gather reads any index it is given, so Batches must check S
     n, w = bc_logistic.n, np.zeros(bc_logistic.d)
     # 2**63 is a uint64 array: the check catches it though the int64 cast wraps it
     for S in ([n], [-1], [0, n + 5], [2**40], [-(2**40)], [2**63]):
         with pytest.raises(IndexError):
-            Batch(bc_logistic, S)
+            one_step(bc_logistic, S)
     for S in ([[0], [n]], [[-1, 0]]):  # an (m, b) block, checked as a vector is
         with pytest.raises(IndexError):
-            Batch(bc_logistic, S)
+            one_step(bc_logistic, S)
     # no index is truncated from a float or read from a bool, and 2**70
     # (an object array) is rejected, not left to overflow the int64 cast
     for S in ([[[0, 1]]], [1.7], [0.0], [True], [True, False], [[0.5]], [2**70]):
         with pytest.raises(ValueError):
-            Batch(bc_logistic, S)
+            one_step(bc_logistic, S)
         with pytest.raises(ValueError):
             bc_logistic.grad_batch(S, w)
     with pytest.raises(ValueError):
         bc_logistic.loss_sample(1.9, w)
     # an empty S is a batch of size 0, which grad_batch alone refuses
-    assert Batch(bc_logistic, []).size == 0
+    assert one_step(bc_logistic, []).size == 0
     with pytest.raises(ValueError, match="empty batch"):
         bc_logistic.grad_batch([], w)
-    # a block of batches reads a block of iterates, so the vector API rejects it
-    with pytest.raises(ValueError):
+    # the per-sample oracles take a vector of indices and one index; a block,
+    # or a vector for one sample, is refused by the indices, not by w
+    with pytest.raises(ValueError, match="batch indices must be a vector"):
         bc_logistic.grad_batch([[0, 1]], w)
+    with pytest.raises(ValueError, match="sample index must be a scalar"):
+        bc_logistic.loss_sample([0], w)
+    # a prepared block of steps is a (C, m, b) array and nothing else
+    for shape in ((3,), (1, 3), (1, 1, 1, 3)):
+        with pytest.raises(ValueError, match=r"\(C, m, b\) block"):
+            Batches(bc_logistic, np.zeros(shape, dtype=np.int64))
 
 
 def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
     # the compiled loops read d entries of w and |S| of c unchecked
     d = bc_logistic.d
-    B = Batch(bc_logistic, [0, 3, 3])
+    B = one_step(bc_logistic, [0, 3, 3])
     for w in (np.ones(d - 1), np.ones(d + 1), np.ones((d, 1))):
         for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):
@@ -255,7 +251,7 @@ def test_batch_rejects_vectors_of_wrong_length(bc_logistic):
         with pytest.raises(ValueError, match="c has shape"):
             B.scatter(c)
     # a block of two batches reads (2, d) iterates and (2, |S|) weights
-    B = Batch(bc_logistic, [[0, 3, 3], [1, 2, 0]])
+    B = one_step(bc_logistic, [[0, 3, 3], [1, 2, 0]])
     for w in (np.ones(d), np.ones((1, d)), np.ones((2, d + 1)), np.ones((3, d))):
         for call in (B.margins, B.coefs):
             with pytest.raises(ValueError, match="w has shape"):
@@ -279,8 +275,8 @@ def test_batch_rejects_block_too_wide_for_index_dtype():
     obj = Objective("logistic", ds)
     assert ds.indices.dtype == np.int32
     with pytest.raises(ValueError, match="too wide"):
-        Batch(obj, [[0], [0]])
-    assert Batch(obj, [[0]]).indices.tolist() == [d - 1]
+        one_step(obj, [[0], [0]])
+    assert one_step(obj, [[0]]).indices.tolist() == [d - 1]
 
 
 # a grid of every algorithm and both losses through ``stochfw.cli.main`` in a

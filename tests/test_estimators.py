@@ -13,6 +13,7 @@ from stochfw.objectives import Batch
 from stochfw.reference import enumerate_batches, expected_estimator_update
 
 from conftest import (
+    one_step,
     run_python,
     scripted,
     separable_libsvm_text,
@@ -143,13 +144,13 @@ def test_block_draw_equals_per_step_draws(n, b, steps, seed):
 def per_step_batches(cfg, n, seeds, updates):
     """The batches an estimator's updates take when every draw comes from its
     seed's RNG one step at a time, coin first: one (m', b) block per update,
-    after saga_sarah's cold-start sample indices."""
+    after saga_sarah's cold-start samples, each a one-seed block of one."""
     twins = [np.random.default_rng(seed) for seed in seeds]
 
     def draw(rng):
         return rng.integers(0, n, size=cfg.b)
 
-    batches = [np.array([rng.integers(0, n)]) for rng in twins] if cfg.cold_start else []
+    batches = [np.array([[rng.integers(0, n)]]) for rng in twins] if cfg.cold_start else []
     for _ in range(updates):
         if cfg.kind == "sarah":
             rows = [draw(rng) for rng in twins if not rng.random() < cfg.p]
@@ -176,13 +177,13 @@ def test_batches_are_the_per_step_draws(monkeypatch, params, seeds, b, n):
     if not isinstance(seeds, int):
         x_new, x_old = np.tile(x_new, (len(seeds), 1)), np.tile(x_old, (len(seeds), 1))
     seen = []
-    gather = Batch._gather
+    gather = Batch.__init__
 
     def recording(self, steps, t):
         gather(self, steps, t)
         seen.append(np.array(self.S))
 
-    monkeypatch.setattr(Batch, "_gather", recording)
+    monkeypatch.setattr(Batch, "__init__", recording)
     cfg = EstimatorConfig(b=b, **params)
     est = init_estimator(cfg, obj, x_old, seeds)
     for k in range(50):
@@ -216,7 +217,7 @@ def test_drawn_batches_equal_the_checked_batch_bit_for_bit(kind, seeds, b, n):
     rng = np.random.default_rng(8)
     for _ in range(2 * est._block_steps + 3):
         got = est.draw_batch(range(len(seeds)))
-        want = Batch(obj, np.array([twin.integers(0, n, size=b) for twin in twins]))
+        want = one_step(obj, np.array([twin.integers(0, n, size=b) for twin in twins]))
         _assert_same_batch(got, want)
         w, c = rng.normal(size=(len(seeds), obj.d)), rng.normal(size=(len(seeds), b))
         assert got.margins(w).tobytes() == want.margins(w).tobytes()
@@ -245,7 +246,7 @@ def test_an_out_of_range_draw_raises_before_any_gather(monkeypatch, params, bad)
 
     gathers = []
     monkeypatch.setattr(est, "_draw_block", draw_block)
-    monkeypatch.setattr(Batch, "_gather", lambda self, steps, t: gathers.append(t))
+    monkeypatch.setattr(Batch, "__init__", lambda self, steps, t: gathers.append(t))
     with pytest.raises(IndexError):
         est.update(x_new, x_old, 0)
     assert gathers == []
@@ -289,7 +290,7 @@ def test_saga_writes_back_each_steps_first_positions_across_refills(seeds):
         est.update(x_new, x_old, k)
         S = np.array([twin.integers(0, obj.n, size=100) for twin in twins])
         first = _first_by_minimum_at(S, obj.n)
-        B = Batch(obj, S)
+        B = one_step(obj, S)
         c_new = B.coefs(x_new)
         delta = np.zeros(S.shape)
         for j in range(m):
@@ -424,14 +425,14 @@ def test_saga_write_back_keeps_each_samples_first_position(obj):
     est = init_estimator(EstimatorConfig(kind="saga_sarah", b=len(S), lam=0.2), obj, x_old, 0)
     table, avg = est.table_coefs[0].copy(), est.saga_avg[0].copy()
     scripted(est, batch=S).update(x_new, x_old, 0)
-    B = Batch(obj, S)
-    c_new = B.coefs(x_new)
+    B = one_step(obj, S)
+    c_new = B.coefs(x_new[None])[0]
     uniq, first = np.unique(S, return_index=True)
     delta = np.zeros(len(S))
     delta[first] = c_new[first] - table[uniq]
     table[uniq] = c_new[first]
     assert np.array_equal(est.table_coefs[0], table)
-    assert np.array_equal(est.saga_avg[0], avg + B.scatter(delta) / obj.n)
+    assert np.array_equal(est.saga_avg[0], avg + B.scatter(delta[None])[0] / obj.n)
 
 
 def test_saga_table_consistency_after_random_updates(obj):

@@ -54,11 +54,12 @@ def sparse_objectives(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_objectives())
 def test_column_view_columns_equal_scipy_columns(obj):
+    starts, rows, values, _ = obj._view()
     for i in range(obj.d):
         col = obj.dataset.to_csr()[:, [i]].tocsc()
-        rows, vals = obj.column(i)
-        assert np.array_equal(rows, col.indices)
-        assert np.array_equal(vals.view(np.uint64), col.data.view(np.uint64))
+        lo, hi = starts[i], starts[i + 1]
+        assert np.array_equal(rows[lo:hi], col.indices)
+        assert np.array_equal(values[lo:hi].view(np.uint64), col.data.view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,10 +189,11 @@ def test_a_replay_that_touches_more_than_a_pass_makes_the_pass(bc_logistic, monk
 
 def test_a_replay_is_add_column_over_the_same_columns_in_order(mushrooms_scale_logistic,
                                                               monkeypatch):
-    # a read calls the column loop itself; it must equal the checked
-    # add_column applied to the collapsed coefficients, column by column in
+    # a read calls the column loop itself; it must equal numpy's add of each
+    # collapsed coefficient times its column of the view, column by column in
     # the order of each column's last step, after the one scale
     obj = mushrooms_scale_logistic
+    starts, rows, values, _ = obj._view()
     rng = np.random.default_rng(31)
     passes = []
     margins = Objective.margins
@@ -214,7 +216,7 @@ def test_a_replay_is_add_column_over_the_same_columns_in_order(mushrooms_scale_l
             a *= 1.0 - eta
         z *= a
         for i, c in coefs.items():
-            obj.add_column(z, i, c)
+            z[rows[starts[i]:starts[i + 1]]] += c * values[starts[i]:starts[i + 1]]
         assert cache.at().tobytes() == z.tobytes(), read
     assert len(passes) == 1  # x0's: the four reads were replays
 
